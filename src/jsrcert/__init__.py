@@ -22,11 +22,8 @@ from .certifier import (
     LyapunovCandidate,
     SolveOptions,
     SolverStallError,
-    assemble_constraints,
-    feasibility_check,
     solve_gamma,
     solve_lambda,
-    tie_break_P,
 )
 from .cli import certify_run
 from .lift import (

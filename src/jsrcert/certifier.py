@@ -9,9 +9,10 @@ Given observed endpoint pairs (x0, xl), three quantities are computed:
   every observation, found by bisection over a semidefinite feasibility
   oracle (the problem is quasi-convex: the feasible set only grows with
   gamma);
-* `tie_break_P` -- among shapes feasible at (slightly above) the optimum,
+* the tie-break -- among shapes feasible at (slightly above) the optimum,
   one minimizing lambda_max(P), hence the condition number, which enters
-  the certificate bound directly.
+  the certificate bound directly; when that solve stalls, the bisection
+  witness at gamma* is kept.
 
 Degree d = 1 is the common-quadratic case; higher d certifies with
 sum-of-squares forms via the monomial lift.
@@ -32,15 +33,11 @@ from .sampling import ObservationSet
 __all__ = [
     "SolveOptions",
     "LyapunovCandidate",
-    "ConstraintSystem",
     "SolverStallError",
     "MAX_LIFT_DIM",
     "solve_lambda",
-    "assemble_constraints",
-    "feasibility_check",
     "solve_gamma",
     "solve_gamma_endpoints",
-    "tie_break_P",
 ]
 
 # Lift dimensions beyond this make the D(D+1)/2-variable feasibility
@@ -91,23 +88,6 @@ class LyapunovCandidate:
     c_bound_binding: bool = False
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
-    """Decrease constraints at a fixed gamma, in packed coefficients.
-
-    Row i dotted with vech(P) equals
-    (xl_i lift)^T P (xl_i lift) - gamma^(2dl) (x0_i lift)^T P (x0_i lift),
-    so feasibility means every row value is <= 0 alongside I <= P <= C*I.
-    """
-
-    dim: int
-    degree: int
-    l: int
-    gamma: float
-    rows: np.ndarray
-    c_bound: float
-
-
 class _PairCache:
     """Lifted endpoints with precomputed quadratic-form rows."""
 
@@ -137,41 +117,6 @@ def solve_lambda(obs: ObservationSet) -> float:
         raise ValueError("solve_lambda requires at least one observation")
     _, XL = obs.endpoints()
     return float(np.max(np.linalg.norm(XL, axis=1)))
-
-
-def assemble_constraints(
-    obs: ObservationSet, d: int, gamma: float, opts: SolveOptions | None = None
-) -> ConstraintSystem:
-    """Build the feasibility system of the sampled problem at fixed gamma."""
-    if gamma < 0:
-        raise ValueError(f"gamma must be non-negative, got {gamma}")
-    opts = opts or SolveOptions()
-    X0, XL = obs.endpoints()
-    cache = _PairCache(X0, XL, d, obs.l)
-    return ConstraintSystem(
-        dim=cache.dim,
-        degree=d,
-        l=obs.l,
-        gamma=gamma,
-        rows=cache.rows(gamma),
-        c_bound=opts.c_bound,
-    )
-
-
-def feasibility_check(system: ConstraintSystem, opts: SolveOptions | None = None):
-    """Find P with I <= P <= C*I satisfying the system, or report infeasible.
-
-    Returns the witness as a SymMatrix, or None when no shape matrix
-    satisfies the constraints even with margin -feasibility_margin.  Raises
-    SolverStallError when the iteration limit is exhausted undecided.
-    """
-    opts = opts or SolveOptions()
-    result = lmi.max_margin_feasibility(
-        system.rows, system.dim, system.c_bound, opts.feasibility_margin
-    )
-    if not result.feasible:
-        return None
-    return SymMatrix.from_full(result.P)
 
 
 def _bisect_gamma(
@@ -208,6 +153,17 @@ def _bisect_gamma(
     return hi, witness, dirs
 
 
+def _candidate(degree: int, gamma: float, P: np.ndarray, opts: SolveOptions) -> LyapunovCandidate:
+    m = matrix_metrics(P)
+    return LyapunovCandidate(
+        degree=degree,
+        gamma=gamma,
+        P=SymMatrix.from_full(P),
+        kappa=m.kappa,
+        c_bound_binding=bool(m.lambda_max >= 0.9 * opts.c_bound),
+    )
+
+
 def _tie_break_cache(
     cache: _PairCache,
     gamma_star: float,
@@ -224,19 +180,11 @@ def _tie_break_cache(
         gamma_cert = gamma_tb
     except SolverStallError:
         P, gamma_cert = witness, gamma_star
-    m = matrix_metrics(P)
-    m_w = matrix_metrics(witness)
-    if m.kappa > m_w.kappa + 1e-6:
+    if matrix_metrics(P).kappa > matrix_metrics(witness).kappa + 1e-6:
         # The slackened problem should never beat the bisection witness;
         # keep the better-conditioned shape if it somehow does.
-        P, m, gamma_cert = witness, m_w, gamma_star
-    return LyapunovCandidate(
-        degree=cache.degree,
-        gamma=gamma_cert,
-        P=SymMatrix.from_full(P),
-        kappa=m.kappa,
-        c_bound_binding=bool(m.lambda_max >= 0.9 * opts.c_bound),
-    )
+        P, gamma_cert = witness, gamma_star
+    return _candidate(cache.degree, gamma_cert, P, opts)
 
 
 def solve_gamma_endpoints(
@@ -256,14 +204,7 @@ def solve_gamma_endpoints(
     if tie_break:
         cand = _tie_break_cache(cache, gamma_star, witness, opts, dirs)
     else:
-        m = matrix_metrics(witness)
-        cand = LyapunovCandidate(
-            degree=d,
-            gamma=gamma_star,
-            P=SymMatrix.from_full(witness),
-            kappa=m.kappa,
-            c_bound_binding=bool(m.lambda_max >= 0.9 * opts.c_bound),
-        )
+        cand = _candidate(d, gamma_star, witness, opts)
     return gamma_star, cand
 
 
@@ -282,31 +223,3 @@ def solve_gamma(
     X0, XL = obs.endpoints()
     return solve_gamma_endpoints(X0, XL, d, obs.l, opts)
 
-
-def tie_break_P(
-    obs: ObservationSet, d: int, gamma_star: float, opts: SolveOptions | None = None
-) -> LyapunovCandidate:
-    """Minimize lambda_max(P) over shapes feasible at the slackened gamma*.
-
-    With the scale pinned by P >= I, minimizing lambda_max minimizes the
-    condition number kappa = sqrt(lambda_max / lambda_min).
-    """
-    opts = opts or SolveOptions()
-    X0, XL = obs.endpoints()
-    cache = _PairCache(X0, XL, d, obs.l)
-    gamma_tb = gamma_star * (1.0 + opts.tiebreak_slack)
-    try:
-        P = lmi.min_lambda_max(cache.rows(gamma_tb), cache.dim, opts.c_bound)
-    except SolverStallError as exc:
-        raise SolverStallError(
-            "tie-break solve failed at the slackened gamma; this should be "
-            "impossible for a gamma certified feasible"
-        ) from exc
-    m = matrix_metrics(P)
-    return LyapunovCandidate(
-        degree=d,
-        gamma=gamma_tb,
-        P=SymMatrix.from_full(P),
-        kappa=m.kappa,
-        c_bound_binding=bool(m.lambda_max >= 0.9 * opts.c_bound),
-    )

@@ -54,11 +54,6 @@ def certify_run(
     budget = ConfidenceBudget(
         beta=beta, beta1=beta1, m=m_upper, l=blind.l, N=blind.N, n=blind.n, d=degree
     )
-    if blind.N < budget.free_vars + 1:
-        raise ValueError(
-            f"N={blind.N} is below the minimum sample count {budget.free_vars + 1} "
-            f"required for degree d={degree}"
-        )
     lam = solve_lambda(blind)
     gamma_star, cand = solve_gamma(blind, degree, opts)
     provenance = dict(blind.provenance)

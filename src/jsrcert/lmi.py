@@ -20,16 +20,17 @@ feasibility margin must therefore sit well above the LP feasibility
 tolerance (1e-9), since rescaling divides residual noise by the eigenvalue
 floor.
 
-Feasibility is decided in two phases: a margin-maximizing phase answers
-yes/no, and a second pass re-balances accepted witnesses by maximizing their
-eigenvalue floor at the required margin (the margin-maximal vertex is
-typically near-singular, which would amplify LP noise when rescaled).
-
-Two entry points: `max_margin_feasibility` (the yes/no oracle used by the
-gamma bisection) and `min_lambda_max` (the condition-number tie-break).
-Both accept a mutable list of probe directions so the semidefiniteness cuts
-learned in one call (which are independent of gamma) can warm-start the
-next.
+All three programs run through one cutting-plane loop, `_cut_loop`, over
+x = (vech P, tau); they differ only in objective, boxes, base rows and the
+cut level w^T P w >= a*tau + b.  Feasibility is decided in two phases: the
+margin-maximizing program (`max_margin_feasibility`, the yes/no oracle of
+the gamma bisection) answers yes/no, and `_balanced_witness` re-balances an
+accepted witness by maximizing its eigenvalue floor at the required margin
+(the margin-maximal vertex is typically near-singular, which would amplify
+LP noise when rescaled).  `min_lambda_max` is the condition-number
+tie-break.  The entry points accept a mutable list of probe directions so
+the semidefiniteness cuts learned in one call (which are independent of
+gamma) can warm-start the next.
 """
 
 from __future__ import annotations
@@ -139,8 +140,75 @@ def _solve_lp(c, A_ub, b_ub, bounds, A_eq=None, b_eq=None):
     raise SolverStallError(f"LP solve failed (status {res.status}): {res.message}")
 
 
-def _negative_directions(eigvals, eigvecs, threshold: float) -> list[np.ndarray]:
-    return [eigvecs[:, k] for k in range(len(eigvals)) if eigvals[k] < threshold]
+def _trace_box(D: int, tau_box: tuple[float, float]):
+    """Variable boxes and trace row for P >= 0 with trace(P) = D, plus tau.
+
+    Valid boxes for PSD P with trace D: diagonal in [0, D], off-diagonal
+    magnitude at most D/2.
+    """
+    iu, ju = _triu(D)
+    diag_mask = iu == ju
+    bounds = [(0.0, float(D)) if d else (-D / 2.0, D / 2.0) for d in diag_mask]
+    bounds.append(tau_box)
+    trace_row = np.zeros((1, len(bounds)))
+    trace_row[0, :-1][diag_mask] = 1.0
+    return bounds, trace_row
+
+
+def _cut_loop(
+    sense: float,
+    bounds: list,
+    base: np.ndarray,
+    base_rhs: np.ndarray,
+    dirs: list[np.ndarray] | None,
+    a: float,
+    b: float,
+    D: int,
+    A_eq=None,
+    b_eq=None,
+    ceiling: bool = False,
+    stop=None,
+):
+    """Optimize tau over x = (vech P, tau) under eigenvector cuts.
+
+    Minimizes sense*tau subject to the `base` rows and, for every probe
+    direction w in `dirs`, the cut w'Pw >= a*tau + b.  When the LP solution
+    has eigenvalues below that level, their eigenvectors join `dirs` (which
+    the caller may keep across calls) and the LP is solved again.  With
+    `ceiling`, a top eigenvector above tau adds the cut w'Pw <= tau.
+    Returns (tau, P, eigvals) once no cut is violated, or (tau, None, None)
+    as soon as `stop(tau)` holds.
+    """
+    if dirs is None:
+        dirs = seed_cut_directions(D)
+    elif not dirs:
+        dirs.extend(seed_cut_directions(D))
+    K = D * (D + 1) // 2
+    c = np.zeros(K + 1)
+    c[-1] = sense
+    hi_dirs: list[np.ndarray] = []
+    for _ in range(_MAX_CUT_ROUNDS):
+        q = quad_form_rows(np.array(dirs))
+        parts = [base, np.hstack([-q, np.full((q.shape[0], 1), a)])]
+        parts_rhs = [base_rhs, np.zeros(q.shape[0]) - b]  # 0 - b: +0.0 when b = 0
+        if hi_dirs:
+            q = quad_form_rows(np.array(hi_dirs))
+            parts.append(np.hstack([q, -np.ones((q.shape[0], 1))]))
+            parts_rhs.append(np.zeros(q.shape[0]))
+        x = _solve_lp(c, np.vstack(parts), np.concatenate(parts_rhs), bounds, A_eq=A_eq, b_eq=b_eq)
+        tau = float(x[-1])
+        if stop is not None and stop(tau):
+            return tau, None, None
+        P = unpack_sym(x[:K], D)
+        eigvals, eigvecs = np.linalg.eigh(P)
+        level = a * tau + b - _EIG_TOL * max(1.0, b)
+        new_dirs = [eigvecs[:, k] for k in range(D) if eigvals[k] < level]
+        dirs.extend(new_dirs)
+        if ceiling and eigvals[-1] > tau + _EIG_TOL * max(1.0, tau):
+            hi_dirs.append(eigvecs[:, -1])
+        elif not new_dirs:
+            return tau, P, eigvals
+    raise SolverStallError("eigenvector-cut iteration limit reached")
 
 
 def _balanced_witness(
@@ -152,32 +220,13 @@ def _balanced_witness(
     conditioning keeps the rescaled witness numerically meaningful.
     Variables are vech(P) (trace-normalized) plus the floor s.
     """
-    K = D * (D + 1) // 2
-    iu, ju = _triu(D)
-    diag_mask = iu == ju
-    c = np.zeros(K + 1)
-    c[-1] = -1.0  # maximize the floor variable
-    bounds = [(0.0, float(D)) if d else (-D / 2.0, D / 2.0) for d in diag_mask]
-    bounds.append((0.0, 1.0))  # lambda_min is at most the mean eigenvalue 1
-    trace_row = np.zeros((1, K + 1))
-    trace_row[0, :K][diag_mask] = 1.0
-
+    # lambda_min is at most the mean eigenvalue 1
+    bounds, trace_row = _trace_box(D, (0.0, 1.0))
     base = np.hstack([rows, np.zeros((rows.shape[0], 1))])
     base_rhs = np.full(rows.shape[0], -margin)
-    for _ in range(_MAX_CUT_ROUNDS):
-        q = quad_form_rows(np.array(dirs))
-        A_ub = np.vstack([base, np.hstack([-q, np.ones((q.shape[0], 1))])])
-        b_ub = np.concatenate([base_rhs, np.zeros(q.shape[0])])
-        x = _solve_lp(c, A_ub, b_ub, bounds, A_eq=trace_row, b_eq=[float(D)])
-        s = float(x[-1])
-        P = unpack_sym(x[:K], D)
-        eigvals, eigvecs = np.linalg.eigh(P)
-        new_dirs = _negative_directions(eigvals, eigvecs, s - _EIG_TOL)
-        if new_dirs:
-            dirs.extend(new_dirs)
-            continue
-        return P
-    raise SolverStallError("eigenvector-cut iteration limit reached in witness balancing")
+    _, P, _ = _cut_loop(-1.0, bounds, base, base_rhs, dirs, 1.0, 0.0, D,
+                        A_eq=trace_row, b_eq=[float(D)])
+    return P
 
 
 def max_margin_feasibility(
@@ -197,55 +246,27 @@ def max_margin_feasibility(
     rows = _clean_rows(rows)
     if rows.shape[0] == 0:
         return MarginResult(feasible=True, P=np.eye(D), margin=1.0)
-    K = D * (D + 1) // 2
-    iu, ju = _triu(D)
-    diag_mask = iu == ju
     # lambda_max <= trace = D, so this floor caps lambda_max/lambda_min at
     # c_bound, matching the I <= P <= C*I box after rescaling.
     floor = min(D / c_bound, 0.9)
     if dirs is None:
-        dirs = seed_cut_directions(D)
-    elif not dirs:
-        dirs.extend(seed_cut_directions(D))
-
-    c = np.zeros(K + 1)
-    c[-1] = -1.0  # maximize the margin variable
-    # Valid boxes for PSD P with trace D: diagonal in [0, D], off-diagonal
-    # magnitude at most D/2, margins at most ||P||_F <= D.
-    bounds = [(0.0, float(D)) if d else (-D / 2.0, D / 2.0) for d in diag_mask]
-    bounds.append((-2.0 * D, 2.0 * D))
-    trace_row = np.zeros((1, K + 1))
-    trace_row[0, :K][diag_mask] = 1.0
-
+        dirs = []  # shared with the balancing pass below
+    # Margins are at most ||P||_F <= D.
+    bounds, trace_row = _trace_box(D, (-2.0 * D, 2.0 * D))
     base = np.hstack([rows, np.ones((rows.shape[0], 1))])
-    base_rhs = np.zeros(base.shape[0])
-
-    for _ in range(_MAX_CUT_ROUNDS):
-        q = quad_form_rows(np.array(dirs))
-        A_ub = np.vstack([base, np.hstack([-q, np.zeros((q.shape[0], 1))])])
-        b_ub = np.concatenate([base_rhs, np.full(q.shape[0], -floor)])
-        x = _solve_lp(c, A_ub, b_ub, bounds, A_eq=trace_row, b_eq=[float(D)])
-        t = float(x[-1])
-        if t < -margin:
-            return MarginResult(feasible=False, P=None, margin=t)
-        P = unpack_sym(x[:K], D)
-        eigvals, eigvecs = np.linalg.eigh(P)
-        new_dirs = _negative_directions(eigvals, eigvecs, floor - _EIG_TOL * max(1.0, floor))
-        if new_dirs:
-            dirs.extend(new_dirs)
-            continue
-        if t < margin:
-            return MarginResult(feasible=False, P=None, margin=t)
-        P = _balanced_witness(rows, D, min(t, max(margin, 1e-6)), dirs)
-        lmin = float(np.linalg.eigvalsh(P)[0])
-        if lmin <= 0:
-            return MarginResult(feasible=False, P=None, margin=t)
-        P = P / lmin  # homogeneous constraints: rescale so P >= I exactly
-        if float(np.max(rows @ P[np.triu_indices(D)])) > 1e-9:
-            # Rescaling amplified LP noise past the contract; boundary case.
-            return MarginResult(feasible=False, P=None, margin=t)
-        return MarginResult(feasible=True, P=P, margin=t)
-    raise SolverStallError("eigenvector-cut iteration limit reached in feasibility oracle")
+    t, P, _ = _cut_loop(-1.0, bounds, base, np.zeros(base.shape[0]), dirs, 0.0, floor, D,
+                        A_eq=trace_row, b_eq=[float(D)], stop=lambda tau: tau < -margin)
+    if P is None or t < margin:
+        return MarginResult(feasible=False, P=None, margin=t)
+    P = _balanced_witness(rows, D, min(t, max(margin, 1e-6)), dirs)
+    lmin = float(np.linalg.eigvalsh(P)[0])
+    if lmin <= 0:
+        return MarginResult(feasible=False, P=None, margin=t)
+    P = P / lmin  # homogeneous constraints: rescale so P >= I exactly
+    if float(np.max(rows @ P[np.triu_indices(D)])) > 1e-9:
+        # Rescaling amplified LP noise past the contract; boundary case.
+        return MarginResult(feasible=False, P=None, margin=t)
+    return MarginResult(feasible=True, P=P, margin=t)
 
 
 def min_lambda_max(
@@ -269,21 +290,9 @@ def min_lambda_max(
     diag_mask = iu == ju
     top = float(min(c_bound, upper_hint)) if upper_hint is not None else float(c_bound)
     top = max(top, 1.0 + 1e-9)
-    if dirs is None:
-        dirs = seed_cut_directions(D)
-    elif not dirs:
-        dirs.extend(seed_cut_directions(D))
-
-    c = np.zeros(K + 1)
-    c[-1] = 1.0  # minimize the eigenvalue ceiling variable
     bounds = [(1.0, top) if d else (-top, top) for d in diag_mask]
     bounds.append((1.0, top))
 
-    blocks = []
-    rhs = []
-    if rows.shape[0]:
-        blocks.append(np.hstack([rows, np.zeros((rows.shape[0], 1))]))
-        rhs.append(np.zeros(rows.shape[0]))
     # Ceiling rows valid for any PSD P: diagonal entries and off-diagonal
     # magnitudes never exceed lambda_max.
     mag = []
@@ -295,37 +304,10 @@ def min_lambda_max(
         if i != j:
             row[k] = -1.0
             mag.append(row)
-    blocks.append(np.array(mag))
-    rhs.append(np.zeros(len(mag)))
-    base = np.vstack(blocks)
-    base_rhs = np.concatenate(rhs)
+    base = np.vstack([np.hstack([rows, np.zeros((rows.shape[0], 1))]), mag])
 
-    hi_dirs: list[np.ndarray] = []
-    for _ in range(_MAX_CUT_ROUNDS):
-        parts = [base]
-        parts_rhs = [base_rhs]
-        q = quad_form_rows(np.array(dirs))
-        parts.append(np.hstack([-q, np.zeros((q.shape[0], 1))]))
-        parts_rhs.append(np.full(q.shape[0], -1.0))
-        if hi_dirs:
-            q = quad_form_rows(np.array(hi_dirs))
-            parts.append(np.hstack([q, -np.ones((q.shape[0], 1))]))
-            parts_rhs.append(np.zeros(q.shape[0]))
-        x = _solve_lp(c, np.vstack(parts), np.concatenate(parts_rhs), bounds)
-        ceiling = float(x[-1])
-        P = unpack_sym(x[:K], D)
-        eigvals, eigvecs = np.linalg.eigh(P)
-        cut_added = False
-        new_dirs = _negative_directions(eigvals, eigvecs, 1.0 - _EIG_TOL)
-        if new_dirs:
-            dirs.extend(new_dirs)
-            cut_added = True
-        if eigvals[-1] > ceiling + _EIG_TOL * max(1.0, ceiling):
-            hi_dirs.append(eigvecs[:, -1])
-            cut_added = True
-        if cut_added:
-            continue
-        if eigvals[0] < 1.0:
-            P = P / float(eigvals[0])
-        return P
-    raise SolverStallError("eigenvector-cut iteration limit reached in tie-break solve")
+    _, P, eigvals = _cut_loop(1.0, bounds, base, np.zeros(base.shape[0]), dirs, 0.0, 1.0, D,
+                              ceiling=True)
+    if eigvals[0] < 1.0:
+        P = P / float(eigvals[0])
+    return P

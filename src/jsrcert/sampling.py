@@ -216,8 +216,9 @@ def load_observations(path) -> ObservationSet:
     Initial states off the unit sphere are rescaled together with their
     endpoint (the dynamics are homogeneous, so the rescaled pair is a valid
     trajectory).  Intermediate steps are checked for finiteness and ignored.
-    All trajectories must share the same final step; zero initial states and
-    ragged rows are rejected with the offending row identified.
+    All trajectories must share the same final step; zero initial states,
+    ragged rows and repeated (traj_id, step) rows are rejected with the
+    offending row identified.
     """
     path = Path(path)
     rows: dict[int, dict[int, np.ndarray]] = {}
@@ -246,7 +247,12 @@ def load_observations(path) -> ObservationSet:
                 raise TrajectoryFormatError(f"{path}:{lineno}: negative step {step}")
             if not np.all(np.isfinite(state)):
                 raise TrajectoryFormatError(f"{path}:{lineno}: non-finite state")
-            rows.setdefault(tid, {})[step] = state
+            steps = rows.setdefault(tid, {})
+            if step in steps:
+                raise TrajectoryFormatError(
+                    f"{path}:{lineno}: duplicate row for trajectory {tid} step {step}"
+                )
+            steps[step] = state
     if not rows:
         raise TrajectoryFormatError(f"{path}: no trajectory rows")
     lengths = {max(steps) for steps in rows.values()}

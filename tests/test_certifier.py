@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from jsrcert import lmi
 from jsrcert.certifier import (
     SolveOptions,
-    assemble_constraints,
-    feasibility_check,
+    _bisect_gamma,
+    _PairCache,
+    _tie_break_cache,
     solve_gamma,
     solve_gamma_endpoints,
     solve_lambda,
-    tie_break_P,
 )
-from jsrcert.lift import lift_batch
+from jsrcert.lift import lift_batch, matrix_metrics
 from jsrcert.sampling import ModeSet, Observation, ObservationSet, simulate
 
 SQRT2 = math.sqrt(2.0)
@@ -25,6 +26,20 @@ def make_obs(pairs, l=1):
     )
     n = observations[0].x0.size
     return ObservationSet(n, l, observations)
+
+
+def pair_cache(obs, d):
+    X0, XL = obs.endpoints()
+    return _PairCache(X0, XL, d, obs.l)
+
+
+def oracle(obs, d, gamma, opts=None):
+    """The bisection's feasibility oracle on the sampled system at gamma."""
+    opts = opts or SolveOptions()
+    cache = pair_cache(obs, d)
+    return lmi.max_margin_feasibility(
+        cache.rows(gamma), cache.dim, opts.c_bound, opts.feasibility_margin
+    )
 
 
 class TestSolveLambda:
@@ -46,61 +61,57 @@ class TestSolveLambda:
 
 
 class TestAssembleConstraints:
+    """Decrease-constraint rows at a fixed gamma, as the bisection builds them."""
+
     def test_hand_expanded_row(self):
         # v = (1,1), u = (1,0), gamma = 1:
         # v'Pv - u'Pu = (P11 + 2 P12 + P22) - P11 = 2 P12 + P22 <= 0.
         obs = make_obs([((1.0, 0.0), (1.0, 1.0))])
-        system = assemble_constraints(obs, 1, 1.0)
-        assert system.dim == 2
-        assert np.allclose(system.rows, [[0.0, 2.0, 1.0]])
+        cache = pair_cache(obs, 1)
+        assert cache.dim == 2
+        assert np.allclose(cache.rows(1.0), [[0.0, 2.0, 1.0]])
 
     def test_zero_image_row_vacuous(self):
         obs = make_obs([((1.0, 0.0), (0.0, 0.0))])
-        system = assemble_constraints(obs, 1, 0.7)
         # -gamma^2 * u u^T packed with doubled off-diagonal.
-        assert np.allclose(system.rows, [[-0.49, 0.0, 0.0]])
-        assert feasibility_check(system) is not None
+        assert np.allclose(pair_cache(obs, 1).rows(0.7), [[-0.49, 0.0, 0.0]])
+        assert oracle(obs, 1, 0.7).feasible
 
     def test_lift_dimension(self, parrilo):
         obs = simulate(parrilo, 4, 1, seed=0)
-        system = assemble_constraints(obs, 2, 1.0)
-        assert system.dim == 3
-        assert system.rows.shape == (4, 6)
-
-    def test_rejects_negative_gamma(self, parrilo):
-        obs = simulate(parrilo, 4, 1, seed=0)
-        with pytest.raises(ValueError):
-            assemble_constraints(obs, 1, -0.5)
+        cache = pair_cache(obs, 2)
+        assert cache.dim == 3
+        assert cache.rows(1.0).shape == (4, 6)
 
 
 class TestFeasibilityCheck:
+    """`lmi.max_margin_feasibility` on the rows the bisection passes it."""
+
     def test_double_identity_threshold(self, double_identity):
         obs = simulate(double_identity, 12, 1, seed=7)
-        assert feasibility_check(assemble_constraints(obs, 1, 1.9)) is None
-        witness = feasibility_check(assemble_constraints(obs, 1, 2.01))
-        assert witness is not None
-        assert witness.lambda_min >= 1.0 - 1e-8
+        assert not oracle(obs, 1, 1.9).feasible
+        result = oracle(obs, 1, 2.01)
+        assert result.feasible
+        assert np.linalg.eigvalsh(result.P)[0] >= 1.0 - 1e-8
 
     def test_zero_data_feasible_at_zero(self):
         obs = make_obs([((1.0, 0.0), (0.0, 0.0))])
-        witness = feasibility_check(assemble_constraints(obs, 1, 0.0))
-        assert witness is not None
+        assert oracle(obs, 1, 0.0).feasible
 
     def test_witness_satisfies_constraints(self, parrilo):
         obs = simulate(parrilo, 60, 1, seed=21)
-        system = assemble_constraints(obs, 1, 1.45)
-        witness = feasibility_check(system)
-        assert witness is not None
-        z = witness.full()[np.triu_indices(system.dim)]
-        assert float(np.max(system.rows @ z)) <= 1e-8
+        result = oracle(obs, 1, 1.45)
+        assert result.feasible
+        z = result.P[np.triu_indices(2)]
+        assert float(np.max(pair_cache(obs, 1).rows(1.45) @ z)) <= 1e-8
 
     def test_parrilo_quartic_frozen_verdicts(self, parrilo):
         # Ground truth fixed against an independent interior-point SDP
         # solve: at N=1000 the quartic program is infeasible at 0.7 and
         # feasible at 1.1 for any admissible shape matrix.
         obs = simulate(parrilo, 1000, 1, seed=3)
-        assert feasibility_check(assemble_constraints(obs, 2, 0.7)) is None
-        assert feasibility_check(assemble_constraints(obs, 2, 1.1)) is not None
+        assert not oracle(obs, 2, 0.7).feasible
+        assert oracle(obs, 2, 1.1).feasible
 
     def test_monotone_in_gamma_random_instances(self):
         rng = np.random.default_rng(31)
@@ -109,10 +120,7 @@ class TestFeasibilityCheck:
             obs = simulate(ModeSet(mats), 15, 1, seed=trial)
             gamma_star, _ = solve_gamma(obs, 1)
             grid = np.linspace(0.3, 2.0, 9) * max(gamma_star, 0.1)
-            verdicts = [
-                feasibility_check(assemble_constraints(obs, 1, float(g))) is not None
-                for g in grid
-            ]
+            verdicts = [oracle(obs, 1, float(g)).feasible for g in grid]
             # Once feasible, stays feasible as gamma grows.
             first = verdicts.index(True) if True in verdicts else len(verdicts)
             assert all(verdicts[first:])
@@ -198,7 +206,7 @@ class TestSolveGamma:
         # The d=1 "SOS" system is the quadratic system: same rows, same solve.
         obs = simulate(parrilo, 50, 1, seed=29)
         X0, XL = obs.endpoints()
-        quad_rows = assemble_constraints(obs, 1, 1.2).rows
+        quad_rows = pair_cache(obs, 1).rows(1.2)
         by_hand = []
         for x0, xl in zip(X0, XL):
             G = np.outer(xl, xl) - 1.2**2 * np.outer(x0, x0)
@@ -213,18 +221,14 @@ class TestSolveGamma:
 
 class TestOracleFailureReporting:
     def test_stall_reported_distinctly_from_infeasibility(self, parrilo, monkeypatch):
-        import jsrcert.lmi as lmi
         from jsrcert.certifier import SolverStallError
 
         obs = simulate(parrilo, 30, 1, seed=1)
-        system = assemble_constraints(obs, 1, 1.2)
         monkeypatch.setattr(lmi, "_MAX_CUT_ROUNDS", 0)
         with pytest.raises(SolverStallError):
-            feasibility_check(system)
+            oracle(obs, 1, 1.2)
 
     def test_bisection_survives_stall_with_warning(self, parrilo, monkeypatch):
-        import jsrcert.lmi as lmi
-
         obs = simulate(parrilo, 30, 1, seed=1)
         monkeypatch.setattr(lmi, "_MAX_CUT_ROUNDS", 0)
         with pytest.warns(RuntimeWarning, match="undecided"):
@@ -235,17 +239,37 @@ class TestOracleFailureReporting:
         assert np.allclose(cand.P.full(), np.eye(2))
 
 
+def min_lambda_max_unhinted(cache, gamma, opts):
+    """The tie-break program at the slackened gamma, with no upper hint.
+
+    `_tie_break_cache` boxes the solve by its witness and falls back to it,
+    so its result alone cannot show that the solver finds the optimum.
+    """
+    rows = cache.rows(gamma * (1.0 + opts.tiebreak_slack))
+    return lmi.min_lambda_max(rows, cache.dim, opts.c_bound)
+
+
 class TestTieBreak:
     def test_zero_data_returns_identity(self):
         obs = make_obs([((1.0, 0.0), (0.0, 0.0))])
-        cand = tie_break_P(obs, 1, 0.0)
+        opts = SolveOptions()
+        cache = pair_cache(obs, 1)
+        P = min_lambda_max_unhinted(cache, 0.0, opts)
+        assert np.allclose(P, np.eye(2))
+        assert matrix_metrics(P).kappa == pytest.approx(1.0)
+        cand = _tie_break_cache(cache, 0.0, np.eye(2), opts)
         assert np.allclose(cand.P.full(), np.eye(2))
         assert cand.kappa == pytest.approx(1.0)
 
     def test_double_identity_identity_optimal(self, double_identity):
         obs = simulate(double_identity, 10, 1, seed=7)
-        gamma, _ = solve_gamma(obs, 1)
-        cand = tie_break_P(obs, 1, gamma)
+        opts = SolveOptions()
+        cache = pair_cache(obs, 1)
+        gamma, witness, _ = _bisect_gamma(cache, opts)
+        P = min_lambda_max_unhinted(cache, gamma, opts)
+        assert np.allclose(P, np.eye(2), atol=1e-6)
+        assert matrix_metrics(P).kappa == pytest.approx(1.0, abs=1e-6)
+        cand = _tie_break_cache(cache, gamma, witness, opts)
         assert cand.kappa == pytest.approx(1.0, abs=1e-6)
 
     def test_never_worse_than_bisection_witness(self, parrilo):

@@ -184,6 +184,17 @@ class TestTrajectoryFiles:
         with pytest.raises(TrajectoryFormatError, match=":3"):
             load_observations(path)
 
+    def test_duplicate_step_names_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(
+            "traj_id,step,x1,x2\n"
+            "0,0,1.0,0.0\n"
+            "0,1,1.0,1.0\n"
+            "0,1,2.0,2.0\n"
+        )
+        with pytest.raises(TrajectoryFormatError, match=r"t\.csv:4: duplicate"):
+            load_observations(path)
+
     def test_mixed_lengths_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text(
