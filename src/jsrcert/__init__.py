@@ -51,7 +51,6 @@ from .oracles import (
 )
 from .sampling import (
     ModeSet,
-    Observation,
     ObservationSet,
     TrajectoryFormatError,
     cap_membership,

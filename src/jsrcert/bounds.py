@@ -112,25 +112,18 @@ def jsr_upper_bound(
 ) -> CertificateReport:
     """Certificate report for solved sampled optima under a confidence budget.
 
-    Requires N >= D(D+1)/2 + 1 where D is the lift dimension; the covering
-    measure eps is computed with D(D+1)/2 free variables, which reproduces
-    the quadratic-case formula exactly when d = 1 (D = n).
+    The budget ensures N >= D(D+1)/2 + 1 where D is the lift dimension;
+    the covering measure eps is computed with D(D+1)/2 free variables,
+    which reproduces the quadratic-case formula exactly when d = 1 (D = n).
     """
     if budget.n < 2:
         raise ValueError("cap-based certificates require state dimension n >= 2")
-    D = budget.lift_dim
-    d1 = budget.free_vars
-    if budget.N < d1 + 1:
-        raise ValueError(
-            f"N={budget.N} is below the minimum sample count {d1 + 1} "
-            f"required for degree d={budget.d} (D(D+1)/2 + 1 with D={D})"
-        )
-    eps = eps_cover(budget.beta, budget.ml, d1, budget.N)
+    eps = eps_cover(budget.beta, budget.ml, budget.free_vars, budget.N)
     cover = cap_params(eps, budget.n)
     eps1 = eps_one(budget.beta1, budget.m, budget.l, budget.N)
     delta_eps1 = delta_cap(eps1, budget.n)
     A_value = bound_B(lambda_star, eps1, budget.l, budget.n)
-    f_value = f_correction(budget.d, cover.Delta, D)
+    f_value = f_correction(budget.d, cover.Delta, budget.lift_dim)
     bound = combine_bound(gamma_star, A_value, f_value, kappa, budget.d, budget.l)
     raw_confidence = budget.beta + budget.beta1 - 1.0
     all_flags = {

@@ -207,7 +207,8 @@ class ConfidenceBudget:
     """Confidence levels and sampling parameters of a certification run.
 
     beta covers the constraint-covering event, beta1 the growth-rate bound;
-    m is the user-supplied upper bound on the number of modes.
+    m is the user-supplied upper bound on the number of modes.  N must be at
+    least D(D+1)/2 + 1, D being the lift dimension of (n, d).
     """
 
     beta: float
@@ -225,6 +226,11 @@ class ConfidenceBudget:
             raise ValueError("m, l, N and d must all be >= 1")
         if self.n < 1:
             raise ValueError("state dimension must be >= 1")
+        if self.N < self.free_vars + 1:
+            raise ValueError(
+                f"N={self.N} is below the minimum sample count {self.free_vars + 1} "
+                f"required for degree d={self.d} (D(D+1)/2 + 1 with D={self.lift_dim})"
+            )
 
     @property
     def ml(self) -> float:

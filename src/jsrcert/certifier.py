@@ -37,12 +37,20 @@ __all__ = [
     "MAX_LIFT_DIM",
     "solve_lambda",
     "solve_gamma",
-    "solve_gamma_endpoints",
 ]
 
 # Lift dimensions beyond this make the D(D+1)/2-variable feasibility
 # problems unreasonable at desk scale; rejected before any lifting happens.
 MAX_LIFT_DIM = 20
+
+# Margin demanded of the feasibility LP, measured on unit-norm constraint
+# rows under the trace normalization; must stay well above the LP tolerance
+# (1e-9).
+FEASIBILITY_MARGIN = 1e-7
+
+# Relative inflation of gamma* at which the tie-break re-solves, so that
+# shapes feasible only at the bisection limit remain admissible.
+TIEBREAK_SLACK = 1e-7
 
 
 @dataclass(frozen=True)
@@ -55,17 +63,13 @@ class SolveOptions:
     of the shape enters the reported bound multiplicatively, so an enormous
     C lets ill-conditioned shapes shave the optimum a little while ruining
     the certificate a lot.  Reports flag when the ceiling binds.
-    `feasibility_margin` is measured on unit-norm constraint rows under the
-    trace normalization and must stay well above the LP tolerance (1e-9).
     """
 
     c_bound: float = 100.0
     bisection_rel_tol: float = 1e-6
-    feasibility_margin: float = 1e-7
-    tiebreak_slack: float = 1e-7
 
     def __post_init__(self):
-        for name in ("c_bound", "bisection_rel_tol", "feasibility_margin", "tiebreak_slack"):
+        for name in ("c_bound", "bisection_rel_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.c_bound <= 1.0:
@@ -91,20 +95,19 @@ class LyapunovCandidate:
 class _PairCache:
     """Lifted endpoints with precomputed quadratic-form rows."""
 
-    def __init__(self, X0: np.ndarray, XL: np.ndarray, degree: int, l: int):
-        n = X0.shape[1]
-        D = lift_dimension(n, degree)
+    def __init__(self, obs: ObservationSet, degree: int):
+        D = lift_dimension(obs.n, degree)
         if D > MAX_LIFT_DIM:
             raise ValueError(
                 f"lift dimension D={D} exceeds the supported maximum {MAX_LIFT_DIM} "
-                f"(n={n}, degree={degree})"
+                f"(n={obs.n}, degree={degree})"
             )
         self.degree = degree
-        self.l = l
+        self.l = obs.l
         self.dim = D
-        self.lambda_star = float(np.max(np.linalg.norm(XL, axis=1))) if len(XL) else 0.0
-        self.Wu = lmi.quad_form_rows(lift_batch(X0, degree)) if len(X0) else np.zeros((0, 0))
-        self.Wv = lmi.quad_form_rows(lift_batch(XL, degree)) if len(XL) else np.zeros((0, 0))
+        self.lambda_star = solve_lambda(obs)
+        self.Wu = lmi.quad_form_rows(lift_batch(obs.X0, degree))
+        self.Wv = lmi.quad_form_rows(lift_batch(obs.XL, degree))
 
     def rows(self, gamma: float) -> np.ndarray:
         factor = gamma ** (2 * self.degree * self.l)
@@ -114,7 +117,7 @@ class _PairCache:
 def solve_lambda(obs: ObservationSet) -> float:
     """Largest observed endpoint norm, the sampled growth-rate optimum."""
     if obs.N == 0:
-        raise ValueError("solve_lambda requires at least one observation")
+        raise ValueError("at least one observation is required")
     _, XL = obs.endpoints()
     return float(np.max(np.linalg.norm(XL, axis=1)))
 
@@ -136,7 +139,7 @@ def _bisect_gamma(
         mid = 0.5 * (lo + hi)
         try:
             result = lmi.max_margin_feasibility(
-                cache.rows(mid), D, opts.c_bound, opts.feasibility_margin, dirs
+                cache.rows(mid), D, opts.c_bound, FEASIBILITY_MARGIN, dirs
             )
             feasible = result.feasible
         except SolverStallError as exc:
@@ -171,7 +174,7 @@ def _tie_break_cache(
     opts: SolveOptions,
     dirs: list[np.ndarray] | None = None,
 ) -> LyapunovCandidate:
-    gamma_tb = gamma_star * (1.0 + opts.tiebreak_slack)
+    gamma_tb = gamma_star * (1.0 + TIEBREAK_SLACK)
     hint = matrix_metrics(witness).lambda_max * (1.0 + 1e-6)
     try:
         P = lmi.min_lambda_max(
@@ -187,39 +190,21 @@ def _tie_break_cache(
     return _candidate(cache.degree, gamma_cert, P, opts)
 
 
-def solve_gamma_endpoints(
-    X0: np.ndarray,
-    XL: np.ndarray,
-    d: int,
-    l: int,
-    opts: SolveOptions | None = None,
-    tie_break: bool = True,
+def solve_gamma(
+    obs: ObservationSet, d: int, opts: SolveOptions | None = None, tie_break: bool = True
 ) -> tuple[float, LyapunovCandidate]:
-    """Bisection solve on raw endpoint arrays; see `solve_gamma`."""
+    """Minimal certified decrease rate gamma* of the sampled program.
+
+    Bisects gamma over [0, lambda*^(1/l)] (the upper end is always feasible
+    with P = I) until the bracket shrinks below bisection_rel_tol relative
+    to the upper end, then, unless `tie_break` is false, applies the
+    condition-number tie-break at the returned gamma.
+    """
     opts = opts or SolveOptions()
-    X0 = np.atleast_2d(np.asarray(X0, dtype=float))
-    XL = np.atleast_2d(np.asarray(XL, dtype=float))
-    cache = _PairCache(X0, XL, d, l)
+    cache = _PairCache(obs, d)
     gamma_star, witness, dirs = _bisect_gamma(cache, opts)
     if tie_break:
         cand = _tie_break_cache(cache, gamma_star, witness, opts, dirs)
     else:
         cand = _candidate(d, gamma_star, witness, opts)
     return gamma_star, cand
-
-
-def solve_gamma(
-    obs: ObservationSet, d: int, opts: SolveOptions | None = None
-) -> tuple[float, LyapunovCandidate]:
-    """Minimal certified decrease rate gamma* of the sampled program.
-
-    Bisects gamma over [0, lambda*^(1/l)] (the upper end is always feasible
-    with P = I) until the bracket shrinks below bisection_rel_tol relative
-    to the upper end, then applies the condition-number tie-break at the
-    returned gamma.
-    """
-    if obs.N == 0:
-        raise ValueError("solve_gamma requires at least one observation")
-    X0, XL = obs.endpoints()
-    return solve_gamma_endpoints(X0, XL, d, obs.l, opts)
-

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .caps import delta_cap
-from .certifier import SolveOptions, solve_gamma_endpoints
-from .lift import lift_batch, lift_dimension
-from .lmi import max_margin_feasibility, quad_form_rows
+from .certifier import FEASIBILITY_MARGIN, SolveOptions, _PairCache, solve_gamma
+from .lmi import max_margin_feasibility
 from .sampling import ModeSet, ObservationSet
 
 __all__ = [
@@ -122,7 +121,8 @@ def whitebox_gamma(
     products = enumerate_products(modes, l)
     X0 = np.vstack([X] * len(products.matrices))
     XL = np.vstack([X @ A.T for A in products.matrices])
-    gamma, _ = solve_gamma_endpoints(X0, XL, d, l, opts, tie_break=False)
+    obs = ObservationSet(l, X0, XL)
+    gamma, _ = solve_gamma(obs, d, opts, tie_break=False)
     return WhiteboxResult(gamma=gamma, grid_points=grid, surrogate=modes.n != 2)
 
 
@@ -130,14 +130,6 @@ def whitebox_gamma(
 class SupportResult:
     indices: tuple[int, ...]
     gamma: float
-
-
-def _subset_pins_gamma(Wu, Wv, idx, gamma_test, factor, D, opts) -> bool:
-    """True when the subset is already infeasible at gamma_test, i.e. its
-    own optimum cannot sit below gamma_test."""
-    rows = Wv[list(idx)] - factor * Wu[list(idx)]
-    result = max_margin_feasibility(rows, D, opts.c_bound, opts.feasibility_margin)
-    return not result.feasible
 
 
 def support_constraints(
@@ -154,22 +146,25 @@ def support_constraints(
     D(D+1)/2 + 1 elements in exhaustive mode.
     """
     opts = opts or SolveOptions()
-    X0, XL = obs.endpoints()
-    gamma_full, _ = solve_gamma_endpoints(X0, XL, d, obs.l, opts, tie_break=False)
+    gamma_full, _ = solve_gamma(obs, d, opts, tie_break=False)
     tol = 10.0 * opts.bisection_rel_tol * max(gamma_full, 1e-12)
     if gamma_full <= 1e-12:
         return SupportResult(indices=(), gamma=0.0)
-    D = lift_dimension(obs.n, d)
+    cache = _PairCache(obs, d)
+    D = cache.dim
     max_size = D * (D + 1) // 2 + 1
-    gamma_test = gamma_full - tol
-    factor = gamma_test ** (2 * d * obs.l)
-    Wu = quad_form_rows(lift_batch(X0, d))
-    Wv = quad_form_rows(lift_batch(XL, d))
+    rows = cache.rows(gamma_full - tol)
+
+    def pins_gamma(idx) -> bool:
+        """True when the subset is already infeasible at gamma_full - tol,
+        i.e. its own optimum cannot sit below it."""
+        result = max_margin_feasibility(rows[list(idx)], D, opts.c_bound, FEASIBILITY_MARGIN)
+        return not result.feasible
 
     def solved_gamma(idx) -> float:
         if not idx:
             return 0.0
-        g, _ = solve_gamma_endpoints(X0[list(idx)], XL[list(idx)], d, obs.l, opts, tie_break=False)
+        g, _ = solve_gamma(obs.subset(idx), d, opts, tie_break=False)
         return g
 
     if exhaustive is None:
@@ -177,7 +172,7 @@ def support_constraints(
     if exhaustive:
         for k in range(1, min(obs.N, max_size) + 1):
             for subset in itertools.combinations(range(obs.N), k):
-                if _subset_pins_gamma(Wu, Wv, subset, gamma_test, factor, D, opts):
+                if pins_gamma(subset):
                     g = solved_gamma(subset)
                     if g >= gamma_full - tol:
                         return SupportResult(indices=subset, gamma=g)
@@ -186,7 +181,7 @@ def support_constraints(
     keep = list(range(obs.N))
     for i in range(obs.N):
         trial = [j for j in keep if j != i]
-        if trial and _subset_pins_gamma(Wu, Wv, trial, gamma_test, factor, D, opts):
+        if trial and pins_gamma(trial):
             keep = trial
     return SupportResult(indices=tuple(keep), gamma=solved_gamma(keep))
 

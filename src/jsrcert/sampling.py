@@ -25,7 +25,6 @@ from .caps import delta_cap
 
 __all__ = [
     "ModeSet",
-    "Observation",
     "ObservationSet",
     "TrajectoryFormatError",
     "RNG_NAME",
@@ -96,63 +95,71 @@ def save_modes(modes: ModeSet, path) -> None:
         fh.write("\n")
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One trajectory reduced to its endpoints.
-
-    `modes` holds the hidden switching sequence when the observation came
-    from the simulator; certification must never read it.
-    """
-
-    x0: np.ndarray
-    xl: np.ndarray
-    modes: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        x0 = np.asarray(self.x0, dtype=float)
-        xl = np.asarray(self.xl, dtype=float)
-        if abs(np.linalg.norm(x0) - 1.0) > _UNIT_NORM_TOL:
-            raise ValueError(f"initial state must be unit norm, got ||x0|| = {np.linalg.norm(x0)!r}")
-        if not np.all(np.isfinite(xl)):
-            raise ValueError("final state must be finite")
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "xl", xl)
+def _readonly(a, dtype=float) -> np.ndarray:
+    a = np.array(a, dtype=dtype)
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """N observations sharing the same dimension and trace length."""
+    """N endpoint pairs (x0, xl) sharing the state dimension n and trace length l.
 
-    n: int
+    `X0` and `XL` are read-only (N, n) arrays: row i holds the unit-norm
+    initial state of trajectory i and its state l steps later.  `modes`
+    holds the hidden (N, l) switching sequences when the set came from the
+    simulator; certification must never read it.
+    """
+
     l: int
-    observations: tuple[Observation, ...]
+    X0: np.ndarray
+    XL: np.ndarray
+    modes: np.ndarray | None = None
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for obs in self.observations:
-            if obs.x0.size != self.n or obs.xl.size != self.n:
-                raise ValueError("all observations must share the state dimension")
+        X0, XL = _readonly(self.X0), _readonly(self.XL)
+        if X0.ndim != 2 or X0.shape != XL.shape:
+            raise ValueError(
+                f"X0 and XL must be (N, n) arrays of one shape, got {X0.shape} and {XL.shape}"
+            )
+        norms = np.linalg.norm(X0, axis=1)
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _UNIT_NORM_TOL))
+        if bad.size:
+            raise ValueError(
+                f"row {bad[0]}: initial state must be unit norm, got ||x0|| = {norms[bad[0]]!r}"
+            )
+        bad = np.flatnonzero(~np.all(np.isfinite(XL), axis=1))
+        if bad.size:
+            raise ValueError(f"row {bad[0]}: final state must be finite")
+        object.__setattr__(self, "X0", X0)
+        object.__setattr__(self, "XL", XL)
+        if self.modes is not None:
+            modes = _readonly(self.modes, dtype=np.int64)
+            if modes.shape != (len(X0), self.l):
+                raise ValueError(f"modes must have shape {(len(X0), self.l)}, got {modes.shape}")
+            object.__setattr__(self, "modes", modes)
+
+    @property
+    def n(self) -> int:
+        return self.X0.shape[1]
 
     @property
     def N(self) -> int:
-        return len(self.observations)
+        return self.X0.shape[0]
 
     def blind(self) -> "ObservationSet":
         """Certifier view: hidden mode sequences stripped."""
-        if all(obs.modes is None for obs in self.observations):
-            return self
-        stripped = tuple(replace(obs, modes=None) for obs in self.observations)
-        return ObservationSet(self.n, self.l, stripped, dict(self.provenance))
+        return self if self.modes is None else replace(self, modes=None)
 
     def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked (N, n) arrays of initial and final states."""
-        X0 = np.array([obs.x0 for obs in self.observations])
-        XL = np.array([obs.xl for obs in self.observations])
-        return X0, XL
+        """The (N, n) arrays of initial and final states."""
+        return self.X0, self.XL
 
     def subset(self, indices) -> "ObservationSet":
-        picked = tuple(self.observations[i] for i in indices)
-        return ObservationSet(self.n, self.l, picked, dict(self.provenance))
+        idx = list(indices)
+        modes = None if self.modes is None else self.modes[idx]
+        return replace(self, X0=self.X0[idx], XL=self.XL[idx], modes=modes)
 
 
 def sample_unit_sphere(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -187,7 +194,9 @@ def simulate(modes: ModeSet, N: int, l: int, seed: int) -> ObservationSet:
     """
     if N < 1 or l < 1:
         raise ValueError(f"need N >= 1 and l >= 1, got N={N}, l={l}")
-    observations = []
+    X0 = np.empty((N, modes.n))
+    XL = np.empty((N, modes.n))
+    seqs = np.empty((N, l), dtype=np.int64)
     for i in range(N):
         rng = _trajectory_rng(seed, i)
         x0 = sample_unit_sphere(modes.n, rng)
@@ -195,9 +204,9 @@ def simulate(modes: ModeSet, N: int, l: int, seed: int) -> ObservationSet:
         x = x0
         for j in seq:
             x = modes.matrices[j] @ x
-        observations.append(Observation(x0=x0, xl=x, modes=tuple(int(j) for j in seq)))
+        X0[i], XL[i], seqs[i] = x0, x, seq
     provenance = {"source": "simulate", "seed": int(seed), "rng": RNG_NAME, "N": N, "l": l}
-    return ObservationSet(modes.n, l, tuple(observations), provenance)
+    return ObservationSet(l, X0, XL, seqs, provenance)
 
 
 def save_observations(obs: ObservationSet, path) -> None:
@@ -205,9 +214,9 @@ def save_observations(obs: ObservationSet, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["traj_id", "step"] + [f"x{i+1}" for i in range(obs.n)])
-        for tid, ob in enumerate(obs.observations):
-            writer.writerow([tid, 0] + [repr(float(v)) for v in ob.x0])
-            writer.writerow([tid, obs.l] + [repr(float(v)) for v in ob.xl])
+        for tid, (x0, xl) in enumerate(zip(obs.X0, obs.XL)):
+            writer.writerow([tid, 0] + [repr(float(v)) for v in x0])
+            writer.writerow([tid, obs.l] + [repr(float(v)) for v in xl])
 
 
 def load_observations(path) -> ObservationSet:
@@ -263,8 +272,9 @@ def load_observations(path) -> ObservationSet:
     l = lengths.pop()
     if l < 1:
         raise TrajectoryFormatError(f"{path}: trajectories must have at least one step")
-    observations = []
-    for tid in sorted(rows):
+    X0 = np.empty((len(rows), n))
+    XL = np.empty((len(rows), n))
+    for k, tid in enumerate(sorted(rows)):
         steps = rows[tid]
         if 0 not in steps:
             raise TrajectoryFormatError(f"{path}: trajectory {tid} has no step-0 state")
@@ -277,9 +287,8 @@ def load_observations(path) -> ObservationSet:
         if abs(norm - 1.0) > _UNIT_NORM_TOL:
             x0 = x0 / norm
             xl = xl / norm
-        observations.append(Observation(x0=x0, xl=xl))
-    provenance = {"source": str(path)}
-    return ObservationSet(n, l, tuple(observations), provenance)
+        X0[k], XL[k] = x0, xl
+    return ObservationSet(l, X0, XL, provenance={"source": str(path)})
 
 
 def cap_membership(c, eps: float, x) -> bool:

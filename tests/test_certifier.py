@@ -5,40 +5,32 @@ import pytest
 
 from jsrcert import lmi
 from jsrcert.certifier import (
+    FEASIBILITY_MARGIN,
+    TIEBREAK_SLACK,
     SolveOptions,
     _bisect_gamma,
     _PairCache,
     _tie_break_cache,
     solve_gamma,
-    solve_gamma_endpoints,
     solve_lambda,
 )
 from jsrcert.lift import lift_batch, matrix_metrics
-from jsrcert.sampling import ModeSet, Observation, ObservationSet, simulate
+from jsrcert.sampling import ModeSet, ObservationSet, simulate
 
 SQRT2 = math.sqrt(2.0)
 
 
 def make_obs(pairs, l=1):
-    observations = tuple(
-        Observation(x0=np.asarray(x0, dtype=float), xl=np.asarray(xl, dtype=float))
-        for x0, xl in pairs
-    )
-    n = observations[0].x0.size
-    return ObservationSet(n, l, observations)
-
-
-def pair_cache(obs, d):
-    X0, XL = obs.endpoints()
-    return _PairCache(X0, XL, d, obs.l)
+    X0, XL = zip(*pairs)
+    return ObservationSet(l, X0, XL)
 
 
 def oracle(obs, d, gamma, opts=None):
     """The bisection's feasibility oracle on the sampled system at gamma."""
     opts = opts or SolveOptions()
-    cache = pair_cache(obs, d)
+    cache = _PairCache(obs, d)
     return lmi.max_margin_feasibility(
-        cache.rows(gamma), cache.dim, opts.c_bound, opts.feasibility_margin
+        cache.rows(gamma), cache.dim, opts.c_bound, FEASIBILITY_MARGIN
     )
 
 
@@ -57,7 +49,7 @@ class TestSolveLambda:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            solve_lambda(ObservationSet(2, 1, ()))
+            solve_lambda(ObservationSet(1, np.zeros((0, 2)), np.zeros((0, 2))))
 
 
 class TestAssembleConstraints:
@@ -67,19 +59,19 @@ class TestAssembleConstraints:
         # v = (1,1), u = (1,0), gamma = 1:
         # v'Pv - u'Pu = (P11 + 2 P12 + P22) - P11 = 2 P12 + P22 <= 0.
         obs = make_obs([((1.0, 0.0), (1.0, 1.0))])
-        cache = pair_cache(obs, 1)
+        cache = _PairCache(obs, 1)
         assert cache.dim == 2
         assert np.allclose(cache.rows(1.0), [[0.0, 2.0, 1.0]])
 
     def test_zero_image_row_vacuous(self):
         obs = make_obs([((1.0, 0.0), (0.0, 0.0))])
         # -gamma^2 * u u^T packed with doubled off-diagonal.
-        assert np.allclose(pair_cache(obs, 1).rows(0.7), [[-0.49, 0.0, 0.0]])
+        assert np.allclose(_PairCache(obs, 1).rows(0.7), [[-0.49, 0.0, 0.0]])
         assert oracle(obs, 1, 0.7).feasible
 
     def test_lift_dimension(self, parrilo):
         obs = simulate(parrilo, 4, 1, seed=0)
-        cache = pair_cache(obs, 2)
+        cache = _PairCache(obs, 2)
         assert cache.dim == 3
         assert cache.rows(1.0).shape == (4, 6)
 
@@ -103,7 +95,7 @@ class TestFeasibilityCheck:
         result = oracle(obs, 1, 1.45)
         assert result.feasible
         z = result.P[np.triu_indices(2)]
-        assert float(np.max(pair_cache(obs, 1).rows(1.45) @ z)) <= 1e-8
+        assert float(np.max(_PairCache(obs, 1).rows(1.45) @ z)) <= 1e-8
 
     def test_parrilo_quartic_frozen_verdicts(self, parrilo):
         # Ground truth fixed against an independent interior-point SDP
@@ -166,17 +158,10 @@ class TestSolveGamma:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            solve_gamma(ObservationSet(2, 1, ()), 1)
+            solve_gamma(ObservationSet(1, np.zeros((0, 2)), np.zeros((0, 2))), 1)
 
     def test_lift_dimension_cap(self):
-        obs = ObservationSet(
-            6,
-            1,
-            tuple(
-                Observation(x0=np.eye(6)[i % 6], xl=np.zeros(6))
-                for i in range(3)
-            ),
-        )
+        obs = ObservationSet(1, np.eye(6)[:3], np.zeros((3, 6)))
         with pytest.raises(ValueError, match="lift dimension"):
             solve_gamma(obs, 3)
 
@@ -184,11 +169,7 @@ class TestSolveGamma:
         # Scaling every endpoint by c scales gamma*^l by |c| (degree 1).
         for l, c in ((1, 0.5), (1, 3.0), (2, 2.0)):
             obs = simulate(parrilo, 30, l, seed=17)
-            scaled = ObservationSet(
-                obs.n,
-                obs.l,
-                tuple(Observation(x0=ob.x0, xl=c * ob.xl) for ob in obs.observations),
-            )
+            scaled = ObservationSet(obs.l, obs.X0, c * obs.XL)
             g_base, _ = solve_gamma(obs, 1)
             g_scaled, _ = solve_gamma(scaled, 1)
             assert g_scaled**l == pytest.approx(c * g_base**l, rel=5e-5)
@@ -206,7 +187,7 @@ class TestSolveGamma:
         # The d=1 "SOS" system is the quadratic system: same rows, same solve.
         obs = simulate(parrilo, 50, 1, seed=29)
         X0, XL = obs.endpoints()
-        quad_rows = pair_cache(obs, 1).rows(1.2)
+        quad_rows = _PairCache(obs, 1).rows(1.2)
         by_hand = []
         for x0, xl in zip(X0, XL):
             G = np.outer(xl, xl) - 1.2**2 * np.outer(x0, x0)
@@ -245,7 +226,7 @@ def min_lambda_max_unhinted(cache, gamma, opts):
     `_tie_break_cache` boxes the solve by its witness and falls back to it,
     so its result alone cannot show that the solver finds the optimum.
     """
-    rows = cache.rows(gamma * (1.0 + opts.tiebreak_slack))
+    rows = cache.rows(gamma * (1.0 + TIEBREAK_SLACK))
     return lmi.min_lambda_max(rows, cache.dim, opts.c_bound)
 
 
@@ -253,7 +234,7 @@ class TestTieBreak:
     def test_zero_data_returns_identity(self):
         obs = make_obs([((1.0, 0.0), (0.0, 0.0))])
         opts = SolveOptions()
-        cache = pair_cache(obs, 1)
+        cache = _PairCache(obs, 1)
         P = min_lambda_max_unhinted(cache, 0.0, opts)
         assert np.allclose(P, np.eye(2))
         assert matrix_metrics(P).kappa == pytest.approx(1.0)
@@ -264,7 +245,7 @@ class TestTieBreak:
     def test_double_identity_identity_optimal(self, double_identity):
         obs = simulate(double_identity, 10, 1, seed=7)
         opts = SolveOptions()
-        cache = pair_cache(obs, 1)
+        cache = _PairCache(obs, 1)
         gamma, witness, _ = _bisect_gamma(cache, opts)
         P = min_lambda_max_unhinted(cache, gamma, opts)
         assert np.allclose(P, np.eye(2), atol=1e-6)
@@ -275,9 +256,8 @@ class TestTieBreak:
     def test_never_worse_than_bisection_witness(self, parrilo):
         obs = simulate(parrilo, 150, 1, seed=19)
         for d in (1, 2):
-            X0, XL = obs.endpoints()
-            gamma, raw = solve_gamma_endpoints(X0, XL, d, obs.l, tie_break=False)
-            _, tied = solve_gamma_endpoints(X0, XL, d, obs.l, tie_break=True)
+            gamma, raw = solve_gamma(obs, d, tie_break=False)
+            _, tied = solve_gamma(obs, d, tie_break=True)
             assert tied.kappa <= raw.kappa + 1e-6
 
     def test_sampled_below_whitebox(self, parrilo):

@@ -60,6 +60,20 @@ class TestCertifyCommand:
         assert rc == 2
         assert "minimum sample count" in capsys.readouterr().err
 
+    def test_sample_count_checked_before_solving(self, double_identity_file, capsys, monkeypatch):
+        import jsrcert.cli as cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_gamma ran before the sample count was checked")
+
+        monkeypatch.setattr(cli, "solve_gamma", no_solve)
+        rc = main([
+            "certify", "--modes", double_identity_file, "--n-traj", "3",
+            "--modes-upper", "1",
+        ])
+        assert rc == 2
+        assert "minimum sample count" in capsys.readouterr().err
+
     def test_missing_input_exits_2(self, capsys):
         rc = main(["certify", "--modes-upper", "2"])
         assert rc == 2

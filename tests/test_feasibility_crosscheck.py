@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from jsrcert import lmi
-from jsrcert.certifier import SolveOptions, _PairCache
+from jsrcert.certifier import FEASIBILITY_MARGIN, SolveOptions, _PairCache
 from jsrcert.lift import lift_batch
 from jsrcert.sampling import ModeSet, simulate
 
@@ -46,10 +46,9 @@ def reference_min_lambda_max(obs, d, gamma):
 
 def oracle_feasible(obs, d, gamma, opts):
     """Verdict of the bisection's feasibility oracle at gamma."""
-    X0, XL = obs.endpoints()
-    cache = _PairCache(X0, XL, d, obs.l)
+    cache = _PairCache(obs, d)
     return lmi.max_margin_feasibility(
-        cache.rows(gamma), cache.dim, opts.c_bound, opts.feasibility_margin
+        cache.rows(gamma), cache.dim, opts.c_bound, FEASIBILITY_MARGIN
     ).feasible
 
 
@@ -61,7 +60,7 @@ def test_verdicts_match_reference(trial):
     obs = simulate(ModeSet(mats), 25, 1, seed=trial)
     d = 1 if trial % 2 == 0 else 2
     opts = SolveOptions()
-    lam = max(np.linalg.norm(ob.xl) for ob in obs.observations)
+    lam = float(np.max(np.linalg.norm(obs.XL, axis=1)))
     for gamma in (0.5 * lam, 0.9 * lam, 1.2 * lam + 1e-6):
         ours = oracle_feasible(obs, d, float(gamma), opts)
         ref = reference_min_lambda_max(obs, d, float(gamma))

@@ -20,8 +20,7 @@ RAND = ModeSet((
 
 
 def cache_for(modes, N, d, seed):
-    X0, XL = simulate(modes, N, 1, seed=seed).endpoints()
-    return _PairCache(X0, XL, d, 1)
+    return _PairCache(simulate(modes, N, 1, seed=seed), d)
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,7 @@ from jsrcert.oracles import (
     support_constraints,
     whitebox_gamma,
 )
-from jsrcert.sampling import ModeSet, Observation, ObservationSet, simulate
+from jsrcert.sampling import ModeSet, ObservationSet, simulate
 
 SQRT2 = math.sqrt(2.0)
 
@@ -113,11 +113,8 @@ class TestSupportConstraints:
         assert res.gamma == pytest.approx(2.0, rel=1e-5)
 
     def test_all_zero_images_empty_support(self):
-        observations = tuple(
-            Observation(x0=np.array([math.cos(t), math.sin(t)]), xl=np.zeros(2))
-            for t in (0.0, 1.0, 2.0)
-        )
-        obs = ObservationSet(2, 1, observations)
+        t = np.array([0.0, 1.0, 2.0])
+        obs = ObservationSet(1, np.column_stack([np.cos(t), np.sin(t)]), np.zeros((3, 2)))
         res = support_constraints(obs, 1)
         assert res.indices == ()
         assert res.gamma == 0.0

@@ -1,12 +1,17 @@
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from jsrcert.caps import delta_cap
 from jsrcert.sampling import (
     ModeSet,
-    Observation,
     ObservationSet,
     TrajectoryFormatError,
     cap_membership,
@@ -63,8 +68,7 @@ class TestModeSequence:
 class TestSimulate:
     def test_double_identity_two_steps(self, double_identity):
         obs = simulate(double_identity, 5, 2, seed=1)
-        for ob in obs.observations:
-            assert np.allclose(ob.xl, 4.0 * ob.x0, atol=1e-12)
+        assert np.allclose(obs.XL, 4.0 * obs.X0, atol=1e-12)
 
     def test_parrilo_by_hand(self, parrilo):
         A1 = parrilo.matrices[0]
@@ -73,34 +77,34 @@ class TestSimulate:
 
     def test_endpoints_consistent_with_hidden_modes(self, parrilo):
         obs = simulate(parrilo, 40, 3, seed=9)
-        for ob in obs.observations:
-            x = ob.x0
-            for j in ob.modes:
+        assert obs.modes.shape == (40, 3)
+        for x0, xl, seq in zip(obs.X0, obs.XL, obs.modes):
+            x = x0
+            for j in seq:
                 x = parrilo.matrices[j] @ x
-            assert np.allclose(x, ob.xl, atol=1e-12)
+            assert np.allclose(x, xl, atol=1e-12)
 
     def test_deterministic_given_seed(self, parrilo):
         a = simulate(parrilo, 25, 2, seed=77)
         b = simulate(parrilo, 25, 2, seed=77)
-        for oa, ob in zip(a.observations, b.observations):
-            assert np.array_equal(oa.x0, ob.x0) and np.array_equal(oa.xl, ob.xl)
-            assert oa.modes == ob.modes
+        assert np.array_equal(a.X0, b.X0) and np.array_equal(a.XL, b.XL)
+        assert np.array_equal(a.modes, b.modes)
         c = simulate(parrilo, 25, 2, seed=78)
-        assert not np.array_equal(a.observations[0].x0, c.observations[0].x0)
+        assert not np.array_equal(a.X0[0], c.X0[0])
 
     def test_prefix_stability(self, parrilo):
         # Per-trajectory streams: growing N extends the set without
         # disturbing earlier trajectories.
         small = simulate(parrilo, 10, 1, seed=3)
         big = simulate(parrilo, 20, 1, seed=3)
-        for i in range(10):
-            assert np.array_equal(small.observations[i].x0, big.observations[i].x0)
+        assert np.array_equal(small.X0, big.X0[:10])
+        assert np.array_equal(small.XL, big.XL[:10])
 
     def test_blind_strips_modes(self, parrilo):
         obs = simulate(parrilo, 5, 1, seed=2)
-        assert all(ob.modes is not None for ob in obs.observations)
+        assert obs.modes is not None
         blind = obs.blind()
-        assert all(ob.modes is None for ob in blind.observations)
+        assert blind.modes is None
         assert blind.N == obs.N
         X0, _ = obs.endpoints()
         B0, _ = blind.endpoints()
@@ -111,21 +115,52 @@ class TestSimulate:
         assert obs.provenance["seed"] == 11
         assert obs.provenance["rng"] == "philox-counter"
 
+    def test_arrays_read_only(self, parrilo):
+        obs = simulate(parrilo, 4, 1, seed=2)
+        X0, XL = obs.endpoints()
+        with pytest.raises(ValueError):
+            X0[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            XL[0, 0] = 0.0
+
+
+def unit_rows(N: int) -> np.ndarray:
+    theta = np.arange(N) + 0.5
+    return np.column_stack([np.cos(theta), np.sin(theta)])
+
 
 class TestObservationValidation:
-    def test_rejects_non_unit_start(self):
-        with pytest.raises(ValueError):
-            Observation(x0=np.array([1.0, 1.0]), xl=np.zeros(2))
+    @given(
+        N=st.integers(1, 12),
+        data=st.data(),
+        scale=st.sampled_from([0.0, 0.5, 1.0 + 1e-9, 3.0, np.nan, np.inf]),
+    )
+    def test_rejects_non_unit_start(self, N, data, scale):
+        bad = data.draw(st.integers(0, N - 1))
+        X0 = unit_rows(N)
+        X0[bad] *= scale
+        with pytest.raises(ValueError, match=rf"^row {bad}: initial state must be unit norm"):
+            ObservationSet(1, X0, np.zeros((N, 2)))
 
-    def test_rejects_non_finite_end(self):
-        with pytest.raises(ValueError):
-            Observation(x0=np.array([1.0, 0.0]), xl=np.array([np.inf, 0.0]))
+    @given(
+        N=st.integers(1, 12),
+        data=st.data(),
+        value=st.sampled_from([np.nan, np.inf, -np.inf]),
+    )
+    def test_rejects_non_finite_end(self, N, data, value):
+        bad = data.draw(st.integers(0, N - 1))
+        XL = unit_rows(N)
+        XL[bad, data.draw(st.integers(0, 1))] = value
+        with pytest.raises(ValueError, match=rf"^row {bad}: final state must be finite"):
+            ObservationSet(1, unit_rows(N), XL)
 
     def test_set_requires_consistent_dimension(self):
-        ob2 = Observation(x0=np.array([1.0, 0.0]), xl=np.zeros(2))
-        ob3 = Observation(x0=np.array([1.0, 0.0, 0.0]), xl=np.zeros(3))
         with pytest.raises(ValueError):
-            ObservationSet(2, 1, (ob2, ob3))
+            ObservationSet(1, [[1.0, 0.0]], [[0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError):
+            ObservationSet(1, [1.0, 0.0], [0.0, 0.0])
+        with pytest.raises(ValueError):
+            ObservationSet(2, [[1.0, 0.0]], [[0.0, 0.0]], modes=[[0]])
 
 
 class TestTrajectoryFiles:
@@ -135,9 +170,8 @@ class TestTrajectoryFiles:
         save_observations(obs, path)
         back = load_observations(path)
         assert back.N == obs.N and back.l == obs.l and back.n == obs.n
-        for oa, ob in zip(obs.observations, back.observations):
-            assert np.array_equal(oa.x0, ob.x0)
-            assert np.array_equal(oa.xl, ob.xl)
+        assert np.array_equal(obs.X0, back.X0)
+        assert np.array_equal(obs.XL, back.XL)
 
     def test_rescales_off_sphere_starts(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -147,8 +181,8 @@ class TestTrajectoryFiles:
             "0,1,2.0,0.0\n"
         )
         obs = load_observations(path)
-        assert np.allclose(obs.observations[0].x0, [0.6, 0.8])
-        assert np.allclose(obs.observations[0].xl, [0.4, 0.0])
+        assert np.allclose(obs.X0[0], [0.6, 0.8])
+        assert np.allclose(obs.XL[0], [0.4, 0.0])
 
     def test_intermediate_steps_ignored(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -160,7 +194,7 @@ class TestTrajectoryFiles:
         )
         obs = load_observations(path)
         assert obs.l == 2
-        assert np.allclose(obs.observations[0].xl, [0.5, 0.5])
+        assert np.allclose(obs.XL[0], [0.5, 0.5])
 
     def test_zero_start_rejected_with_row(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -215,6 +249,69 @@ class TestTrajectoryFiles:
             lines.append(f"{tid},1,0.5,0.25")
         path.write_text("\n".join(lines) + "\n")
         assert load_observations(path).N == 3
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def unit_norm_sets(draw):
+    n = draw(st.integers(1, 4))
+    N = draw(st.integers(1, 8))
+    G = draw(
+        arrays(float, (N, n), elements=st.floats(-1e3, 1e3)).filter(
+            lambda G: np.all(np.linalg.norm(G, axis=1) > 1e-3)
+        )
+    )
+    XL = draw(arrays(float, (N, n), elements=finite_floats))
+    return ObservationSet(draw(st.integers(1, 3)), G / np.linalg.norm(G, axis=1, keepdims=True), XL)
+
+
+def corrupt(lines: list[str], kind: str, row: int) -> tuple[list[str], int]:
+    """Break data row `row` of a valid trajectory file; returns the new
+    lines and the 1-based line number the loader must name."""
+    fields = lines[row].split(",")
+    if kind == "duplicate":
+        return lines[: row + 1] + [lines[row]] + lines[row + 1 :], row + 2
+    if kind == "short":
+        fields = fields[:-1]
+    elif kind == "long":
+        fields = fields + ["0.0"]
+    elif kind == "negative step":
+        fields[1] = str(-1 - int(fields[1]))
+    else:
+        fields[-1] = kind
+    return lines[:row] + [",".join(fields)] + lines[row + 1 :], row + 1
+
+
+class TestTrajectoryFileProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(obs=unit_norm_sets())
+    def test_save_load_bit_identical(self, obs):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            save_observations(obs, path)
+            back = load_observations(path)
+        assert back.l == obs.l
+        assert back.X0.tobytes() == obs.X0.tobytes()
+        assert back.XL.tobytes() == obs.XL.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        obs=unit_norm_sets(),
+        kind=st.sampled_from(["short", "long", "nan", "inf", "-inf", "negative step", "duplicate"]),
+        data=st.data(),
+    )
+    def test_malformed_row_names_line(self, obs, kind, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            save_observations(obs, path)
+            lines = path.read_text().splitlines()
+            row = data.draw(st.integers(1, len(lines) - 1))
+            lines, lineno = corrupt(lines, kind, row)
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(TrajectoryFormatError, match=re.escape(f"{path}:{lineno}: ")):
+                load_observations(path)
 
 
 class TestModeSetIO:
