@@ -112,12 +112,11 @@ def jsr_upper_bound(
 ) -> CertificateReport:
     """Certificate report for solved sampled optima under a confidence budget.
 
-    The budget ensures N >= D(D+1)/2 + 1 where D is the lift dimension;
-    the covering measure eps is computed with D(D+1)/2 free variables,
-    which reproduces the quadratic-case formula exactly when d = 1 (D = n).
+    The budget ensures n >= 2 and N >= D(D+1)/2 + 1, D being the lift
+    dimension; the covering measure eps is computed with D(D+1)/2 free
+    variables, which reproduces the quadratic-case formula exactly when
+    d = 1 (D = n).
     """
-    if budget.n < 2:
-        raise ValueError("cap-based certificates require state dimension n >= 2")
     eps = eps_cover(budget.beta, budget.ml, budget.free_vars, budget.N)
     cover = cap_params(eps, budget.n)
     eps1 = eps_one(budget.beta1, budget.m, budget.l, budget.N)

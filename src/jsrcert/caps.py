@@ -207,8 +207,9 @@ class ConfidenceBudget:
     """Confidence levels and sampling parameters of a certification run.
 
     beta covers the constraint-covering event, beta1 the growth-rate bound;
-    m is the user-supplied upper bound on the number of modes.  N must be at
-    least D(D+1)/2 + 1, D being the lift dimension of (n, d).
+    m is the user-supplied upper bound on the number of modes.  The cap
+    formulas need n >= 2, and N must be at least D(D+1)/2 + 1, D being the
+    lift dimension of (n, d).
     """
 
     beta: float
@@ -224,8 +225,8 @@ class ConfidenceBudget:
             raise ValueError("beta and beta1 must lie in [0, 1)")
         if self.m < 1 or self.l < 1 or self.N < 1 or self.d < 1:
             raise ValueError("m, l, N and d must all be >= 1")
-        if self.n < 1:
-            raise ValueError("state dimension must be >= 1")
+        if self.n < 2:
+            raise ValueError("cap-based certificates require state dimension n >= 2")
         if self.N < self.free_vars + 1:
             raise ValueError(
                 f"N={self.N} is below the minimum sample count {self.free_vars + 1} "

@@ -31,11 +31,22 @@ LP noise when rescaled).  `min_lambda_max` is the condition-number
 tie-break.  The entry points accept a mutable list of probe directions so
 the semidefiniteness cuts learned in one call (which are independent of
 gamma) can warm-start the next.
+
+The kernel also generates rows.  Only D(D+1)/2 + 1 samples can pin the
+optimum of a sampled program, so with more than _ROW_BLOCK base rows the LPs
+start from the _ROW_BLOCK rows most violated at P = I (tau = 0) and, after
+each solve, add up to _ROW_BLOCK of the most violated rows still left out.
+This is sound: every LP is a relaxation of the full one, so its optimum
+bounds the full optimum (an early stop on a subset also holds for all rows),
+and an iterate violating no row solves the full LP.  Programs with at most
+_ROW_BLOCK base rows keep every row from the start and solve exactly the
+LPs they did before generation existed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import linprog
@@ -52,6 +63,10 @@ __all__ = [
 
 _EIG_TOL = 1e-9
 _MAX_CUT_ROUNDS = 500
+# Base rows per generation step.  Programs with at most this many base rows
+# keep all of them in every LP; it exceeds the 209 base rows of the largest
+# sweep cell (N=200 samples plus 9 magnitude rows at D=3).
+_ROW_BLOCK = 256
 # Tight tolerances first so witnesses meet the 1e-8 constraint-slack
 # contract; retried with HiGHS defaults on numerically degenerate systems.
 _LP_OPTION_LADDER = (
@@ -72,8 +87,12 @@ class MarginResult:
     margin: float
 
 
+@lru_cache(maxsize=64)
 def _triu(D: int):
-    return np.triu_indices(D)
+    iu, ju = np.triu_indices(D)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
 
 
 def quad_form_rows(V: np.ndarray) -> np.ndarray:
@@ -176,8 +195,10 @@ def _cut_loop(
     has eigenvalues below that level, their eigenvectors join `dirs` (which
     the caller may keep across calls) and the LP is solved again.  With
     `ceiling`, a top eigenvector above tau adds the cut w'Pw <= tau.
-    Returns (tau, P, eigvals) once no cut is violated, or (tau, None, None)
-    as soon as `stop(tau)` holds.
+    Beyond _ROW_BLOCK base rows, each LP carries only the rows generated so
+    far (see the module docstring).  Returns (tau, P, eigvals) once no row
+    and no cut is violated, or (tau, None, None) as soon as `stop(tau)`
+    holds.
     """
     if dirs is None:
         dirs = seed_cut_directions(D)
@@ -186,11 +207,18 @@ def _cut_loop(
     K = D * (D + 1) // 2
     c = np.zeros(K + 1)
     c[-1] = sense
+    active = np.ones(base.shape[0], dtype=bool)
+    if base.shape[0] > _ROW_BLOCK:
+        iu, ju = _triu(D)
+        x0 = np.zeros(K + 1)
+        x0[:K][iu == ju] = 1.0
+        active[:] = False
+        active[_most_violated(base @ x0 - base_rhs)] = True
     hi_dirs: list[np.ndarray] = []
     for _ in range(_MAX_CUT_ROUNDS):
         q = quad_form_rows(np.array(dirs))
-        parts = [base, np.hstack([-q, np.full((q.shape[0], 1), a)])]
-        parts_rhs = [base_rhs, np.zeros(q.shape[0]) - b]  # 0 - b: +0.0 when b = 0
+        parts = [base[active], np.hstack([-q, np.full((q.shape[0], 1), a)])]
+        parts_rhs = [base_rhs[active], np.zeros(q.shape[0]) - b]  # 0 - b: +0.0 when b = 0
         if hi_dirs:
             q = quad_form_rows(np.array(hi_dirs))
             parts.append(np.hstack([q, -np.ones((q.shape[0], 1))]))
@@ -199,6 +227,12 @@ def _cut_loop(
         tau = float(x[-1])
         if stop is not None and stop(tau):
             return tau, None, None
+        added = False
+        if not active.all():
+            residual = base @ x - base_rhs
+            violated = np.flatnonzero(~active & (residual > _EIG_TOL))
+            added = violated.size > 0
+            active[violated[_most_violated(residual[violated])]] = True
         P = unpack_sym(x[:K], D)
         eigvals, eigvecs = np.linalg.eigh(P)
         level = a * tau + b - _EIG_TOL * max(1.0, b)
@@ -206,9 +240,14 @@ def _cut_loop(
         dirs.extend(new_dirs)
         if ceiling and eigvals[-1] > tau + _EIG_TOL * max(1.0, tau):
             hi_dirs.append(eigvecs[:, -1])
-        elif not new_dirs:
+        elif not new_dirs and not added:
             return tau, P, eigvals
     raise SolverStallError("eigenvector-cut iteration limit reached")
+
+
+def _most_violated(residual: np.ndarray) -> np.ndarray:
+    """Indices of the _ROW_BLOCK largest residuals, ties in row order."""
+    return np.argsort(-residual, kind="stable")[:_ROW_BLOCK]
 
 
 def _balanced_witness(
@@ -263,7 +302,7 @@ def max_margin_feasibility(
     if lmin <= 0:
         return MarginResult(feasible=False, P=None, margin=t)
     P = P / lmin  # homogeneous constraints: rescale so P >= I exactly
-    if float(np.max(rows @ P[np.triu_indices(D)])) > 1e-9:
+    if float(np.max(rows @ P[_triu(D)])) > 1e-9:
         # Rescaling amplified LP noise past the contract; boundary case.
         return MarginResult(feasible=False, P=None, margin=t)
     return MarginResult(feasible=True, P=P, margin=t)

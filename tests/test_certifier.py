@@ -156,6 +156,20 @@ class TestSolveGamma:
             rhs = cand.gamma ** (2 * d * obs.l) * np.einsum("ij,jk,ik->i", U, P, U)
             assert np.all(lhs - rhs <= 1e-8 * rhs)
 
+    def test_row_generation_matches_full_lps(self, parrilo, monkeypatch):
+        obs = simulate(parrilo, 1000, 1, seed=3)
+        gamma, cand = solve_gamma(obs, 1)
+        monkeypatch.setattr(lmi, "_ROW_BLOCK", 10**9)
+        gamma_full, cand_full = solve_gamma(obs, 1)
+        assert gamma == gamma_full
+        assert cand.kappa == pytest.approx(cand_full.kappa, rel=1e-8)
+        # The rate of the returned P, recomputed over every sample.
+        P = cand.P.full()
+        ratios = np.einsum("ij,jk,ik->i", obs.XL, P, obs.XL) / np.einsum(
+            "ij,jk,ik->i", obs.X0, P, obs.X0
+        )
+        assert np.sqrt(np.max(ratios)) <= gamma * (1.0 + 1e-6)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             solve_gamma(ObservationSet(1, np.zeros((0, 2)), np.zeros((0, 2))), 1)

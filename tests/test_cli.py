@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from jsrcert.cli import SweepConfig, certify_run, main, run_sweep, write_sweep_csv, write_sweep_svg
-from jsrcert.sampling import load_modes, save_modes, simulate
+from jsrcert.sampling import ModeSet, load_modes, save_modes, simulate
 
 
 @pytest.fixture()
@@ -73,6 +73,21 @@ class TestCertifyCommand:
         ])
         assert rc == 2
         assert "minimum sample count" in capsys.readouterr().err
+
+    def test_state_dimension_checked_before_solving(self, tmp_path, capsys, monkeypatch):
+        import jsrcert.cli as cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_gamma ran before the state dimension was checked")
+
+        path = tmp_path / "scalar.json"
+        save_modes(ModeSet((np.array([[0.5]]),)), path)
+        monkeypatch.setattr(cli, "solve_gamma", no_solve)
+        rc = main([
+            "certify", "--modes", str(path), "--n-traj", "50", "--modes-upper", "1",
+        ])
+        assert rc == 2
+        assert "cap-based certificates require state dimension n >= 2" in capsys.readouterr().err
 
     def test_missing_input_exits_2(self, capsys):
         rc = main(["certify", "--modes-upper", "2"])

@@ -3,13 +3,21 @@
 The expected values below were recorded with the three cut loops as they
 stood before they were merged into one kernel; exact equality pins that the
 kernel still issues the same LPs, in the same order, with the same arrays.
+Row generation is checked against the full LP, obtained by raising
+`_ROW_BLOCK` above the row count.
 """
 
 import numpy as np
 import pytest
 
 from jsrcert import lmi
-from jsrcert.certifier import SolveOptions, _bisect_gamma, _PairCache, _tie_break_cache
+from jsrcert.certifier import (
+    SolveOptions,
+    _bisect_gamma,
+    _PairCache,
+    _tie_break_cache,
+    solve_gamma,
+)
 from jsrcert.sampling import ModeSet, simulate
 
 RAND = ModeSet((
@@ -146,3 +154,111 @@ def test_tie_break_stall_keeps_bisection_witness(parrilo, monkeypatch):
     cand = _tie_break_cache(cache, gamma_star, witness, opts, dirs)
     assert cand.gamma == gamma_star
     assert np.array_equal(cand.P.full(), witness)
+
+
+def generated_and_full(program, monkeypatch):
+    """`program()` with row generation, then on the full LP, plus the row
+    counts of the generated run's LPs."""
+    sizes = []
+    lp = lmi.linprog
+
+    def counting(*args, **kwargs):
+        sizes.append(kwargs["A_ub"].shape[0])
+        return lp(*args, **kwargs)
+
+    monkeypatch.setattr(lmi, "linprog", counting)
+    generated = program()
+    monkeypatch.setattr(lmi, "linprog", lp)
+    monkeypatch.setattr(lmi, "_ROW_BLOCK", 10**9)
+    return generated, program(), sizes
+
+
+@pytest.fixture(scope="module", params=["parrilo_d1", "rand_d2"])
+def above_block(request):
+    """Sample rows well above the block, with a (feasible, infeasible) gamma."""
+    if request.param == "parrilo_d1":
+        cache = cache_for(request.getfixturevalue("parrilo"), 1000, 1, 3)
+        gammas = (1.46, 1.37)  # gamma* = 1.41417
+    else:
+        cache = cache_for(RAND, 600, 2, 5)
+        gammas = (0.962, 0.906)  # gamma* = 0.93437
+    assert lmi._clean_rows(cache.rows(gammas[0])).shape[0] > 2 * lmi._ROW_BLOCK
+    return cache, gammas
+
+
+class TestRowGeneration:
+    def test_feasible(self, above_block, monkeypatch):
+        cache, (gamma, _) = above_block
+        rows = cache.rows(gamma)
+        clean = lmi._clean_rows(rows)
+        generated, full, sizes = generated_and_full(
+            lambda: lmi.max_margin_feasibility(rows, cache.dim, 100.0, 1e-7), monkeypatch
+        )
+        assert generated.feasible and full.feasible
+        assert abs(generated.margin - full.margin) <= 1e-9
+        assert np.max(clean @ generated.P[np.triu_indices(cache.dim)]) <= 1e-9
+        assert max(sizes) < clean.shape[0]
+
+    def test_infeasible(self, above_block, monkeypatch):
+        cache, (_, gamma) = above_block
+        rows = cache.rows(gamma)
+        generated, full, sizes = generated_and_full(
+            lambda: lmi.max_margin_feasibility(rows, cache.dim, 100.0, 1e-7), monkeypatch
+        )
+        assert not generated.feasible and not full.feasible
+        # Both stop at the first relaxation whose margin falls below
+        # -1e-7; with fewer rows that relaxation is looser, never tighter.
+        assert generated.margin >= full.margin - 1e-9
+        assert generated.margin < -1e-7
+        assert max(sizes) < lmi._clean_rows(rows).shape[0]
+
+    def test_min_lambda_max(self, above_block, monkeypatch):
+        cache, (gamma, _) = above_block
+        rows = cache.rows(gamma)
+        generated, full, sizes = generated_and_full(
+            lambda: lmi.min_lambda_max(rows, cache.dim, 100.0), monkeypatch
+        )
+        top, top_full = np.linalg.eigvalsh(generated)[-1], np.linalg.eigvalsh(full)[-1]
+        assert abs(top - top_full) <= 1e-8 * top_full
+        assert max(sizes) < lmi._clean_rows(rows).shape[0]
+
+
+    def test_solutions_satisfy_every_row(self, monkeypatch):
+        # Inside the bisection the probe directions are already learned, so
+        # some rounds only add rows; a solution may come back only after the
+        # round that adds none.
+        cut_loop = lmi._cut_loop
+        returned = []
+
+        def checking(sense, bounds, base, base_rhs, dirs, a, b, D, **kwargs):
+            tau, P, eigvals = cut_loop(sense, bounds, base, base_rhs, dirs, a, b, D, **kwargs)
+            if P is not None:
+                x = np.append(P[np.triu_indices(D)], tau)
+                assert np.max(base @ x - base_rhs) <= 1e-9
+                returned.append(base.shape[0])
+            return tau, P, eigvals
+
+        monkeypatch.setattr(lmi, "_cut_loop", checking)
+        solve_gamma(simulate(RAND, 600, 1, seed=5), 2)
+        assert min(returned) > lmi._ROW_BLOCK
+
+
+def test_sweep_sized_programs_keep_every_row(parrilo, monkeypatch):
+    # The largest sweep cell (N=200, d=2) must keep solving the full LPs,
+    # or the sweep's CSV bytes move.
+    bases = []
+    cut_loop, lp = lmi._cut_loop, lmi.linprog
+
+    def recording(sense, bounds, base, *args, **kwargs):
+        bases.append(base)
+        return cut_loop(sense, bounds, base, *args, **kwargs)
+
+    def checking(*args, **kwargs):
+        base = bases[-1]
+        assert np.array_equal(kwargs["A_ub"][: base.shape[0]], base)
+        return lp(*args, **kwargs)
+
+    monkeypatch.setattr(lmi, "_cut_loop", recording)
+    monkeypatch.setattr(lmi, "linprog", checking)
+    solve_gamma(simulate(parrilo, 200, 1, seed=12), 2)
+    assert max(base.shape[0] for base in bases) == 200 + 9  # samples plus magnitude rows
