@@ -60,8 +60,8 @@ class CertificateReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def bound_B(lambda_star: float, eps1: float, l: int, n: int) -> float:

@@ -6,16 +6,19 @@ Given observed endpoint pairs (x0, xl), three quantities are computed:
   max ||xl|| over the sample (initial states are unit norm);
 * `solve_gamma` -- the smallest decrease rate gamma for which some shape
   matrix P with I <= P <= C*I makes the lifted quadratic form decrease on
-  every observation, found by bisection over a semidefinite feasibility
-  oracle (the problem is quasi-convex: the feasible set only grows with
-  gamma);
+  every observation, found by bisection over the semidefinite feasibility
+  oracle `lmi.max_margin_feasibility`, which also fixes the margin a
+  feasible answer needs (the problem is quasi-convex: the feasible set only
+  grows with gamma);
 * the tie-break -- among shapes feasible at (slightly above) the optimum,
   one minimizing lambda_max(P), hence the condition number, which enters
   the certificate bound directly; when that solve stalls, the bisection
   witness at gamma* is kept.
 
-Degree d = 1 is the common-quadratic case; higher d certifies with
-sum-of-squares forms via the monomial lift.
+The bisection and the tie-break of one certificate share a `_PairCache`:
+the lifted rows and the semidefiniteness cuts learned so far, which stay
+valid for every gamma.  Degree d = 1 is the common-quadratic case; higher d
+certifies with sum-of-squares forms via the monomial lift.
 """
 
 from __future__ import annotations
@@ -42,11 +45,6 @@ __all__ = [
 # Lift dimensions beyond this make the D(D+1)/2-variable feasibility
 # problems unreasonable at desk scale; rejected before any lifting happens.
 MAX_LIFT_DIM = 20
-
-# Margin demanded of the feasibility LP, measured on unit-norm constraint
-# rows under the trace normalization; must stay well above the LP tolerance
-# (1e-9).
-FEASIBILITY_MARGIN = 1e-7
 
 # Relative inflation of gamma* at which the tie-break re-solves, so that
 # shapes feasible only at the bisection limit remain admissible.
@@ -93,7 +91,12 @@ class LyapunovCandidate:
 
 
 class _PairCache:
-    """Lifted endpoints with precomputed quadratic-form rows."""
+    """Lifted endpoints with precomputed quadratic-form rows.
+
+    `dirs` holds the semidefiniteness probe directions learned by the LPs on
+    these rows; they depend only on the lift dimension, so every oracle call
+    on the cache (any gamma, any row subset) starts from them.
+    """
 
     def __init__(self, obs: ObservationSet, degree: int):
         D = lift_dimension(obs.n, degree)
@@ -108,6 +111,7 @@ class _PairCache:
         self.lambda_star = solve_lambda(obs)
         self.Wu = lmi.quad_form_rows(lift_batch(obs.X0, degree))
         self.Wv = lmi.quad_form_rows(lift_batch(obs.XL, degree))
+        self.dirs: list[np.ndarray] = []
 
     def rows(self, gamma: float) -> np.ndarray:
         factor = gamma ** (2 * self.degree * self.l)
@@ -122,14 +126,11 @@ def solve_lambda(obs: ObservationSet) -> float:
     return float(np.max(np.linalg.norm(XL, axis=1)))
 
 
-def _bisect_gamma(
-    cache: _PairCache, opts: SolveOptions
-) -> tuple[float, np.ndarray, list[np.ndarray]]:
+def _bisect_gamma(cache: _PairCache, opts: SolveOptions) -> tuple[float, np.ndarray]:
     lam = cache.lambda_star
     D = cache.dim
-    dirs: list[np.ndarray] = []  # semidefiniteness cuts carry over between gammas
     if lam == 0.0:
-        return 0.0, np.eye(D), dirs
+        return 0.0, np.eye(D)
     hi = lam ** (1.0 / cache.l)
     lo = 0.0
     witness = np.eye(D)  # feasible at hi: ||xl||^2d <= lambda*^2d for all rows
@@ -138,9 +139,7 @@ def _bisect_gamma(
             break
         mid = 0.5 * (lo + hi)
         try:
-            result = lmi.max_margin_feasibility(
-                cache.rows(mid), D, opts.c_bound, FEASIBILITY_MARGIN, dirs
-            )
+            result = lmi.max_margin_feasibility(cache.rows(mid), D, opts.c_bound, cache.dirs)
             feasible = result.feasible
         except SolverStallError as exc:
             # Undecided counts as not-proven-feasible: the stored upper
@@ -153,7 +152,7 @@ def _bisect_gamma(
             witness = result.P
         else:
             lo = mid
-    return hi, witness, dirs
+    return hi, witness
 
 
 def _candidate(degree: int, gamma: float, P: np.ndarray, opts: SolveOptions) -> LyapunovCandidate:
@@ -172,13 +171,12 @@ def _tie_break_cache(
     gamma_star: float,
     witness: np.ndarray,
     opts: SolveOptions,
-    dirs: list[np.ndarray] | None = None,
 ) -> LyapunovCandidate:
     gamma_tb = gamma_star * (1.0 + TIEBREAK_SLACK)
     hint = matrix_metrics(witness).lambda_max * (1.0 + 1e-6)
     try:
         P = lmi.min_lambda_max(
-            cache.rows(gamma_tb), cache.dim, opts.c_bound, upper_hint=hint, dirs=dirs
+            cache.rows(gamma_tb), cache.dim, opts.c_bound, upper_hint=hint, dirs=cache.dirs
         )
         gamma_cert = gamma_tb
     except SolverStallError:
@@ -202,9 +200,9 @@ def solve_gamma(
     """
     opts = opts or SolveOptions()
     cache = _PairCache(obs, d)
-    gamma_star, witness, dirs = _bisect_gamma(cache, opts)
+    gamma_star, witness = _bisect_gamma(cache, opts)
     if tie_break:
-        cand = _tie_break_cache(cache, gamma_star, witness, opts, dirs)
+        cand = _tie_break_cache(cache, gamma_star, witness, opts)
     else:
         cand = _candidate(d, gamma_star, witness, opts)
     return gamma_star, cand

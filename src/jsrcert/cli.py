@@ -16,6 +16,7 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .caps import ConfidenceBudget
 from .certifier import SolveOptions, SolverStallError, solve_gamma, solve_lambda
 from .oracles import whitebox_gamma
 from .sampling import (
+    ModeSet,
     ObservationSet,
     TrajectoryFormatError,
     load_modes,
@@ -42,7 +44,6 @@ def certify_run(
     beta1: float,
     m_upper: int,
     opts: SolveOptions | None = None,
-    extra_provenance: dict | None = None,
 ) -> CertificateReport:
     """Full certification pipeline on one observation set.
 
@@ -59,8 +60,6 @@ def certify_run(
     provenance = dict(blind.provenance)
     provenance["options"] = asdict(opts)
     provenance["certified_gamma"] = cand.gamma
-    if extra_provenance:
-        provenance.update(extra_provenance)
     return jsr_upper_bound(
         gamma_star,
         cand.kappa,
@@ -103,12 +102,9 @@ def _cell_seed(master: int, N: int, run: int, degree: int) -> int:
     return int(state[0]) | (int(state[1]) << 64)
 
 
-def _sweep_cell(args: tuple) -> dict:
-    (modes_path, N, run, degree, m_upper, beta, beta1, l, seed, opts_dict) = args
-    modes = load_modes(modes_path)
-    opts = SolveOptions(**opts_dict)
-    obs = simulate(modes, N, l, _cell_seed(seed, N, run, degree))
-    report = certify_run(obs, degree, beta, beta1, m_upper, opts)
+def _sweep_cell(config: SweepConfig, modes: ModeSet, N: int, run: int, degree: int) -> dict:
+    obs = simulate(modes, N, config.l, _cell_seed(config.seed, N, run, degree))
+    report = certify_run(obs, degree, config.beta, config.beta1, config.m_upper, config.opts)
     return {
         "N": N,
         "run": run,
@@ -126,29 +122,16 @@ def run_sweep(config: SweepConfig) -> list[dict]:
     the output does not depend on execution order or parallelism.
     """
     cells = [
-        (
-            config.modes_path,
-            N,
-            run,
-            degree,
-            config.m_upper,
-            config.beta,
-            config.beta1,
-            config.l,
-            config.seed,
-            asdict(config.opts),
-        )
+        (N, run, degree)
         for N in config.n_values
         for run in range(config.runs)
         for degree in config.degrees
     ]
+    cell = partial(_sweep_cell, config, load_modes(config.modes_path))
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(_sweep_cell, cells))
-    else:
-        rows = [_sweep_cell(cell) for cell in cells]
-    rows.sort(key=lambda r: (r["N"], r["run"], r["degree"]))
-    return rows
+            return list(pool.map(cell, *zip(*cells)))
+    return [cell(*args) for args in cells]
 
 
 def _fmt(value: float) -> str:

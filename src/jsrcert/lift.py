@@ -204,20 +204,16 @@ class SymMatrix:
         self._eig = None
 
     @classmethod
-    def from_full(cls, M, rtol: float = 1e-9) -> "SymMatrix":
+    def from_full(cls, M) -> "SymMatrix":
         M = np.asarray(M, dtype=float)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError("SymMatrix.from_full expects a square matrix")
         scale = max(1.0, float(np.abs(M).max()))
-        if np.abs(M - M.T).max() > rtol * scale:
+        if np.abs(M - M.T).max() > 1e-9 * scale:
             raise ValueError("matrix is not symmetric")
         iu = np.triu_indices(M.shape[0])
         sym = 0.5 * (M + M.T)
         return cls(M.shape[0], sym[iu])
-
-    @classmethod
-    def identity(cls, dim: int) -> "SymMatrix":
-        return cls.from_full(np.eye(dim))
 
     def full(self) -> np.ndarray:
         M = np.zeros((self.dim, self.dim))

@@ -14,10 +14,10 @@ the normalization trace(P) = D with the norm cap C mapped to the eigenvalue
 floor D/C (lambda_max never exceeds the trace, so the floor caps the
 condition number at the same sqrt(C) as the original box).  That keeps every
 LP variable in [-D, D] regardless of C, and the accepted iterate is rescaled
-afterwards so P >= I holds exactly.  Margins
-are measured in this normalization, on unit-norm constraint rows; the
-feasibility margin must therefore sit well above the LP feasibility
-tolerance (1e-9), since rescaling divides residual noise by the eigenvalue
+afterwards so P >= I holds exactly.  Margins are measured in this
+normalization, on unit-norm constraint rows, and a program counts as feasible
+only at margin FEASIBILITY_MARGIN, which sits well above the LP feasibility
+tolerance (1e-9) because rescaling divides residual noise by the eigenvalue
 floor.
 
 All three programs run through one cutting-plane loop, `_cut_loop`, over
@@ -29,8 +29,8 @@ accepted witness by maximizing its eigenvalue floor at the required margin
 (the margin-maximal vertex is typically near-singular, which would amplify
 LP noise when rescaled).  `min_lambda_max` is the condition-number
 tie-break.  The entry points accept a mutable list of probe directions so
-the semidefiniteness cuts learned in one call (which are independent of
-gamma) can warm-start the next.
+the semidefiniteness cuts learned in one call can warm-start the next: a cut
+w'Pw >= r depends only on the lift dimension D, not on gamma or on the rows.
 
 The kernel also generates rows.  Only D(D+1)/2 + 1 samples can pin the
 optimum of a sampled program, so with more than _ROW_BLOCK base rows the LPs
@@ -52,6 +52,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 __all__ = [
+    "FEASIBILITY_MARGIN",
     "SolverStallError",
     "MarginResult",
     "quad_form_rows",
@@ -61,6 +62,9 @@ __all__ = [
     "min_lambda_max",
 ]
 
+# Margin demanded of the feasibility LP, measured on unit-norm constraint
+# rows under the trace normalization.
+FEASIBILITY_MARGIN = 1e-7
 _EIG_TOL = 1e-9
 _MAX_CUT_ROUNDS = 500
 # Base rows per generation step.  Programs with at most this many base rows
@@ -179,7 +183,7 @@ def _cut_loop(
     bounds: list,
     base: np.ndarray,
     base_rhs: np.ndarray,
-    dirs: list[np.ndarray] | None,
+    dirs: list[np.ndarray],
     a: float,
     b: float,
     D: int,
@@ -200,9 +204,7 @@ def _cut_loop(
     and no cut is violated, or (tau, None, None) as soon as `stop(tau)`
     holds.
     """
-    if dirs is None:
-        dirs = seed_cut_directions(D)
-    elif not dirs:
+    if not dirs:
         dirs.extend(seed_cut_directions(D))
     K = D * (D + 1) // 2
     c = np.zeros(K + 1)
@@ -272,32 +274,31 @@ def max_margin_feasibility(
     rows: np.ndarray,
     D: int,
     c_bound: float,
-    margin: float,
     dirs: list[np.ndarray] | None = None,
 ) -> MarginResult:
     """Decide whether some P with I <= P <= c_bound*I satisfies all rows.
 
     `rows` hold the packed coefficients of <G_i, P> <= 0.  Returns a witness
     scaled so P >= I holds exactly, or infeasible when the trace-normalized
-    relaxation (eigenvalue floor D/c_bound) cannot reach margin -`margin`.
+    relaxation (eigenvalue floor D/c_bound) cannot reach FEASIBILITY_MARGIN.
     `dirs` accumulates semidefiniteness probe directions across calls.
     """
+    dirs = [] if dirs is None else dirs  # shared with the balancing pass below
     rows = _clean_rows(rows)
     if rows.shape[0] == 0:
         return MarginResult(feasible=True, P=np.eye(D), margin=1.0)
     # lambda_max <= trace = D, so this floor caps lambda_max/lambda_min at
     # c_bound, matching the I <= P <= C*I box after rescaling.
     floor = min(D / c_bound, 0.9)
-    if dirs is None:
-        dirs = []  # shared with the balancing pass below
     # Margins are at most ||P||_F <= D.
     bounds, trace_row = _trace_box(D, (-2.0 * D, 2.0 * D))
     base = np.hstack([rows, np.ones((rows.shape[0], 1))])
     t, P, _ = _cut_loop(-1.0, bounds, base, np.zeros(base.shape[0]), dirs, 0.0, floor, D,
-                        A_eq=trace_row, b_eq=[float(D)], stop=lambda tau: tau < -margin)
-    if P is None or t < margin:
+                        A_eq=trace_row, b_eq=[float(D)],
+                        stop=lambda tau: tau < -FEASIBILITY_MARGIN)
+    if P is None or t < FEASIBILITY_MARGIN:
         return MarginResult(feasible=False, P=None, margin=t)
-    P = _balanced_witness(rows, D, min(t, max(margin, 1e-6)), dirs)
+    P = _balanced_witness(rows, D, min(t, max(FEASIBILITY_MARGIN, 1e-6)), dirs)
     lmin = float(np.linalg.eigvalsh(P)[0])
     if lmin <= 0:
         return MarginResult(feasible=False, P=None, margin=t)
@@ -324,6 +325,7 @@ def min_lambda_max(
     full symmetric minimizer, rescaled so P >= I holds exactly.
     """
     rows = _clean_rows(rows)
+    dirs = [] if dirs is None else dirs
     K = D * (D + 1) // 2
     iu, ju = _triu(D)
     diag_mask = iu == ju

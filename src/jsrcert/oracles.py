@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .caps import delta_cap
-from .certifier import FEASIBILITY_MARGIN, SolveOptions, _PairCache, solve_gamma
+from .certifier import SolveOptions, _bisect_gamma, _PairCache, solve_gamma
 from .lmi import max_margin_feasibility
 from .sampling import ModeSet, ObservationSet
 
@@ -136,21 +136,21 @@ def support_constraints(
     obs: ObservationSet,
     d: int,
     opts: SolveOptions | None = None,
-    exhaustive: bool | None = None,
 ) -> SupportResult:
     """Small subset of observations that reproduces the sampled optimum.
 
     Exhaustive subset search (smallest first) for N <= 20, greedy constraint
     dropping otherwise.  The returned subset S satisfies
     gamma*(S) >= gamma*(all) - 10 * bisection tolerance and has at most
-    D(D+1)/2 + 1 elements in exhaustive mode.
+    D(D+1)/2 + 1 elements in exhaustive mode.  The subset checks start from
+    the semidefiniteness cuts the full bisection learned.
     """
     opts = opts or SolveOptions()
-    gamma_full, _ = solve_gamma(obs, d, opts, tie_break=False)
+    cache = _PairCache(obs, d)
+    gamma_full, _ = _bisect_gamma(cache, opts)
     tol = 10.0 * opts.bisection_rel_tol * max(gamma_full, 1e-12)
     if gamma_full <= 1e-12:
         return SupportResult(indices=(), gamma=0.0)
-    cache = _PairCache(obs, d)
     D = cache.dim
     max_size = D * (D + 1) // 2 + 1
     rows = cache.rows(gamma_full - tol)
@@ -158,7 +158,7 @@ def support_constraints(
     def pins_gamma(idx) -> bool:
         """True when the subset is already infeasible at gamma_full - tol,
         i.e. its own optimum cannot sit below it."""
-        result = max_margin_feasibility(rows[list(idx)], D, opts.c_bound, FEASIBILITY_MARGIN)
+        result = max_margin_feasibility(rows[list(idx)], D, opts.c_bound, cache.dirs)
         return not result.feasible
 
     def solved_gamma(idx) -> float:
@@ -167,9 +167,7 @@ def support_constraints(
         g, _ = solve_gamma(obs.subset(idx), d, opts, tie_break=False)
         return g
 
-    if exhaustive is None:
-        exhaustive = obs.N <= 20
-    if exhaustive:
+    if obs.N <= 20:
         for k in range(1, min(obs.N, max_size) + 1):
             for subset in itertools.combinations(range(obs.N), k):
                 if pins_gamma(subset):

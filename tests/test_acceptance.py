@@ -214,7 +214,7 @@ def test_criterion_9_support_set_cardinality(parrilo):
     for seed in range(20):
         obs = simulate(parrilo, 10, 1, seed=seed)
         gamma_full, _ = solve_gamma(obs, 1, opts)
-        res = support_constraints(obs, 1, opts, exhaustive=True)
+        res = support_constraints(obs, 1, opts)
         tol = 10.0 * opts.bisection_rel_tol * max(gamma_full, 1e-12)
         if len(res.indices) > 4 or res.gamma < gamma_full - tol:
             failures.append((seed, len(res.indices), res.gamma, gamma_full))

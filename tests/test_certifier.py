@@ -5,7 +5,6 @@ import pytest
 
 from jsrcert import lmi
 from jsrcert.certifier import (
-    FEASIBILITY_MARGIN,
     TIEBREAK_SLACK,
     SolveOptions,
     _bisect_gamma,
@@ -29,9 +28,7 @@ def oracle(obs, d, gamma, opts=None):
     """The bisection's feasibility oracle on the sampled system at gamma."""
     opts = opts or SolveOptions()
     cache = _PairCache(obs, d)
-    return lmi.max_margin_feasibility(
-        cache.rows(gamma), cache.dim, opts.c_bound, FEASIBILITY_MARGIN
-    )
+    return lmi.max_margin_feasibility(cache.rows(gamma), cache.dim, opts.c_bound)
 
 
 class TestSolveLambda:
@@ -260,7 +257,7 @@ class TestTieBreak:
         obs = simulate(double_identity, 10, 1, seed=7)
         opts = SolveOptions()
         cache = _PairCache(obs, 1)
-        gamma, witness, _ = _bisect_gamma(cache, opts)
+        gamma, witness = _bisect_gamma(cache, opts)
         P = min_lambda_max_unhinted(cache, gamma, opts)
         assert np.allclose(P, np.eye(2), atol=1e-6)
         assert matrix_metrics(P).kappa == pytest.approx(1.0, abs=1e-6)

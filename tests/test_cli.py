@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from jsrcert import cli
 from jsrcert.cli import SweepConfig, certify_run, main, run_sweep, write_sweep_csv, write_sweep_svg
 from jsrcert.sampling import ModeSet, load_modes, save_modes, simulate
 
@@ -172,6 +173,18 @@ class TestSweep:
         assert len(rows) == 2 * 2 * 2
         keys = [(r["N"], r["run"], r["degree"]) for r in rows]
         assert keys == sorted(keys)
+
+    def test_modes_loaded_once(self, modes_file, monkeypatch):
+        loads = []
+
+        def counting(path):
+            loads.append(path)
+            return load_modes(path)
+
+        monkeypatch.setattr(cli, "load_modes", counting)
+        rows = run_sweep(self.make_config(modes_file))
+        assert len(rows) == 4
+        assert loads == [modes_file]
 
     def test_csv_byte_identical_replay(self, modes_file, tmp_path):
         config = self.make_config(modes_file)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from jsrcert import lmi
-from jsrcert.certifier import FEASIBILITY_MARGIN, SolveOptions, _PairCache
+from jsrcert.certifier import SolveOptions, _PairCache
 from jsrcert.lift import lift_batch
 from jsrcert.sampling import ModeSet, simulate
 
@@ -47,9 +47,7 @@ def reference_min_lambda_max(obs, d, gamma):
 def oracle_feasible(obs, d, gamma, opts):
     """Verdict of the bisection's feasibility oracle at gamma."""
     cache = _PairCache(obs, d)
-    return lmi.max_margin_feasibility(
-        cache.rows(gamma), cache.dim, opts.c_bound, FEASIBILITY_MARGIN
-    ).feasible
+    return lmi.max_margin_feasibility(cache.rows(gamma), cache.dim, opts.c_bound).feasible
 
 
 @pytest.mark.parametrize("trial", range(8))

@@ -73,26 +73,26 @@ RAND_D1_MIN_LAMBDA_MAX = [
 class TestMaxMarginFeasibility:
     def test_infeasible_d1(self, parrilo):
         rows = cache_for(parrilo, 20, 1, 2).rows(1.2)
-        result = lmi.max_margin_feasibility(rows, 2, 100.0, 1e-7)
+        result = lmi.max_margin_feasibility(rows, 2, 100.0)
         assert not result.feasible
         assert result.P is None
         assert result.margin == -0.25475862644281655
 
     def test_feasible_d2(self, parrilo_d2):
-        result = lmi.max_margin_feasibility(*parrilo_d2, 100.0, 1e-7)
+        result = lmi.max_margin_feasibility(*parrilo_d2, 100.0)
         assert result.feasible
         assert result.margin == 0.04404095313988208
         assert np.array_equal(result.P, PARRILO_D2_FEASIBLE)
 
     def test_feasible_d1(self, rand_d1):
-        result = lmi.max_margin_feasibility(*rand_d1, 100.0, 1e-7)
+        result = lmi.max_margin_feasibility(*rand_d1, 100.0)
         assert result.feasible
         assert result.margin == 0.018723859638626134
         assert np.array_equal(result.P, RAND_D1_FEASIBLE)
 
     def test_probe_directions_accumulate(self, parrilo_d2):
         dirs = []
-        lmi.max_margin_feasibility(*parrilo_d2, 100.0, 1e-7, dirs)
+        lmi.max_margin_feasibility(*parrilo_d2, 100.0, dirs)
         assert len(dirs) > len(lmi.seed_cut_directions(3))
 
 
@@ -149,9 +149,9 @@ def test_tie_break_stall_keeps_bisection_witness(parrilo, monkeypatch):
 
     opts = SolveOptions()
     cache = cache_for(parrilo, 40, 2, 8)
-    gamma_star, witness, dirs = _bisect_gamma(cache, opts)
+    gamma_star, witness = _bisect_gamma(cache, opts)
     monkeypatch.setattr(lmi, "min_lambda_max", stall)
-    cand = _tie_break_cache(cache, gamma_star, witness, opts, dirs)
+    cand = _tie_break_cache(cache, gamma_star, witness, opts)
     assert cand.gamma == gamma_star
     assert np.array_equal(cand.P.full(), witness)
 
@@ -192,7 +192,7 @@ class TestRowGeneration:
         rows = cache.rows(gamma)
         clean = lmi._clean_rows(rows)
         generated, full, sizes = generated_and_full(
-            lambda: lmi.max_margin_feasibility(rows, cache.dim, 100.0, 1e-7), monkeypatch
+            lambda: lmi.max_margin_feasibility(rows, cache.dim, 100.0), monkeypatch
         )
         assert generated.feasible and full.feasible
         assert abs(generated.margin - full.margin) <= 1e-9
@@ -203,7 +203,7 @@ class TestRowGeneration:
         cache, (_, gamma) = above_block
         rows = cache.rows(gamma)
         generated, full, sizes = generated_and_full(
-            lambda: lmi.max_margin_feasibility(rows, cache.dim, 100.0, 1e-7), monkeypatch
+            lambda: lmi.max_margin_feasibility(rows, cache.dim, 100.0), monkeypatch
         )
         assert not generated.feasible and not full.feasible
         # Both stop at the first relaxation whose margin falls below

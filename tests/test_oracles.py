@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from jsrcert import oracles
 from jsrcert.certifier import SolveOptions, solve_gamma
+from jsrcert.lmi import max_margin_feasibility
 from jsrcert.oracles import (
     cap_measure_mc,
     enumerate_products,
@@ -129,11 +131,26 @@ class TestSupportConstraints:
             tol = 10.0 * opts.bisection_rel_tol * max(gamma_full, 1e-12)
             assert res.gamma >= gamma_full - tol
 
+    def test_subset_checks_share_learned_cuts(self, parrilo, monkeypatch):
+        seen = []
+
+        def recording(*args):
+            dirs = args[-1]
+            seen.append((dirs, len(dirs) if isinstance(dirs, list) else 0))
+            return max_margin_feasibility(*args)
+
+        monkeypatch.setattr(oracles, "max_margin_feasibility", recording)
+        support_constraints(simulate(parrilo, 10, 1, seed=0), 1)
+        assert seen
+        first, n_first = seen[0]
+        assert n_first > 0
+        assert all(dirs is first for dirs, _ in seen)
+
     def test_greedy_mode_matches(self, parrilo):
         opts = SolveOptions()
         obs = simulate(parrilo, 30, 1, seed=9)
         gamma_full, _ = solve_gamma(obs, 1, opts)
-        res = support_constraints(obs, 1, opts, exhaustive=False)
+        res = support_constraints(obs, 1, opts)
         tol = 10.0 * opts.bisection_rel_tol * max(gamma_full, 1e-12)
         assert res.gamma >= gamma_full - tol
         assert len(res.indices) < obs.N
