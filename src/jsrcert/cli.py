@@ -23,6 +23,7 @@ import numpy as np
 from .bounds import CertificateReport, jsr_upper_bound
 from .caps import ConfidenceBudget
 from .certifier import SolveOptions, SolverStallError, solve_gamma, solve_lambda
+from .lmi import HIGHS_VERSION
 from .oracles import whitebox_gamma
 from .sampling import (
     ModeSet,
@@ -60,6 +61,7 @@ def certify_run(
     provenance = dict(blind.provenance)
     provenance["options"] = asdict(opts)
     provenance["certified_gamma"] = cand.gamma
+    provenance["highs_version"] = HIGHS_VERSION
     return jsr_upper_bound(
         gamma_star,
         cand.kappa,

@@ -41,18 +41,30 @@ bounds the full optimum (an early stop on a subset also holds for all rows),
 and an iterate violating no row solves the full LP.  Programs with at most
 _ROW_BLOCK base rows keep every row from the start and solve exactly the
 LPs they did before generation existed.
+
+Every LP goes through `linprog`, a small adapter on the HiGHS binding that
+scipy vendors (`scipy.optimize._highspy._core`).  It gives HiGHS the model
+and options `scipy.optimize.linprog(method="highs")` would, and accepts a
+solution on the same test, so every solution is bit-identical to linprog's;
+what it drops is linprog's per-call input and option validation, which cost
+more than HiGHS itself on the small LPs here.  The options of each rung of
+_LP_OPTION_LADDER are built once, at import.  `_core` is private scipy API,
+so its import fails loudly and a test checks the adapter against linprog on
+recorded LPs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs
 
 __all__ = [
     "FEASIBILITY_MARGIN",
+    "HIGHS_VERSION",
     "SolverStallError",
     "MarginResult",
     "quad_form_rows",
@@ -77,6 +89,31 @@ _LP_OPTION_LADDER = (
     {"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9},
     {},
 )
+
+
+def _highs_options(tolerances: dict) -> _highs.HighsOptions:
+    """The options `scipy.optimize.linprog(method="highs")` passes HiGHS."""
+    options = _highs.HighsOptions()
+    options.presolve = "on"
+    options.highs_debug_level = int(_highs.HighsDebugLevel.kHighsDebugLevelNone)
+    options.log_to_console = options.output_flag = False
+    options.simplex_strategy = int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    for key, value in tolerances.items():
+        setattr(options, key, value)
+    return options
+
+
+_HIGHS_LADDER = tuple(map(_highs_options, _LP_OPTION_LADDER))
+# The HiGHS build behind every solution; reports carry it.
+HIGHS_VERSION = "{}.{}.{}".format(
+    _highs.HIGHS_VERSION_MAJOR, _highs.HIGHS_VERSION_MINOR, _highs.HIGHS_VERSION_PATCH
+)
+_MS = _highs.HighsModelStatus
+# linprog's status codes by HiGHS model status; any other status maps to 4.
+_LINPROG_STATUS = {_MS.kOptimal: 0, _MS.kTimeLimit: 1, _MS.kIterationLimit: 1,
+                   _MS.kInfeasible: 2, _MS.kModelError: 2, _MS.kUnbounded: 3}
+# Slack allowed on a solution HiGHS calls optimal, as in linprog.
+_RESULT_TOL = 10 * np.sqrt(1e-9)
 
 
 class SolverStallError(RuntimeError):
@@ -151,13 +188,57 @@ def _clean_rows(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
+class LPResult(NamedTuple):
+    status: int  # linprog's codes: 0 solved, 1 limit, 2 infeasible, 3 unbounded, 4 other
+    x: np.ndarray | None
+    message: str
+
+
+def linprog(c, *, A_ub, b_ub, bounds, options, A_eq=None, b_eq=None) -> LPResult:
+    """min c'x s.t. A_ub x <= b_ub, A_eq x = b_eq and column `bounds`, by HiGHS.
+
+    HiGHS gets the model `scipy.optimize.linprog(method="highs")` would give
+    it, bit for bit, and a solution counts as solved on linprog's terms:
+    model status optimal, and bounds, slacks and equality residuals within
+    _RESULT_TOL.
+    """
+    m = len(b_ub)
+    A, lower, upper = A_ub, np.full(m, -_highs.kHighsInf), np.asarray(b_ub, dtype=float)
+    if A_eq is not None:
+        b_eq = np.asarray(b_eq, dtype=float)
+        A = np.vstack([A_ub, A_eq])
+        lower, upper = np.concatenate([lower, b_eq]), np.concatenate([upper, b_eq])
+    col_lower, col_upper = np.array(bounds, dtype=float).T
+    cols, rows = np.nonzero(A.T)  # column-major nonzeros, as in a CSC matrix
+    lp = _highs.HighsLp()
+    lp.num_row_, lp.num_col_ = lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = A.shape
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = np.asarray(c, dtype=float), col_lower, col_upper
+    lp.row_lower_, lp.row_upper_ = lower, upper
+    # HighsInt vectors convert faster from lists than from arrays.
+    lp.a_matrix_.start_ = np.searchsorted(cols, np.arange(A.shape[1] + 1)).tolist()
+    lp.a_matrix_.index_, lp.a_matrix_.value_ = rows.tolist(), A[rows, cols]
+    highs = _highs._Highs()
+    highs.passOptions(options)
+    highs.passModel(lp)
+    highs.run()
+    model_status = highs.getModelStatus()
+    message = f"HiGHS model status {highs.modelStatusToString(model_status)}"
+    if model_status != _MS.kOptimal:
+        return LPResult(_LINPROG_STATUS.get(model_status, 4), None, message)
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    slack = upper - np.array(solution.row_value)
+    if (np.all(x >= col_lower - _RESULT_TOL) and np.all(x <= col_upper + _RESULT_TOL)
+            and np.all(slack[:m] >= -_RESULT_TOL) and np.all(np.abs(slack[m:]) <= _RESULT_TOL)):
+        return LPResult(0, x, message)
+    return LPResult(4, x, f"{message}, but a constraint is missed by more than {_RESULT_TOL:.2e}")
+
+
 def _solve_lp(c, A_ub, b_ub, bounds, A_eq=None, b_eq=None):
     res = None
-    for options in _LP_OPTION_LADDER:
-        res = linprog(
-            c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-            bounds=bounds, method="highs", options=options,
-        )
+    for options in _HIGHS_LADDER:
+        res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, options=options)
         if res.status == 0:
             return res.x
     raise SolverStallError(f"LP solve failed (status {res.status}): {res.message}")

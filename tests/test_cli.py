@@ -131,6 +131,15 @@ class TestCertifyCommand:
         assert again.kappa == report.kappa
         assert again.lambda_star == report.lambda_star
 
+    def test_report_names_highs_build(self, double_identity):
+        from scipy.optimize._highspy import _core
+
+        report = certify_run(simulate(double_identity, 30, 1, seed=6), 1, 0.95, 0.95, 2)
+        # The loaded HiGHS library reports its own version at run time.
+        version = _core._Highs().version()
+        assert report.provenance["highs_version"] == version
+        assert json.loads(report.to_json())["provenance"]["highs_version"] == version
+
     def test_parrilo_sos_certification(self, modes_file, capsys):
         rc = main([
             "certify", "--modes", modes_file, "--n-traj", "10000", "--seed", "4",

@@ -262,3 +262,79 @@ def test_sweep_sized_programs_keep_every_row(parrilo, monkeypatch):
     monkeypatch.setattr(lmi, "linprog", checking)
     solve_gamma(simulate(parrilo, 200, 1, seed=12), 2)
     assert max(base.shape[0] for base in bases) == 200 + 9  # samples plus magnitude rows
+
+
+def record_lps(program):
+    """The keyword arguments, options left out, of every LP `program()` issues."""
+    lps = []
+    lp = lmi.linprog
+
+    def recording(c, **kwargs):
+        lps.append(dict(kwargs, c=c))
+        return lp(c, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lmi, "linprog", recording)
+        program()
+    for args in lps:
+        del args["options"]
+    return lps
+
+
+@pytest.mark.parametrize("case", ["parrilo_d1", "parrilo_d2", "rand_d2_generated"])
+def test_adapter_matches_scipy_linprog(case, parrilo):
+    # `lmi.linprog` builds on scipy's private HiGHS binding; it must stay the
+    # LP that scipy.optimize.linprog(method="highs") solves, on every rung.
+    from scipy.optimize import linprog
+
+    obs, d = {
+        "parrilo_d1": (simulate(parrilo, 60, 1, seed=2), 1),
+        "parrilo_d2": (simulate(parrilo, 40, 1, seed=8), 2),
+        "rand_d2_generated": (simulate(RAND, 300, 1, seed=5), 2),
+    }[case]
+    lps = record_lps(lambda: solve_gamma(obs, d))
+    if case == "rand_d2_generated":
+        assert max(lp["A_ub"].shape[0] for lp in lps) > lmi._ROW_BLOCK
+    for lp in lps:
+        for tolerances, options in zip(lmi._LP_OPTION_LADDER, lmi._HIGHS_LADDER):
+            ours = lmi.linprog(**lp, options=options)
+            ref = linprog(**lp, method="highs", options=tolerances)
+            assert ours.status == ref.status == 0
+            assert np.array_equal(ours.x, ref.x)
+
+
+class TestOptionLadder:
+    # HiGHS stops at once under an iteration limit of 0.
+    FAILING = lmi._highs_options({"simplex_iteration_limit": 0})
+
+    @pytest.fixture(scope="class")
+    def first_lp(self, rand_d1):
+        return record_lps(lambda: lmi.max_margin_feasibility(*rand_d1, 100.0))[0]
+
+    def test_next_rung_solves_after_failure(self, first_lp, monkeypatch):
+        second = lmi._HIGHS_LADDER[1]
+        calls = []
+        lp = lmi.linprog
+
+        def recording(*args, **kwargs):
+            res = lp(*args, **kwargs)
+            calls.append((kwargs["options"], res.status))
+            return res
+
+        monkeypatch.setattr(lmi, "_HIGHS_LADDER", (self.FAILING, second))
+        monkeypatch.setattr(lmi, "linprog", recording)
+        x = lmi._solve_lp(**first_lp)
+        assert calls == [(self.FAILING, 1), (second, 0)]
+        assert np.array_equal(x, lp(**first_lp, options=second).x)
+
+    def test_stall_names_the_model_status(self, first_lp, monkeypatch):
+        monkeypatch.setattr(lmi, "_HIGHS_LADDER", (self.FAILING, self.FAILING))
+        with pytest.raises(lmi.SolverStallError, match="Iteration limit reached"):
+            lmi._solve_lp(**first_lp)
+
+    def test_solution_checked_like_linprog(self, first_lp, monkeypatch):
+        # A negative tolerance rejects every solution HiGHS calls optimal.
+        monkeypatch.setattr(lmi, "_RESULT_TOL", -1.0)
+        res = lmi.linprog(**first_lp, options=lmi._HIGHS_LADDER[0])
+        assert res.status == 4
+        assert "Optimal" in res.message and "missed" in res.message
