@@ -15,14 +15,17 @@ Given observed endpoint pairs (x0, xl), three quantities are computed:
   the certificate bound directly; when that solve stalls, the bisection
   witness at gamma* is kept.
 
-The bisection and the tie-break of one certificate share a `_PairCache`:
-the lifted rows and the semidefiniteness cuts learned so far, which stay
-valid for every gamma.  Degree d = 1 is the common-quadratic case; higher d
+`solve_gamma` always applies the tie-break; the white-box oracles, which
+need only gamma*, run `_bisect_gamma` on a `_PairCache` of their own.  The
+bisection and the tie-break of one certificate share a `_PairCache`: the
+lifted rows and the semidefiniteness cuts learned so far, which stay valid
+for every gamma.  Degree d = 1 is the common-quadratic case; higher d
 certifies with sum-of-squares forms via the monomial lift.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -68,8 +71,9 @@ class SolveOptions:
 
     def __post_init__(self):
         for name in ("c_bound", "bisection_rel_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite")
         if self.c_bound <= 1.0:
             raise ValueError("c_bound must exceed 1 (P = I must be admissible)")
 
@@ -155,17 +159,6 @@ def _bisect_gamma(cache: _PairCache, opts: SolveOptions) -> tuple[float, np.ndar
     return hi, witness
 
 
-def _candidate(degree: int, gamma: float, P: np.ndarray, opts: SolveOptions) -> LyapunovCandidate:
-    m = matrix_metrics(P)
-    return LyapunovCandidate(
-        degree=degree,
-        gamma=gamma,
-        P=SymMatrix.from_full(P),
-        kappa=m.kappa,
-        c_bound_binding=bool(m.lambda_max >= 0.9 * opts.c_bound),
-    )
-
-
 def _tie_break_cache(
     cache: _PairCache,
     gamma_star: float,
@@ -185,24 +178,27 @@ def _tie_break_cache(
         # The slackened problem should never beat the bisection witness;
         # keep the better-conditioned shape if it somehow does.
         P, gamma_cert = witness, gamma_star
-    return _candidate(cache.degree, gamma_cert, P, opts)
+    m = matrix_metrics(P)
+    return LyapunovCandidate(
+        degree=cache.degree,
+        gamma=gamma_cert,
+        P=SymMatrix.from_full(P),
+        kappa=m.kappa,
+        c_bound_binding=bool(m.lambda_max >= 0.9 * opts.c_bound),
+    )
 
 
 def solve_gamma(
-    obs: ObservationSet, d: int, opts: SolveOptions | None = None, tie_break: bool = True
+    obs: ObservationSet, d: int, opts: SolveOptions | None = None
 ) -> tuple[float, LyapunovCandidate]:
     """Minimal certified decrease rate gamma* of the sampled program.
 
     Bisects gamma over [0, lambda*^(1/l)] (the upper end is always feasible
     with P = I) until the bracket shrinks below bisection_rel_tol relative
-    to the upper end, then, unless `tie_break` is false, applies the
-    condition-number tie-break at the returned gamma.
+    to the upper end, then applies the condition-number tie-break at the
+    returned gamma.
     """
     opts = opts or SolveOptions()
     cache = _PairCache(obs, d)
     gamma_star, witness = _bisect_gamma(cache, opts)
-    if tie_break:
-        cand = _tie_break_cache(cache, gamma_star, witness, opts)
-    else:
-        cand = _candidate(d, gamma_star, witness, opts)
-    return gamma_star, cand
+    return gamma_star, _tie_break_cache(cache, gamma_star, witness, opts)

@@ -97,6 +97,8 @@ class SweepConfig:
             raise ValueError("runs must be >= 1")
         if not self.degrees:
             raise ValueError("at least one degree is required")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
 
 
 def _cell_seed(master: int, N: int, run: int, degree: int) -> int:

@@ -3,8 +3,10 @@
 Everything here assumes full knowledge of the mode matrices and exists to
 check the black-box certifier from the outside: exact worst product norms,
 spectral-radius lower bounds on the joint spectral radius, a dense-grid
-version of the decrease-rate program, support-constraint extraction, and a
-Monte-Carlo check of the cap measure.
+version of the decrease-rate program, greedy extraction of an irreducible
+support set (at most D(D+1)/2 + 1 observations, by Helly's theorem), and a
+Monte-Carlo check of the cap measure.  The decrease rates here come from the
+certifier's bisection alone: they need gamma*, not a tie-broken shape.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .caps import delta_cap
-from .certifier import SolveOptions, _bisect_gamma, _PairCache, solve_gamma
+from .certifier import SolveOptions, _bisect_gamma, _PairCache
 from .lmi import max_margin_feasibility
 from .sampling import ModeSet, ObservationSet
 
@@ -122,7 +124,7 @@ def whitebox_gamma(
     X0 = np.vstack([X] * len(products.matrices))
     XL = np.vstack([X @ A.T for A in products.matrices])
     obs = ObservationSet(l, X0, XL)
-    gamma, _ = solve_gamma(obs, d, opts, tie_break=False)
+    gamma, _ = _bisect_gamma(_PairCache(obs, d), opts)
     return WhiteboxResult(gamma=gamma, grid_points=grid, surrogate=modes.n != 2)
 
 
@@ -137,13 +139,16 @@ def support_constraints(
     d: int,
     opts: SolveOptions | None = None,
 ) -> SupportResult:
-    """Small subset of observations that reproduces the sampled optimum.
+    """Irreducible subset of observations that reproduces the sampled optimum.
 
-    Exhaustive subset search (smallest first) for N <= 20, greedy constraint
-    dropping otherwise.  The returned subset S satisfies
-    gamma*(S) >= gamma*(all) - 10 * bisection tolerance and has at most
-    D(D+1)/2 + 1 elements in exhaustive mode.  The subset checks start from
-    the semidefiniteness cuts the full bisection learned.
+    Greedy constraint dropping: observation i leaves the subset when the
+    remaining ones are still infeasible at gamma*(all) - tol, with
+    tol = 10 * bisection tolerance relative to gamma*(all); the kept subset
+    S is then solved once.  S satisfies gamma*(S) >= gamma*(all) - tol, and
+    dropping any one of its members makes the rest feasible at that gamma,
+    so by Helly's theorem (the decision variables are the D(D+1)/2 entries
+    of P) S has at most D(D+1)/2 + 1 elements.  The subset checks start
+    from the semidefiniteness cuts the full bisection learned.
     """
     opts = opts or SolveOptions()
     cache = _PairCache(obs, d)
@@ -152,36 +157,17 @@ def support_constraints(
     if gamma_full <= 1e-12:
         return SupportResult(indices=(), gamma=0.0)
     D = cache.dim
-    max_size = D * (D + 1) // 2 + 1
     rows = cache.rows(gamma_full - tol)
-
-    def pins_gamma(idx) -> bool:
-        """True when the subset is already infeasible at gamma_full - tol,
-        i.e. its own optimum cannot sit below it."""
-        result = max_margin_feasibility(rows[list(idx)], D, opts.c_bound, cache.dirs)
-        return not result.feasible
-
-    def solved_gamma(idx) -> float:
-        if not idx:
-            return 0.0
-        g, _ = solve_gamma(obs.subset(idx), d, opts, tie_break=False)
-        return g
-
-    if obs.N <= 20:
-        for k in range(1, min(obs.N, max_size) + 1):
-            for subset in itertools.combinations(range(obs.N), k):
-                if pins_gamma(subset):
-                    g = solved_gamma(subset)
-                    if g >= gamma_full - tol:
-                        return SupportResult(indices=subset, gamma=g)
-        return SupportResult(indices=tuple(range(obs.N)), gamma=gamma_full)
 
     keep = list(range(obs.N))
     for i in range(obs.N):
         trial = [j for j in keep if j != i]
-        if trial and pins_gamma(trial):
+        # i may go when the rest is still infeasible at gamma_full - tol,
+        # i.e. their own optimum cannot sit below it.
+        if trial and not max_margin_feasibility(rows[trial], D, opts.c_bound, cache.dirs).feasible:
             keep = trial
-    return SupportResult(indices=tuple(keep), gamma=solved_gamma(keep))
+    gamma, _ = _bisect_gamma(_PairCache(obs.subset(keep), d), opts)
+    return SupportResult(indices=tuple(keep), gamma=gamma)
 
 
 def cap_measure_mc(c, eps: float, samples: int, rng: np.random.Generator) -> float:

@@ -219,7 +219,7 @@ def test_criterion_9_support_set_cardinality(parrilo):
         if len(res.indices) > 4 or res.gamma < gamma_full - tol:
             failures.append((seed, len(res.indices), res.gamma, gamma_full))
     ok = not failures
-    report(9, ok, f"20/20 exhaustive support sets of size <= 4 reproduce gamma*" if ok else f"failures: {failures}")
+    report(9, ok, f"20/20 greedy irreducible support sets of size <= 4 reproduce gamma*" if ok else f"failures: {failures}")
     assert ok
 
 

@@ -31,6 +31,14 @@ def oracle(obs, d, gamma, opts=None):
     return lmi.max_margin_feasibility(cache.rows(gamma), cache.dim, opts.c_bound)
 
 
+class TestSolveOptions:
+    @pytest.mark.parametrize("name", ["c_bound", "bisection_rel_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_non_positive_or_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            SolveOptions(**{name: value})
+
+
 class TestSolveLambda:
     def test_single_pair(self):
         obs = make_obs([((1.0, 0.0), (1.0, 1.0))])
@@ -267,8 +275,9 @@ class TestTieBreak:
     def test_never_worse_than_bisection_witness(self, parrilo):
         obs = simulate(parrilo, 150, 1, seed=19)
         for d in (1, 2):
-            gamma, raw = solve_gamma(obs, d, tie_break=False)
-            _, tied = solve_gamma(obs, d, tie_break=True)
+            _, witness = _bisect_gamma(_PairCache(obs, d), SolveOptions())
+            raw = matrix_metrics(witness)
+            _, tied = solve_gamma(obs, d)
             assert tied.kappa <= raw.kappa + 1e-6
 
     def test_sampled_below_whitebox(self, parrilo):

@@ -98,6 +98,15 @@ class TestCertifyCommand:
         rc = main(["certify", "--traj", "/nonexistent/t.csv", "--modes-upper", "2"])
         assert rc == 2
 
+    @pytest.mark.parametrize("flag", ["--C-bound", "--bisect-tol"])
+    def test_non_finite_solver_option_exits_2(self, double_identity_file, capsys, flag):
+        rc = main([
+            "certify", "--modes", double_identity_file, "--n-traj", "30",
+            "--modes-upper", "1", flag, "nan",
+        ])
+        assert rc == 2
+        assert "must be positive and finite" in capsys.readouterr().err
+
     def test_solver_failure_exits_3(self, double_identity_file, capsys, monkeypatch):
         import jsrcert.cli as cli
         from jsrcert.certifier import SolverStallError
@@ -241,6 +250,25 @@ class TestSweep:
             self.make_config(modes_file, n_values=(60, 30))
         with pytest.raises(ValueError):
             self.make_config(modes_file, runs=0)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected_before_any_pool(
+        self, modes_file, tmp_path, monkeypatch, capsys, jobs
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            self.make_config(modes_file, jobs=jobs)
+        rc = main([
+            "sweep", "--modes", modes_file, "--n-traj", "30", "--runs", "1",
+            "--degree", "1", "--modes-upper", "2", "--jobs", str(jobs),
+            "--out", str(tmp_path / "sweep.csv"),
+        ])
+        assert rc == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestSimulateCommand:

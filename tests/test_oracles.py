@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jsrcert import oracles
-from jsrcert.certifier import SolveOptions, solve_gamma
+from jsrcert.certifier import SolveOptions, _bisect_gamma, _PairCache, solve_gamma
 from jsrcert.lmi import max_margin_feasibility
 from jsrcert.oracles import (
     cap_measure_mc,
@@ -154,6 +154,21 @@ class TestSupportConstraints:
         tol = 10.0 * opts.bisection_rel_tol * max(gamma_full, 1e-12)
         assert res.gamma >= gamma_full - tol
         assert len(res.indices) < obs.N
+
+    @pytest.mark.parametrize("d, N", [(1, 10), (2, 20)])
+    def test_irreducible_within_helly_bound(self, parrilo, d, N):
+        opts = SolveOptions()
+        obs = simulate(parrilo, N, 1, seed=4)
+        res = support_constraints(obs, d, opts)
+        cache = _PairCache(obs, d)
+        gamma_full, _ = _bisect_gamma(cache, opts)
+        tol = 10.0 * opts.bisection_rel_tol * max(gamma_full, 1e-12)
+        D = cache.dim
+        assert 1 <= len(res.indices) <= D * (D + 1) // 2 + 1
+        rows = cache.rows(gamma_full - tol)
+        for i in res.indices:
+            rest = [j for j in res.indices if j != i]
+            assert max_margin_feasibility(rows[rest], D, opts.c_bound, cache.dirs).feasible
 
 
 class TestCapMeasureMC:
