@@ -25,7 +25,6 @@ from .certifier import (
     solve_gamma,
     solve_lambda,
 )
-from .cli import certify_run
 from .lift import (
     LiftedVector,
     MatrixMetrics,

@@ -93,10 +93,14 @@ class SweepConfig:
     def __post_init__(self):
         if list(self.n_values) != sorted(set(self.n_values)):
             raise ValueError("the list of N values must be strictly increasing")
+        if not self.n_values or self.n_values[0] < 1:
+            raise ValueError("at least one N value is required, and every N must be >= 1")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if not self.degrees:
             raise ValueError("at least one degree is required")
+        if min(self.degrees) < 1 or len(set(self.degrees)) < len(self.degrees):
+            raise ValueError("degrees must be >= 1 and distinct")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 

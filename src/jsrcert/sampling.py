@@ -59,10 +59,15 @@ class ModeSet:
     def __post_init__(self):
         if len(self.matrices) < 1:
             raise ValueError("a mode set needs at least one matrix")
-        mats = tuple(np.asarray(A, dtype=float) for A in self.matrices)
+        try:
+            mats = tuple(np.asarray(A, dtype=float) for A in self.matrices)
+        except TypeError as exc:
+            raise ValueError(f"mode matrices must hold numbers: {exc}") from None
+        if any(A.ndim != 2 for A in mats):
+            raise ValueError("each mode must be a 2-D matrix")
         n = mats[0].shape[0]
         for A in mats:
-            if A.ndim != 2 or A.shape != (n, n):
+            if A.shape != (n, n):
                 raise ValueError("all modes must be square matrices of the same size")
             if not np.all(np.isfinite(A)):
                 raise ValueError("mode matrices must have finite entries")
@@ -80,9 +85,13 @@ class ModeSet:
 def load_modes(path) -> ModeSet:
     with open(path) as fh:
         payload = json.load(fh)
-    n = int(payload["dim"])
-    mats = [np.asarray(M, dtype=float) for M in payload["matrices"]]
-    modes = ModeSet(tuple(mats))
+    if not isinstance(payload, dict) or not isinstance(payload.get("matrices"), list):
+        raise ValueError(f"{path}: expected a JSON object with a 'matrices' list")
+    try:
+        n = int(payload["dim"])
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"{path}: expected an integer 'dim'") from None
+    modes = ModeSet(tuple(payload["matrices"]))
     if modes.n != n:
         raise ValueError(f"mode-set file declares dim {n} but matrices are {modes.n}x{modes.n}")
     return modes
@@ -230,7 +239,7 @@ def load_observations(path) -> ObservationSet:
     offending row identified.
     """
     path = Path(path)
-    rows: dict[int, dict[int, np.ndarray]] = {}
+    keys, states = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -247,47 +256,45 @@ def load_observations(path) -> ObservationSet:
                     f"{path}:{lineno}: expected {n + 2} fields, got {len(row)}"
                 )
             try:
-                tid = int(row[0])
-                step = int(row[1])
-                state = np.array([float(v) for v in row[2:]])
+                keys.append((int(row[0]), int(row[1]), lineno))
+                states.append([float(v) for v in row[2:]])
             except ValueError as exc:
                 raise TrajectoryFormatError(f"{path}:{lineno}: {exc}") from None
-            if step < 0:
-                raise TrajectoryFormatError(f"{path}:{lineno}: negative step {step}")
-            if not np.all(np.isfinite(state)):
-                raise TrajectoryFormatError(f"{path}:{lineno}: non-finite state")
-            steps = rows.setdefault(tid, {})
-            if step in steps:
-                raise TrajectoryFormatError(
-                    f"{path}:{lineno}: duplicate row for trajectory {tid} step {step}"
-                )
-            steps[step] = state
-    if not rows:
+    if not keys:
         raise TrajectoryFormatError(f"{path}: no trajectory rows")
-    lengths = {max(steps) for steps in rows.values()}
+    # Columns traj_id, step, line; object dtype compares ids and steps exactly at any size.
+    key, X = np.array(keys, dtype=object), np.array(states)
+
+    def reject(mask, message):
+        bad = np.flatnonzero(mask)
+        if bad.size:
+            tid, step, line = key[bad[0]]
+            raise TrajectoryFormatError(message.format(path=path, tid=tid, step=step, line=line))
+
+    reject(key[:, 1] < 0, "{path}:{line}: negative step {step}")
+    reject(~np.isfinite(X).all(axis=1), "{path}:{line}: non-finite state")
+    order = np.lexsort((key[:, 1], key[:, 0]))
+    key, X = key[order], X[order]
+    same = key[1:, 0] == key[:-1, 0]
+    dup = np.r_[False, same & (key[1:, 1] == key[:-1, 1])]
+    reject(dup, "{path}:{line}: duplicate row for trajectory {tid} step {step}")
+    first, last = np.r_[True, ~same], np.r_[~same, True]
+    lengths = sorted(set(key[last, 1]))
     if len(lengths) != 1:
         raise TrajectoryFormatError(
-            f"{path}: trajectories have mixed lengths {sorted(lengths)}; a single l is required"
+            f"{path}: trajectories have mixed lengths {lengths}; a single l is required"
         )
-    l = lengths.pop()
+    l = lengths[0]
     if l < 1:
         raise TrajectoryFormatError(f"{path}: trajectories must have at least one step")
-    X0 = np.empty((len(rows), n))
-    XL = np.empty((len(rows), n))
-    for k, tid in enumerate(sorted(rows)):
-        steps = rows[tid]
-        if 0 not in steps:
-            raise TrajectoryFormatError(f"{path}: trajectory {tid} has no step-0 state")
-        x0, xl = steps[0], steps[l]
-        norm = np.linalg.norm(x0)
-        if norm < 1e-12:
-            raise TrajectoryFormatError(
-                f"{path}: trajectory {tid} starts at the origin and cannot be normalized"
-            )
-        if abs(norm - 1.0) > _UNIT_NORM_TOL:
-            x0 = x0 / norm
-            xl = xl / norm
-        X0[k], XL[k] = x0, xl
+    key, X0, XL = key[first], X[first], X[last]
+    reject(key[:, 1] != 0, "{path}: trajectory {tid} has no step-0 state")
+    # vecdot is the dot kernel np.linalg.norm runs on one vector: the same bits.
+    norms = np.sqrt(np.vecdot(X0, X0))
+    reject(norms < 1e-12, "{path}: trajectory {tid} starts at the origin and cannot be normalized")
+    off = np.abs(norms - 1.0) > _UNIT_NORM_TOL
+    X0[off] /= norms[off, None]
+    XL[off] /= norms[off, None]
     return ObservationSet(l, X0, XL, provenance={"source": str(path)})
 
 

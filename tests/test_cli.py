@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jsrcert
 from jsrcert import cli
 from jsrcert.cli import SweepConfig, certify_run, main, run_sweep, write_sweep_csv, write_sweep_svg
 from jsrcert.sampling import ModeSet, load_modes, save_modes, simulate
@@ -97,6 +102,22 @@ class TestCertifyCommand:
     def test_nonexistent_file_exits_2(self, capsys):
         rc = main(["certify", "--traj", "/nonexistent/t.csv", "--modes-upper", "2"])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"dim": 2, "matrices": [5]}', "each mode must be a 2-D matrix"),
+            ('{"dim": 2, "matrices": 5}', "expected a JSON object with a 'matrices' list"),
+            ("[[[1.0, 0.0], [0.0, 1.0]]]", "expected a JSON object with a 'matrices' list"),
+            ('{"dim": 1, "matrices": [{"a": 1.0}]}', "mode matrices must hold numbers"),
+        ],
+    )
+    def test_malformed_mode_file_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "modes.json"
+        path.write_text(text)
+        rc = main(["certify", "--modes", str(path), "--n-traj", "30", "--modes-upper", "2"])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--C-bound", "--bisect-tol"])
     def test_non_finite_solver_option_exits_2(self, double_identity_file, capsys, flag):
@@ -271,6 +292,36 @@ class TestSweep:
         assert not (tmp_path / "sweep.csv").exists()
 
 
+    @pytest.mark.parametrize(
+        "n_traj, degree, message",
+        [
+            ("", "1", "at least one N value is required"),
+            ("0,30", "1", "every N must be >= 1"),
+            ("30", "0", "degrees must be >= 1 and distinct"),
+            ("30", "1,1", "degrees must be >= 1 and distinct"),
+        ],
+    )
+    def test_bad_grid_rejected_before_any_pool(
+        self, modes_file, tmp_path, monkeypatch, capsys, n_traj, degree, message
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match=message):
+            self.make_config(
+                modes_file, n_values=cli._int_list(n_traj), degrees=cli._int_list(degree), jobs=2
+            )
+        rc = main([
+            "sweep", "--modes", modes_file, "--n-traj", n_traj, "--runs", "1",
+            "--degree", degree, "--modes-upper", "2", "--jobs", "2",
+            "--out", str(tmp_path / "sweep.csv"), "--plot", str(tmp_path / "sweep.svg"),
+        ])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+
 class TestSimulateCommand:
     def test_roundtrip_through_certify(self, tmp_path, modes_file):
         traj = tmp_path / "out.csv"
@@ -282,3 +333,15 @@ class TestSimulateCommand:
         lines = traj.read_text().splitlines()
         assert lines[0] == "traj_id,step,x1,x2"
         assert len(lines) == 1 + 25 * 2
+
+
+def test_module_entry_point_warns_nothing():
+    # `python -m jsrcert.cli` warns when importing the package already imported jsrcert.cli.
+    src = str(Path(jsrcert.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "jsrcert.cli", "--help"],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0
+    assert "usage: jsrcert" in done.stdout
+    assert done.stderr == ""

@@ -250,6 +250,47 @@ class TestTrajectoryFiles:
         path.write_text("\n".join(lines) + "\n")
         assert load_observations(path).N == 3
 
+    def test_interleaved_rows_load_like_sorted(self, tmp_path):
+        # Off-sphere starts, intermediate steps and ids out of order; the
+        # expected rows are each trajectory rescaled by its own norm.
+        rng = np.random.default_rng(4)
+        ids = [9, -2, 40, 3, 0, 17]
+        states = rng.standard_normal((len(ids), 4, 3)) * rng.uniform(0.5, 4.0, (len(ids), 1, 1))
+        rows = [(tid, step, states[k, step]) for k, tid in enumerate(ids) for step in range(4)]
+        header = "traj_id,step,x1,x2,x3"
+
+        def write(name, rows):
+            path = tmp_path / name
+            text = [f"{tid},{step}," + ",".join(repr(float(v)) for v in x) for tid, step, x in rows]
+            path.write_text("\n".join([header] + text) + "\n")
+            return load_observations(path)
+
+        ordered = write("sorted.csv", sorted(rows, key=lambda r: r[:2]))
+        shuffled = write("shuffled.csv", [rows[i] for i in rng.permutation(len(rows))])
+        by_id = np.argsort(ids)
+        x0 = states[by_id, 0]
+        norms = np.array([np.linalg.norm(x) for x in x0])
+        assert ordered.l == shuffled.l == 3
+        assert shuffled.X0.tobytes() == ordered.X0.tobytes() == (x0 / norms[:, None]).tobytes()
+        assert (
+            shuffled.XL.tobytes() == ordered.XL.tobytes()
+            == (states[by_id, 3] / norms[:, None]).tobytes()
+        )
+
+    def test_ids_beyond_int64_stay_distinct(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(
+            "traj_id,step,x1,x2\n"
+            f"{2**63 + 1},0,0.0,1.0\n"
+            f"{2**63},0,1.0,0.0\n"
+            f"{2**63},1,2.0,0.0\n"
+            f"{2**63 + 1},1,0.0,3.0\n"
+        )
+        obs = load_observations(path)
+        assert obs.N == 2
+        assert np.array_equal(obs.X0, [[1.0, 0.0], [0.0, 1.0]])
+        assert np.array_equal(obs.XL, [[2.0, 0.0], [0.0, 3.0]])
+
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -314,6 +355,34 @@ class TestTrajectoryFileProperties:
                 load_observations(path)
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        obs=unit_norm_sets(),
+        kinds=st.lists(
+            st.sampled_from(["short", "long", "nan", "inf", "-inf", "negative step", "duplicate"]),
+            min_size=2,
+            max_size=2,
+        ),
+        data=st.data(),
+    )
+    def test_two_malformed_rows_name_one(self, obs, kinds, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            save_observations(obs, path)
+            lines = path.read_text().splitlines()
+            rows = st.lists(st.integers(1, len(lines) - 1), min_size=2, max_size=2, unique=True)
+            top, bottom = sorted(data.draw(rows))
+            # Break the lower row first, so the upper row's index still holds;
+            # a duplicated upper row pushes the lower one down a line.
+            lines, lower = corrupt(lines, kinds[1], bottom)
+            lines, upper = corrupt(lines, kinds[0], top)
+            lower += kinds[0] == "duplicate"
+            path.write_text("\n".join(lines) + "\n")
+            named = "|".join(re.escape(f"{path}:{k}: ") for k in (upper, lower))
+            with pytest.raises(TrajectoryFormatError, match=named):
+                load_observations(path)
+
+
 class TestModeSetIO:
     def test_roundtrip(self, parrilo, tmp_path):
         path = tmp_path / "modes.json"
@@ -327,6 +396,22 @@ class TestModeSetIO:
         path = tmp_path / "modes.json"
         path.write_text('{"dim": 3, "matrices": [[[1.0, 0.0], [0.0, 1.0]]]}')
         with pytest.raises(ValueError):
+            load_modes(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"dim": 2, "matrices": [5]}', "each mode must be a 2-D matrix"),
+            ('{"dim": 2, "matrices": 5}', "expected a JSON object with a 'matrices' list"),
+            ("[[[1.0, 0.0], [0.0, 1.0]]]", "expected a JSON object with a 'matrices' list"),
+            ('{"dim": 1, "matrices": [{"a": 1.0}]}', "mode matrices must hold numbers"),
+            ('{"matrices": [[[1.0]]]}', "expected an integer 'dim'"),
+        ],
+    )
+    def test_malformed_file_rejected(self, tmp_path, text, message):
+        path = tmp_path / "modes.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_modes(path)
 
     def test_validation(self):
