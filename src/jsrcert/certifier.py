@@ -41,6 +41,7 @@ __all__ = [
     "LyapunovCandidate",
     "SolverStallError",
     "MAX_LIFT_DIM",
+    "checked_lift_dimension",
     "solve_lambda",
     "solve_gamma",
 ]
@@ -48,6 +49,18 @@ __all__ = [
 # Lift dimensions beyond this make the D(D+1)/2-variable feasibility
 # problems unreasonable at desk scale; rejected before any lifting happens.
 MAX_LIFT_DIM = 20
+
+
+def checked_lift_dimension(n: int, degree: int) -> int:
+    """The lift dimension of degree-`degree` forms on R^n, at most MAX_LIFT_DIM."""
+    D = lift_dimension(n, degree)
+    if D > MAX_LIFT_DIM:
+        raise ValueError(
+            f"lift dimension D={D} exceeds the supported maximum {MAX_LIFT_DIM} "
+            f"(n={n}, degree={degree})"
+        )
+    return D
+
 
 # Relative inflation of gamma* at which the tie-break re-solves, so that
 # shapes feasible only at the bisection limit remain admissible.
@@ -103,15 +116,9 @@ class _PairCache:
     """
 
     def __init__(self, obs: ObservationSet, degree: int):
-        D = lift_dimension(obs.n, degree)
-        if D > MAX_LIFT_DIM:
-            raise ValueError(
-                f"lift dimension D={D} exceeds the supported maximum {MAX_LIFT_DIM} "
-                f"(n={obs.n}, degree={degree})"
-            )
         self.degree = degree
         self.l = obs.l
-        self.dim = D
+        self.dim = checked_lift_dimension(obs.n, degree)
         self.lambda_star = solve_lambda(obs)
         self.Wu = lmi.quad_form_rows(lift_batch(obs.X0, degree))
         self.Wv = lmi.quad_form_rows(lift_batch(obs.XL, degree))

@@ -17,12 +17,14 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
+from itertools import product
 
 import numpy as np
 
 from .bounds import CertificateReport, jsr_upper_bound
 from .caps import ConfidenceBudget
-from .certifier import SolveOptions, SolverStallError, solve_gamma, solve_lambda
+from .certifier import (SolveOptions, SolverStallError, checked_lift_dimension, solve_gamma,
+                        solve_lambda)
 from .lmi import HIGHS_VERSION
 from .oracles import whitebox_gamma
 from .sampling import (
@@ -129,13 +131,13 @@ def run_sweep(config: SweepConfig) -> list[dict]:
     Each cell derives its own seed from (master seed, N, run, degree), so
     the output does not depend on execution order or parallelism.
     """
-    cells = [
-        (N, run, degree)
-        for N in config.n_values
-        for run in range(config.runs)
-        for degree in config.degrees
-    ]
-    cell = partial(_sweep_cell, config, load_modes(config.modes_path))
+    modes = load_modes(config.modes_path)
+    for N, degree in product(config.n_values, config.degrees):  # fail before any cell runs
+        ConfidenceBudget(beta=config.beta, beta1=config.beta1, m=config.m_upper, l=config.l,
+                         N=N, n=modes.n, d=degree)
+        checked_lift_dimension(modes.n, degree)
+    cells = list(product(config.n_values, range(config.runs), config.degrees))
+    cell = partial(_sweep_cell, config, modes)
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             return list(pool.map(cell, *zip(*cells)))

@@ -33,14 +33,15 @@ the semidefiniteness cuts learned in one call can warm-start the next: a cut
 w'Pw >= r depends only on the lift dimension D, not on gamma or on the rows.
 
 The kernel also generates rows.  Only D(D+1)/2 + 1 samples can pin the
-optimum of a sampled program, so with more than _ROW_BLOCK base rows the LPs
-start from the _ROW_BLOCK rows most violated at P = I (tau = 0) and, after
-each solve, add up to _ROW_BLOCK of the most violated rows still left out.
-This is sound: every LP is a relaxation of the full one, so its optimum
-bounds the full optimum (an early stop on a subset also holds for all rows),
-and an iterate violating no row solves the full LP.  Programs with at most
-_ROW_BLOCK base rows keep every row from the start and solve exactly the
-LPs they did before generation existed.
+optimum of a sampled program, so above the threshold of _ROW_BLOCK base rows
+the LPs start from the 4*(D(D+1)/2 + 1) rows most violated at P = I
+(tau = 0) and, after each solve, add up to that step of the most violated
+rows still left out.  This is sound: every LP is a relaxation of the full
+one, so its optimum bounds the full optimum (an early stop on a subset also
+holds for all rows), and an iterate violating no row solves the full LP.
+Programs with at most _ROW_BLOCK base rows keep every row from the start and
+solve exactly the LPs they did before generation existed; the threshold
+stays until the sweep's references tolerate other LPs (ROADMAP item 5).
 
 Every LP goes through `linprog`, a small adapter on the HiGHS binding that
 scipy vendors (`scipy.optimize._highspy._core`).  It gives HiGHS the model
@@ -79,9 +80,10 @@ __all__ = [
 FEASIBILITY_MARGIN = 1e-7
 _EIG_TOL = 1e-9
 _MAX_CUT_ROUNDS = 500
-# Base rows per generation step.  Programs with at most this many base rows
-# keep all of them in every LP; it exceeds the 209 base rows of the largest
-# sweep cell (N=200 samples plus 9 magnitude rows at D=3).
+# Row-generation threshold.  Programs with at most this many base rows keep
+# all of them in every LP; it exceeds the 209 base rows of the largest sweep
+# cell (N=200 samples plus 9 magnitude rows at D=3).  Larger programs
+# generate rows in steps of 4*(D(D+1)/2 + 1), see `_cut_loop`.
 _ROW_BLOCK = 256
 # Tight tolerances first so witnesses meet the 1e-8 constraint-slack
 # contract; retried with HiGHS defaults on numerically degenerate systems.
@@ -183,8 +185,10 @@ def _clean_rows(rows: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(rows, axis=1)
     keep = norms > 1e-300
     rows = rows[keep] / norms[keep, None]
-    if rows.shape[0] > 1:
-        rows = np.unique(np.round(rows, 12), axis=0)
+    if rows.shape[0] > 1:  # np.unique(axis=0)'s rows, without its structured-dtype sort
+        rows = np.round(rows, 12)
+        rows = rows[np.lexsort(rows.T[::-1])]
+        rows = rows[np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)]]
     return rows
 
 
@@ -281,13 +285,14 @@ def _cut_loop(
     the caller may keep across calls) and the LP is solved again.  With
     `ceiling`, a top eigenvector above tau adds the cut w'Pw <= tau.
     Beyond _ROW_BLOCK base rows, each LP carries only the rows generated so
-    far (see the module docstring).  Returns (tau, P, eigvals) once no row
-    and no cut is violated, or (tau, None, None) as soon as `stop(tau)`
-    holds.
+    far, up to `step` more per round (see the module docstring).  Returns
+    (tau, P, eigvals) once no row and no cut is violated, or
+    (tau, None, None) as soon as `stop(tau)` holds.
     """
     if not dirs:
         dirs.extend(seed_cut_directions(D))
     K = D * (D + 1) // 2
+    step = 4 * (K + 1)  # four times the most samples that can pin the optimum
     c = np.zeros(K + 1)
     c[-1] = sense
     active = np.ones(base.shape[0], dtype=bool)
@@ -295,8 +300,8 @@ def _cut_loop(
         iu, ju = _triu(D)
         x0 = np.zeros(K + 1)
         x0[:K][iu == ju] = 1.0
-        active[:] = False
-        active[_most_violated(base @ x0 - base_rhs)] = True
+        active[:] = False  # the `step` rows most violated at x0, ties in row order
+        active[np.argsort(base_rhs - base @ x0, kind="stable")[:step]] = True
     hi_dirs: list[np.ndarray] = []
     for _ in range(_MAX_CUT_ROUNDS):
         q = quad_form_rows(np.array(dirs))
@@ -315,7 +320,7 @@ def _cut_loop(
             residual = base @ x - base_rhs
             violated = np.flatnonzero(~active & (residual > _EIG_TOL))
             added = violated.size > 0
-            active[violated[_most_violated(residual[violated])]] = True
+            active[violated[np.argsort(-residual[violated], kind="stable")[:step]]] = True
         P = unpack_sym(x[:K], D)
         eigvals, eigvecs = np.linalg.eigh(P)
         level = a * tau + b - _EIG_TOL * max(1.0, b)
@@ -326,11 +331,6 @@ def _cut_loop(
         elif not new_dirs and not added:
             return tau, P, eigvals
     raise SolverStallError("eigenvector-cut iteration limit reached")
-
-
-def _most_violated(residual: np.ndarray) -> np.ndarray:
-    """Indices of the _ROW_BLOCK largest residuals, ties in row order."""
-    return np.argsort(-residual, kind="stable")[:_ROW_BLOCK]
 
 
 def _balanced_witness(

@@ -321,6 +321,36 @@ class TestSweep:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize(
+        "n_traj, degree, message",
+        [
+            # The (10, d=1) cell is valid; (10, d=3) is not.
+            ("10", "1,3", "N=10 is below the minimum sample count 11"),
+            ("30", "1,7", "N=30 is below the minimum sample count 37"),
+            # D = 21 at n = 2, d = 20, with N above its minimum of 232.
+            ("300", "1,20", "lift dimension D=21 exceeds the supported maximum 20"),
+        ],
+    )
+    def test_unsolvable_cell_rejected_before_any_cell(
+        self, modes_file, tmp_path, monkeypatch, capsys, n_traj, degree, message
+    ):
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a sweep cell was solved")
+
+        monkeypatch.setattr(cli, "certify_run", no_cell)
+        config = self.make_config(
+            modes_file, n_values=cli._int_list(n_traj), degrees=cli._int_list(degree)
+        )
+        with pytest.raises(ValueError, match=message):
+            run_sweep(config)
+        rc = main([
+            "sweep", "--modes", modes_file, "--n-traj", n_traj, "--runs", "2",
+            "--degree", degree, "--modes-upper", "2", "--out", str(tmp_path / "sweep.csv"),
+        ])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
 
 class TestSimulateCommand:
     def test_roundtrip_through_certify(self, tmp_path, modes_file):

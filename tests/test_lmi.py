@@ -264,6 +264,105 @@ def test_sweep_sized_programs_keep_every_row(parrilo, monkeypatch):
     assert max(base.shape[0] for base in bases) == 200 + 9  # samples plus magnitude rows
 
 
+@pytest.mark.parametrize("case, D", [("parrilo_d1", 2), ("rand_d2", 3)])
+def test_generation_step_follows_lift_dimension(case, D, parrilo, monkeypatch):
+    # Above the threshold, the first LP of a loop carries exactly
+    # 4*(D(D+1)/2 + 1) base rows, and each round adds at most that many.
+    step = 4 * (D * (D + 1) // 2 + 1)
+    loops = []  # (base, base rows in each LP of the loop)
+    cut_loop, lp = lmi._cut_loop, lmi.linprog
+
+    def recording(sense, bounds, base, *args, **kwargs):
+        loops.append((base, []))
+        return cut_loop(sense, bounds, base, *args, **kwargs)
+
+    def counting(*args, **kwargs):
+        # An LP stacks the active base rows, in base order, above its cuts.
+        base, counts = loops[-1]
+        known = {row.tobytes() for row in base}
+        A = kwargs["A_ub"]
+        k = 0
+        while k < A.shape[0] and A[k].tobytes() in known:
+            k += 1
+        counts.append(k)
+        return lp(*args, **kwargs)
+
+    monkeypatch.setattr(lmi, "_cut_loop", recording)
+    monkeypatch.setattr(lmi, "linprog", counting)
+    modes, d = (parrilo, 1) if case == "parrilo_d1" else (RAND, 2)
+    solve_gamma(simulate(modes, 600, 1, seed=5), d)
+    generated = [counts for base, counts in loops if base.shape[0] > lmi._ROW_BLOCK]
+    assert len(generated) > 10
+    rounds = [b - a for counts in generated for a, b in zip(counts, counts[1:])]
+    assert all(counts[0] == step for counts in generated)
+    assert all(0 <= added <= step for added in rounds)
+    if case == "rand_d2":  # on Parrilo d=1 the first LP's rows nearly always suffice
+        assert step in rounds
+
+
+def parent_clean_rows(rows):
+    """`_clean_rows` as it stood with np.unique, the reference for the sort."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    norms = np.linalg.norm(rows, axis=1)
+    keep = norms > 1e-300
+    rows = rows[keep] / norms[keep, None]
+    if rows.shape[0] > 1:
+        rows = np.unique(np.round(rows, 12), axis=0)
+    return rows
+
+
+def clean_rows_cases():
+    rng = np.random.default_rng(7)
+    V = rng.standard_normal((300, 3))
+    antipodal = lmi.quad_form_rows(np.vstack([V, -V, V[:50]]))
+    ints = rng.integers(-2, 3, (400, 4)).astype(float)
+    ints[ints == 0] = -0.0  # every zero negative, so duplicates agree bit for bit
+    return {
+        "exact_duplicates": np.vstack([ints[:200], ints[:200][::-1], 2.5 * ints[:100]]),
+        "antipodal_samples": antipodal,
+        "sample_rows": cache_for(RAND, 400, 2, 5).rows(0.95),
+        "signed_zeros": ints,
+        # Below 17 rows np.unique sorts by insertion, which is stable, so the
+        # first of the rows equal but for the sign of a zero entry survives.
+        "signed_zero_ties": np.array([
+            [0.0, 1.0, 2.0], [-0.0, 1.0, 2.0], [1e-14, 1.0, 2.0], [-1e-14, 1.0, 2.0],
+            [0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [-0.0, 0.0, 3.0], [0.0, -0.0, 3.0],
+            [0.0, 1.0, -0.0], [-0.0, 1.0, 0.0], [1e-300, 0.0, 0.0],
+        ]),
+        "all_zero_rows": np.zeros((5, 3)),
+        "single_row": np.array([[3e-14, -0.0, 4.0]]),
+        "single_zero_row": np.array([[0.0, -0.0]]),
+        "width_1": np.array([[2.0], [-3.0], [0.5], [-0.0], [-1.0]]),
+        "width_2": rng.integers(-3, 4, (60, 2)).astype(float),
+        **{f"width_{w}": np.repeat(rng.standard_normal((40, w)), 3, axis=0)
+           for w in (6, 10, 21)},
+    }
+
+
+@pytest.mark.parametrize("case", sorted(clean_rows_cases()))
+def test_clean_rows_matches_parent_bit_for_bit(case):
+    rows = clean_rows_cases()[case]
+    ours, ref = lmi._clean_rows(rows), parent_clean_rows(rows)
+    assert ours.dtype == ref.dtype and ours.shape == ref.shape
+    assert ours.tobytes() == ref.tobytes()
+
+
+def test_clean_rows_keeps_first_of_signed_zero_ties():
+    # Above 16 rows np.unique's sort is not stable, so of two rows equal but
+    # for the sign of a zero entry it keeps either one; the LP cannot tell
+    # them apart.  The sort keeps the first, and the values and their order
+    # are the parent's.
+    rng = np.random.default_rng(3)
+    rows = rng.integers(-1, 2, (500, 4)) * rng.choice([0.0, -0.0, 1.0, 1e-14], (500, 4))
+    ours = lmi._clean_rows(rows)
+    assert np.array_equal(ours, parent_clean_rows(rows))
+    norms = np.linalg.norm(rows, axis=1)
+    unit = np.round(rows[norms > 0] / norms[norms > 0, None], 12)
+    for row in ours:
+        first = unit[np.flatnonzero((unit == row).all(axis=1))[0]]
+        assert first.tobytes() == row.tobytes()
+
+
 def record_lps(program):
     """The keyword arguments, options left out, of every LP `program()` issues."""
     lps = []
