@@ -186,7 +186,6 @@ def delta_cap(eps: float, n: int) -> float:
 class CapParams:
     """Cap measure eps with its threshold delta and chord bound Delta."""
 
-    epsilon: float
     delta: float
     Delta: float
     delta_zero: bool  # eps >= 1/2 regime
@@ -195,7 +194,6 @@ class CapParams:
 def cap_params(eps: float, n: int) -> CapParams:
     delta = delta_cap(eps, n)
     return CapParams(
-        epsilon=eps,
         delta=delta,
         Delta=math.sqrt(2.0 - 2.0 * delta),
         delta_zero=(eps >= 0.5),

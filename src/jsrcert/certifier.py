@@ -6,10 +6,10 @@ Given observed endpoint pairs (x0, xl), three quantities are computed:
   max ||xl|| over the sample (initial states are unit norm);
 * `solve_gamma` -- the smallest decrease rate gamma for which some shape
   matrix P with I <= P <= C*I makes the lifted quadratic form decrease on
-  every observation, found by bisection over the semidefinite feasibility
-  oracle `lmi.max_margin_feasibility`, which also fixes the margin a
-  feasible answer needs (the problem is quasi-convex: the feasible set only
-  grows with gamma);
+  every observation, found by bisection over the verdicts of the
+  feasibility oracle `lmi.max_margin_feasibility` (the problem is
+  quasi-convex: the feasible set only grows with gamma); the bisection
+  builds each witness itself, with `lmi.feasibility_witness`;
 * the tie-break -- among shapes feasible at (slightly above) the optimum,
   one minimizing lambda_max(P), hence the condition number, which enters
   the certificate bound directly; when that solve stalls, the bisection
@@ -100,7 +100,6 @@ class LyapunovCandidate:
     slack.
     """
 
-    degree: int
     gamma: float
     P: SymMatrix
     kappa: float
@@ -146,23 +145,23 @@ def _bisect_gamma(cache: _PairCache, opts: SolveOptions) -> tuple[float, np.ndar
     lo = 0.0
     witness = np.eye(D)  # feasible at hi: ||xl||^2d <= lambda*^2d for all rows
     for _ in range(300):
-        if hi - lo <= opts.bisection_rel_tol * max(hi, 1e-12):
-            break
         mid = 0.5 * (lo + hi)
+        # At double resolution mid equals an end; solving it again moves nothing.
+        if hi - lo <= opts.bisection_rel_tol * max(hi, 1e-12) or not lo < mid < hi:
+            break
+        P = None  # undecided or no witness: not proven feasible, the stored witness stays
         try:
-            result = lmi.max_margin_feasibility(cache.rows(mid), D, opts.c_bound, cache.dirs)
-            feasible = result.feasible
+            rows = cache.rows(mid)
+            result = lmi.max_margin_feasibility(rows, D, opts.c_bound, cache.dirs)
+            if result.feasible:
+                P = lmi.feasibility_witness(rows, D, result.margin, cache.dirs)
         except SolverStallError as exc:
-            # Undecided counts as not-proven-feasible: the stored upper
-            # witness stays valid, so the certificate merely loosens.
             warnings.warn(f"feasibility oracle undecided at gamma={mid:.6g}: {exc}",
                           RuntimeWarning, stacklevel=2)
-            feasible = False
-        if feasible:
-            hi = mid
-            witness = result.P
-        else:
+        if P is None:
             lo = mid
+        else:
+            hi, witness = mid, P
     return hi, witness
 
 
@@ -175,9 +174,8 @@ def _tie_break_cache(
     gamma_tb = gamma_star * (1.0 + TIEBREAK_SLACK)
     hint = matrix_metrics(witness).lambda_max * (1.0 + 1e-6)
     try:
-        P = lmi.min_lambda_max(
-            cache.rows(gamma_tb), cache.dim, opts.c_bound, upper_hint=hint, dirs=cache.dirs
-        )
+        P = lmi.min_lambda_max(cache.rows(gamma_tb), cache.dim, opts.c_bound, upper_hint=hint,
+                               dirs=cache.dirs)
         gamma_cert = gamma_tb
     except SolverStallError:
         P, gamma_cert = witness, gamma_star
@@ -187,7 +185,6 @@ def _tie_break_cache(
         P, gamma_cert = witness, gamma_star
     m = matrix_metrics(P)
     return LyapunovCandidate(
-        degree=cache.degree,
         gamma=gamma_cert,
         P=SymMatrix.from_full(P),
         kappa=m.kappa,

@@ -22,15 +22,15 @@ floor.
 
 All three programs run through one cutting-plane loop, `_cut_loop`, over
 x = (vech P, tau); they differ only in objective, boxes, base rows and the
-cut level w^T P w >= a*tau + b.  Feasibility is decided in two phases: the
-margin-maximizing program (`max_margin_feasibility`, the yes/no oracle of
-the gamma bisection) answers yes/no, and `_balanced_witness` re-balances an
-accepted witness by maximizing its eigenvalue floor at the required margin
-(the margin-maximal vertex is typically near-singular, which would amplify
-LP noise when rescaled).  `min_lambda_max` is the condition-number
-tie-break.  The entry points accept a mutable list of probe directions so
-the semidefiniteness cuts learned in one call can warm-start the next: a cut
-w'Pw >= r depends only on the lift dimension D, not on gamma or on the rows.
+cut level w^T P w >= a*tau + b.  `max_margin_feasibility`, the oracle of
+the gamma bisection and of the support search, maximizes the margin and
+returns a verdict only.  `feasibility_witness` builds a shape matrix on
+request: `_balanced_witness` maximizes its eigenvalue floor at the required
+margin, since the margin-maximal vertex is typically near-singular and
+would amplify LP noise when rescaled.  `min_lambda_max` is the
+condition-number tie-break.  The entry points accept a mutable list of
+probe directions so the cuts learned in one call warm-start the next: a
+cut w'Pw >= r depends only on the lift dimension D, not on gamma or rows.
 
 The kernel also generates rows.  Only D(D+1)/2 + 1 samples can pin the
 optimum of a sampled program, so above the threshold of _ROW_BLOCK base rows
@@ -72,6 +72,7 @@ __all__ = [
     "unpack_sym",
     "seed_cut_directions",
     "max_margin_feasibility",
+    "feasibility_witness",
     "min_lambda_max",
 ]
 
@@ -126,7 +127,6 @@ class SolverStallError(RuntimeError):
 @dataclass(frozen=True)
 class MarginResult:
     feasible: bool
-    P: np.ndarray | None
     margin: float
 
 
@@ -338,8 +338,6 @@ def _balanced_witness(
 ) -> np.ndarray:
     """Maximize the eigenvalue floor of P subject to margins >= `margin`.
 
-    Run after feasibility is established: trading surplus margin for
-    conditioning keeps the rescaled witness numerically meaningful.
     Variables are vech(P) (trace-normalized) plus the floor s.
     """
     # lambda_min is at most the mean eigenvalue 1
@@ -359,35 +357,42 @@ def max_margin_feasibility(
 ) -> MarginResult:
     """Decide whether some P with I <= P <= c_bound*I satisfies all rows.
 
-    `rows` hold the packed coefficients of <G_i, P> <= 0.  Returns a witness
-    scaled so P >= I holds exactly, or infeasible when the trace-normalized
-    relaxation (eigenvalue floor D/c_bound) cannot reach FEASIBILITY_MARGIN.
-    `dirs` accumulates semidefiniteness probe directions across calls.
+    `rows` hold the packed coefficients of <G_i, P> <= 0.  Feasible when the
+    trace-normalized relaxation (eigenvalue floor D/c_bound) reaches
+    FEASIBILITY_MARGIN; a verdict only (see `feasibility_witness`).  `dirs`
+    accumulates semidefiniteness probe directions across calls.
     """
-    dirs = [] if dirs is None else dirs  # shared with the balancing pass below
     rows = _clean_rows(rows)
     if rows.shape[0] == 0:
-        return MarginResult(feasible=True, P=np.eye(D), margin=1.0)
+        return MarginResult(feasible=True, margin=1.0)
     # lambda_max <= trace = D, so this floor caps lambda_max/lambda_min at
     # c_bound, matching the I <= P <= C*I box after rescaling.
     floor = min(D / c_bound, 0.9)
     # Margins are at most ||P||_F <= D.
     bounds, trace_row = _trace_box(D, (-2.0 * D, 2.0 * D))
     base = np.hstack([rows, np.ones((rows.shape[0], 1))])
-    t, P, _ = _cut_loop(-1.0, bounds, base, np.zeros(base.shape[0]), dirs, 0.0, floor, D,
-                        A_eq=trace_row, b_eq=[float(D)],
+    t, P, _ = _cut_loop(-1.0, bounds, base, np.zeros(base.shape[0]), [] if dirs is None else dirs,
+                        0.0, floor, D, A_eq=trace_row, b_eq=[float(D)],
                         stop=lambda tau: tau < -FEASIBILITY_MARGIN)
-    if P is None or t < FEASIBILITY_MARGIN:
-        return MarginResult(feasible=False, P=None, margin=t)
-    P = _balanced_witness(rows, D, min(t, max(FEASIBILITY_MARGIN, 1e-6)), dirs)
+    return MarginResult(feasible=P is not None and t >= FEASIBILITY_MARGIN, margin=t)
+
+
+def feasibility_witness(rows: np.ndarray, D: int, margin: float,
+                        dirs: list[np.ndarray]) -> np.ndarray | None:
+    """Balanced P >= I for rows `max_margin_feasibility` found feasible at `margin`.
+
+    Checked again on every row; None when rescaling amplified LP noise past
+    the 1e-9 contract.
+    """
+    rows = _clean_rows(rows)
+    if rows.shape[0] == 0:
+        return np.eye(D)
+    P = _balanced_witness(rows, D, min(margin, max(FEASIBILITY_MARGIN, 1e-6)), dirs)
     lmin = float(np.linalg.eigvalsh(P)[0])
     if lmin <= 0:
-        return MarginResult(feasible=False, P=None, margin=t)
+        return None
     P = P / lmin  # homogeneous constraints: rescale so P >= I exactly
-    if float(np.max(rows @ P[_triu(D)])) > 1e-9:
-        # Rescaling amplified LP noise past the contract; boundary case.
-        return MarginResult(feasible=False, P=None, margin=t)
-    return MarginResult(feasible=True, P=P, margin=t)
+    return P if float(np.max(rows @ P[_triu(D)])) <= 1e-9 else None
 
 
 def min_lambda_max(

@@ -31,6 +31,16 @@ def oracle(obs, d, gamma, opts=None):
     return lmi.max_margin_feasibility(cache.rows(gamma), cache.dim, opts.c_bound)
 
 
+def witness(obs, d, gamma, opts=None):
+    """The shape matrix the bisection builds after a feasible verdict at gamma."""
+    opts = opts or SolveOptions()
+    cache = _PairCache(obs, d)
+    rows = cache.rows(gamma)
+    result = lmi.max_margin_feasibility(rows, cache.dim, opts.c_bound, cache.dirs)
+    assert result.feasible
+    return lmi.feasibility_witness(rows, cache.dim, result.margin, cache.dirs)
+
+
 class TestSolveOptions:
     @pytest.mark.parametrize("name", ["c_bound", "bisection_rel_tol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
@@ -82,14 +92,12 @@ class TestAssembleConstraints:
 
 
 class TestFeasibilityCheck:
-    """`lmi.max_margin_feasibility` on the rows the bisection passes it."""
+    """The oracle's verdicts and witnesses on the rows the bisection passes it."""
 
     def test_double_identity_threshold(self, double_identity):
         obs = simulate(double_identity, 12, 1, seed=7)
         assert not oracle(obs, 1, 1.9).feasible
-        result = oracle(obs, 1, 2.01)
-        assert result.feasible
-        assert np.linalg.eigvalsh(result.P)[0] >= 1.0 - 1e-8
+        assert np.linalg.eigvalsh(witness(obs, 1, 2.01))[0] >= 1.0 - 1e-8
 
     def test_zero_data_feasible_at_zero(self):
         obs = make_obs([((1.0, 0.0), (0.0, 0.0))])
@@ -97,9 +105,7 @@ class TestFeasibilityCheck:
 
     def test_witness_satisfies_constraints(self, parrilo):
         obs = simulate(parrilo, 60, 1, seed=21)
-        result = oracle(obs, 1, 1.45)
-        assert result.feasible
-        z = result.P[np.triu_indices(2)]
+        z = witness(obs, 1, 1.45)[np.triu_indices(2)]
         assert float(np.max(_PairCache(obs, 1).rows(1.45) @ z)) <= 1e-8
 
     def test_parrilo_quartic_frozen_verdicts(self, parrilo):
@@ -237,6 +243,47 @@ class TestOracleFailureReporting:
         # upper bracket with the identity witness.
         assert gamma == pytest.approx(solve_lambda(obs), rel=1e-12)
         assert np.allclose(cand.P.full(), np.eye(2))
+
+
+    def test_witness_stall_keeps_previous_witness(self, parrilo, monkeypatch):
+        # A stall while balancing a witness leaves the step undecided, like a
+        # stall of the verdict: lo moves and the last witness stays.
+        cache = _PairCache(simulate(parrilo, 40, 1, seed=8), 2)
+        mids, built, stalled = [], [], []
+        rows, balanced = cache.rows, lmi._balanced_witness
+        cache.rows = lambda gamma: mids.append(gamma) or rows(gamma)
+
+        def first_only(*args):
+            if built:
+                stalled.append(mids[-1])
+                raise lmi.SolverStallError("stalled for the test")
+            built.append((mids[-1], balanced(*args)))
+            return built[-1][1]
+
+        monkeypatch.setattr(lmi, "_balanced_witness", first_only)
+        with pytest.warns(RuntimeWarning, match="undecided") as caught:
+            gamma, P = _bisect_gamma(cache, SolveOptions())
+        assert len(caught) == len(stalled) > 0
+        for mid in stalled:
+            assert all(later > mid for later in mids[mids.index(mid) + 1:])
+        first_mid, first_P = built[0]
+        assert gamma == first_mid
+        assert np.array_equal(P, first_P / np.linalg.eigvalsh(first_P)[0])
+
+
+class TestBisectionStop:
+    def test_stops_at_double_resolution(self, parrilo, monkeypatch):
+        # No bracket of doubles is narrower than 1e-300 relative; the
+        # bisection stops once mid is no longer strictly inside (lo, hi).
+        obs = simulate(parrilo, 100, 1, seed=3)
+        gamma_ref, _ = solve_gamma(obs, 1, SolveOptions(bisection_rel_tol=1e-15))
+        calls = []
+        verdict = lmi.max_margin_feasibility
+        monkeypatch.setattr(lmi, "max_margin_feasibility",
+                            lambda *args: calls.append(args) or verdict(*args))
+        gamma, _ = solve_gamma(obs, 1, SolveOptions(bisection_rel_tol=1e-300))
+        assert len(calls) <= 60
+        assert gamma == gamma_ref
 
 
 def min_lambda_max_unhinted(cache, gamma, opts):

@@ -70,30 +70,67 @@ RAND_D1_MIN_LAMBDA_MAX = [
 ]
 
 
+def verdict_and_witness(rows, D):
+    """The oracle's verdict, then its witness on the same cuts, as the bisection asks."""
+    dirs = []
+    result = lmi.max_margin_feasibility(rows, D, 100.0, dirs)
+    return result, lmi.feasibility_witness(rows, D, result.margin, dirs)
+
+
 class TestMaxMarginFeasibility:
     def test_infeasible_d1(self, parrilo):
         rows = cache_for(parrilo, 20, 1, 2).rows(1.2)
         result = lmi.max_margin_feasibility(rows, 2, 100.0)
         assert not result.feasible
-        assert result.P is None
         assert result.margin == -0.25475862644281655
 
     def test_feasible_d2(self, parrilo_d2):
         result = lmi.max_margin_feasibility(*parrilo_d2, 100.0)
         assert result.feasible
         assert result.margin == 0.04404095313988208
-        assert np.array_equal(result.P, PARRILO_D2_FEASIBLE)
 
     def test_feasible_d1(self, rand_d1):
         result = lmi.max_margin_feasibility(*rand_d1, 100.0)
         assert result.feasible
         assert result.margin == 0.018723859638626134
-        assert np.array_equal(result.P, RAND_D1_FEASIBLE)
+
+    @pytest.mark.parametrize("case, margin", [
+        ("parrilo_d2", 0.04404095313988208),
+        ("rand_d1", 0.018723859638626134),
+    ])
+    def test_verdict_builds_no_witness(self, case, margin, request, monkeypatch):
+        def unused(*args):
+            raise AssertionError("the verdict must not balance a witness")
+
+        monkeypatch.setattr(lmi, "_balanced_witness", unused)
+        result = lmi.max_margin_feasibility(*request.getfixturevalue(case), 100.0)
+        assert result.feasible
+        assert result.margin == margin
 
     def test_probe_directions_accumulate(self, parrilo_d2):
         dirs = []
         lmi.max_margin_feasibility(*parrilo_d2, 100.0, dirs)
         assert len(dirs) > len(lmi.seed_cut_directions(3))
+
+
+class TestFeasibilityWitness:
+    @pytest.mark.parametrize("case, expected", [
+        ("parrilo_d2", PARRILO_D2_FEASIBLE),
+        ("rand_d1", RAND_D1_FEASIBLE),
+    ])
+    def test_recorded(self, case, expected, request):
+        _, P = verdict_and_witness(*request.getfixturevalue(case))
+        assert np.array_equal(P, expected)
+
+    def test_no_rows_gives_identity(self):
+        assert np.array_equal(lmi.feasibility_witness(np.zeros((2, 3)), 2, 1.0, []), np.eye(2))
+
+    def test_failed_recheck_gives_none(self, rand_d1, monkeypatch):
+        # A balanced P that misses a row by more than the contract is refused.
+        rows, D = rand_d1
+        assert np.max(lmi._clean_rows(rows) @ np.eye(D)[np.triu_indices(D)]) > 1e-9
+        monkeypatch.setattr(lmi, "_balanced_witness", lambda *args: np.eye(D))
+        assert lmi.feasibility_witness(rows, D, 1e-3, []) is None
 
 
 class TestBalancedWitness:
@@ -191,12 +228,12 @@ class TestRowGeneration:
         cache, (gamma, _) = above_block
         rows = cache.rows(gamma)
         clean = lmi._clean_rows(rows)
-        generated, full, sizes = generated_and_full(
-            lambda: lmi.max_margin_feasibility(rows, cache.dim, 100.0), monkeypatch
+        (generated, P), (full, _), sizes = generated_and_full(
+            lambda: verdict_and_witness(rows, cache.dim), monkeypatch
         )
         assert generated.feasible and full.feasible
         assert abs(generated.margin - full.margin) <= 1e-9
-        assert np.max(clean @ generated.P[np.triu_indices(cache.dim)]) <= 1e-9
+        assert np.max(clean @ P[np.triu_indices(cache.dim)]) <= 1e-9
         assert max(sizes) < clean.shape[0]
 
     def test_infeasible(self, above_block, monkeypatch):

@@ -1,0 +1,104 @@
+"""Digest of every LP that `certify`, the sweep and the support search issue.
+
+Run it in two checkouts and diff the outputs: a change that leaves every LP
+bit-identical prints the same lines.
+
+    PYTHONPATH=src python tools/lp_digest.py > lp_digest.txt
+
+It wraps `jsrcert.lmi.linprog` and, for each item, prints the LP count, a
+sha256 over every LP's c, A_ub, b_ub, bounds, A_eq, b_eq, status and x in
+call order, and the item's outputs:
+
+* `certify_run` on the bench's two seed-1 samples, built by the bench's own
+  workload classes (simulate, save, load);
+* the three sweeps of `sweep-parrilo-small` at seed 1 (master seeds 3, 4,
+  5), with each CSV's sha256;
+* `support_constraints` on the 20 seeds of acceptance criterion 9 (Parrilo
+  pair, N = 10, d = 1), with the support sets and gammas.
+
+Inputs come from ``bench/data``; everything written goes to a temporary
+directory.  Takes about a minute on a 2-core box.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.dont_write_bytecode = True  # leave no __pycache__ under bench/
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import jsrcert.lmi  # noqa: E402
+from jsrcert.oracles import support_constraints  # noqa: E402
+from jsrcert.sampling import load_modes, simulate  # noqa: E402
+from workloads import DATA, WORKLOADS  # noqa: E402
+
+
+class LPDigest:
+    """Counts and hashes the LPs passed to `jsrcert.lmi.linprog`."""
+
+    def __init__(self):
+        self.linprog = jsrcert.lmi.linprog
+        self.reset()
+
+    def reset(self):
+        self.count = 0
+        self.sha = hashlib.sha256()
+
+    def _add(self, value):
+        if value is None:
+            self.sha.update(b"None")
+        else:
+            a = np.ascontiguousarray(value, dtype=float)
+            self.sha.update(repr(a.shape).encode())
+            self.sha.update(a.tobytes())
+
+    def __call__(self, c, *, A_ub, b_ub, bounds, options, A_eq=None, b_eq=None):
+        res = self.linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, options=options,
+                           A_eq=A_eq, b_eq=b_eq)
+        self.count += 1
+        for value in (c, A_ub, b_ub, bounds, A_eq, b_eq):
+            self._add(value)
+        self.sha.update(repr(res.status).encode())
+        self._add(res.x)
+        return res
+
+    def line(self, name: str, outputs: str) -> str:
+        line = f"{name} lps={self.count} sha256={self.sha.hexdigest()} {outputs}"
+        self.reset()
+        return line
+
+
+def main() -> None:
+    digest = LPDigest()
+    jsrcert.lmi.linprog = digest
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ("parrilo-d1-n3000", "rand2x2m3-d2-n1000"):
+            work = WORKLOADS[name]
+            work.setup(Path(tmp), seed=1, tiny=False)
+            report, _ = work.op(0)
+            print(digest.line(name, f"bound={report.jsr_upper_bound!r} "
+                              f"gamma_star={report.gamma_star!r} kappa={report.kappa!r}"), flush=True)
+        sweep = WORKLOADS["sweep-parrilo-small"]
+        sweep.setup(Path(tmp), seed=1, tiny=False)
+        for i, config in enumerate(sweep.configs):
+            sweep.op(i)
+            csv = hashlib.sha256(sweep.csv_path.read_bytes()).hexdigest()
+            print(digest.line(f"sweep-seed{config.seed}", f"csv_sha256={csv}"), flush=True)
+    parrilo = load_modes(DATA / "parrilo.json")
+    total = 0
+    for seed in range(20):
+        res = support_constraints(simulate(parrilo, 10, 1, seed=seed), 1)
+        total += digest.count
+        print(digest.line(f"support-seed{seed}",
+                          f"indices={list(res.indices)} gamma={res.gamma!r}"), flush=True)
+    print(f"support total lps={total}")
+
+
+if __name__ == "__main__":
+    main()
