@@ -41,7 +41,7 @@ one, so its optimum bounds the full optimum (an early stop on a subset also
 holds for all rows), and an iterate violating no row solves the full LP.
 Programs with at most _ROW_BLOCK base rows keep every row from the start and
 solve exactly the LPs they did before generation existed; the threshold
-stays until the sweep's references tolerate other LPs (ROADMAP item 5).
+stays until the sweep's references tolerate other LPs (ROADMAP item 3).
 
 Every LP goes through `linprog`, a small adapter on the HiGHS binding that
 scipy vendors (`scipy.optimize._highspy._core`).  It gives HiGHS the model
@@ -179,14 +179,20 @@ def _clean_rows(rows: np.ndarray) -> np.ndarray:
     Duplicates are detected after rounding to 12 decimals, which perturbs a
     unit-norm constraint by far less than the feasibility margin but removes
     the heavy degeneracy of dense grids (antipodal points give identical
-    rows).
+    rows).  Rows come back in lexicographic order, the first of each equal
+    group kept.  A sort on the first column alone gives that order when the
+    sorted column strictly increases, and then no rows are equal; only a tie
+    there (dense grids, signed zeros) or a NaN takes the full sort and merge.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     norms = np.linalg.norm(rows, axis=1)
     keep = norms > 1e-300
     rows = rows[keep] / norms[keep, None]
-    if rows.shape[0] > 1:  # np.unique(axis=0)'s rows, without its structured-dtype sort
+    if rows.shape[0] > 1:
         rows = np.round(rows, 12)
+        lead = rows[np.argsort(rows[:, 0])]
+        if np.all(lead[1:, 0] > lead[:-1, 0]):
+            return lead
         rows = rows[np.lexsort(rows.T[::-1])]
         rows = rows[np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)]]
     return rows
@@ -296,12 +302,14 @@ def _cut_loop(
     c = np.zeros(K + 1)
     c[-1] = sense
     active = np.ones(base.shape[0], dtype=bool)
-    if base.shape[0] > _ROW_BLOCK:
+    if base.shape[0] > max(_ROW_BLOCK, step):
         iu, ju = _triu(D)
         x0 = np.zeros(K + 1)
         x0[:K][iu == ju] = 1.0
-        active[:] = False  # the `step` rows most violated at x0, ties in row order
-        active[np.argsort(base_rhs - base @ x0, kind="stable")[:step]] = True
+        slack = base_rhs - base @ x0  # the `step` rows most violated at x0, ties in row order
+        cut = np.partition(slack, step - 1)[step - 1]
+        active = slack < cut
+        active[np.flatnonzero(slack == cut)[: step - np.count_nonzero(active)]] = True
     hi_dirs: list[np.ndarray] = []
     for _ in range(_MAX_CUT_ROUNDS):
         q = quad_form_rows(np.array(dirs))

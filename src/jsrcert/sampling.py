@@ -228,6 +228,15 @@ def save_observations(obs: ObservationSet, path) -> None:
             writer.writerow([tid, obs.l] + [repr(float(v)) for v in xl])
 
 
+def _int_column(fields) -> np.ndarray:
+    """Fields parsed by Python's int: int64 when every value fits, else exact Python ints."""
+    ints = list(map(int, fields))
+    try:
+        return np.array(ints, dtype=np.int64)
+    except OverflowError:
+        return np.array(ints, dtype=object)
+
+
 def load_observations(path) -> ObservationSet:
     """Read a trajectory CSV and reduce each trajectory to (x0, xl).
 
@@ -239,7 +248,6 @@ def load_observations(path) -> ObservationSet:
     offending row identified.
     """
     path = Path(path)
-    keys, states = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -248,38 +256,42 @@ def load_observations(path) -> ObservationSet:
         n = len(header) - 2
         if [h.strip() for h in header[2:]] != [f"x{i+1}" for i in range(n)]:
             raise TrajectoryFormatError(f"{path}: state columns must be named x1..x{n}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != n + 2:
+        records = list(reader)
+    sizes = np.fromiter(map(len, records), dtype=np.intp, count=len(records))
+    line = np.flatnonzero(sizes) + 2  # blank records hold no row but count as lines
+    if not line.size:
+        raise TrajectoryFormatError(f"{path}: no trajectory rows")
+    try:  # column by column; a ragged row or a non-number goes to the row scan below
+        if np.any(sizes[line - 2] != n + 2):
+            raise ValueError
+        cols = list(zip(*filter(None, records)))
+        tid, step = _int_column(cols[0]), _int_column(cols[1])
+        X = np.column_stack([np.fromiter(map(float, c), float, line.size) for c in cols[2:]])
+    except ValueError:  # name the first ragged or non-numeric record
+        for lineno, row in enumerate(records, start=2):
+            if row and len(row) != n + 2:
                 raise TrajectoryFormatError(
-                    f"{path}:{lineno}: expected {n + 2} fields, got {len(row)}"
-                )
+                    f"{path}:{lineno}: expected {n + 2} fields, got {len(row)}") from None
             try:
-                keys.append((int(row[0]), int(row[1]), lineno))
-                states.append([float(v) for v in row[2:]])
+                list(map(int, row[:2])), list(map(float, row[2:]))
             except ValueError as exc:
                 raise TrajectoryFormatError(f"{path}:{lineno}: {exc}") from None
-    if not keys:
-        raise TrajectoryFormatError(f"{path}: no trajectory rows")
-    # Columns traj_id, step, line; object dtype compares ids and steps exactly at any size.
-    key, X = np.array(keys, dtype=object), np.array(states)
 
     def reject(mask, message):
         bad = np.flatnonzero(mask)
         if bad.size:
-            tid, step, line = key[bad[0]]
-            raise TrajectoryFormatError(message.format(path=path, tid=tid, step=step, line=line))
+            i = bad[0]
+            raise TrajectoryFormatError(message.format(path=path, tid=tid[i], step=step[i], line=line[i]))
 
-    reject(key[:, 1] < 0, "{path}:{line}: negative step {step}")
+    reject(step < 0, "{path}:{line}: negative step {step}")
     reject(~np.isfinite(X).all(axis=1), "{path}:{line}: non-finite state")
-    order = np.lexsort((key[:, 1], key[:, 0]))
-    key, X = key[order], X[order]
-    same = key[1:, 0] == key[:-1, 0]
-    dup = np.r_[False, same & (key[1:, 1] == key[:-1, 1])]
+    order = np.lexsort((step, tid))
+    tid, step, line, X = tid[order], step[order], line[order], X[order]
+    same = tid[1:] == tid[:-1]
+    dup = np.r_[False, same & (step[1:] == step[:-1])]
     reject(dup, "{path}:{line}: duplicate row for trajectory {tid} step {step}")
     first, last = np.r_[True, ~same], np.r_[~same, True]
-    lengths = sorted(set(key[last, 1]))
+    lengths = sorted(set(step[last].tolist()))
     if len(lengths) != 1:
         raise TrajectoryFormatError(
             f"{path}: trajectories have mixed lengths {lengths}; a single l is required"
@@ -287,8 +299,8 @@ def load_observations(path) -> ObservationSet:
     l = lengths[0]
     if l < 1:
         raise TrajectoryFormatError(f"{path}: trajectories must have at least one step")
-    key, X0, XL = key[first], X[first], X[last]
-    reject(key[:, 1] != 0, "{path}: trajectory {tid} has no step-0 state")
+    tid, step, X0, XL = tid[first], step[first], X[first], X[last]
+    reject(step != 0, "{path}: trajectory {tid} has no step-0 state")
     # vecdot is the dot kernel np.linalg.norm runs on one vector: the same bits.
     norms = np.sqrt(np.vecdot(X0, X0))
     reject(norms < 1e-12, "{path}: trajectory {tid} starts at the origin and cannot be normalized")

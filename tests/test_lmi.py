@@ -7,6 +7,8 @@ Row generation is checked against the full LP, obtained by raising
 `_ROW_BLOCK` above the row count.
 """
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from jsrcert.certifier import (
 )
 from jsrcert.sampling import ModeSet, simulate
 
+PARRILO = ModeSet((np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([[0.0, 1.0], [0.0, -1.0]])))
 RAND = ModeSet((
     np.array([[0.6, -0.7], [0.3, 0.5]]),
     np.array([[-0.4, 0.9], [0.2, 0.8]]),
@@ -337,6 +340,58 @@ def test_generation_step_follows_lift_dimension(case, D, parrilo, monkeypatch):
         assert step in rounds
 
 
+class TestFirstRowPick:
+    """The rows of a generated loop's first LP: the `step` most violated at
+    P = I (tau = 0), ties at the cut-off taken in row order."""
+
+    def test_block_at_most_step_keeps_every_row(self, parrilo, monkeypatch):
+        # 10 base rows lie above a block of 5 but within D = 2's step of 16;
+        # every row is active from the first LP, as in the full LP.
+        rows = cache_for(parrilo, 10, 1, 3).rows(1.5)
+        assert lmi._clean_rows(rows).shape[0] == 10
+        programs = (lambda: lmi.max_margin_feasibility(rows, 2, 100.0),
+                    lambda: lmi.min_lambda_max(rows, 2, 100.0))
+        monkeypatch.setattr(lmi, "_ROW_BLOCK", 5)
+        picked = [record_lps(program) for program in programs]
+        monkeypatch.setattr(lmi, "_ROW_BLOCK", 10**9)
+        for lps, program in zip(picked, programs):
+            full = record_lps(program)
+            assert len(lps) == len(full)
+            for ours, ref in zip(lps, full):
+                assert ours.keys() == ref.keys()
+                for key in ours:
+                    assert np.array_equal(ours[key], ref[key])
+
+    @pytest.mark.parametrize("seed", [0, 2, 4])
+    def test_ties_at_the_cut_off_go_in_row_order(self, seed, monkeypatch):
+        # Integer rows give exact slacks with many ties; the first LP must
+        # hold the rows a stable argsort of the slacks puts first.
+        D, step, N = 2, 16, 400
+        rng = np.random.default_rng(seed)
+        base = rng.integers(-3, 4, (N, 4)).astype(float)
+        base_rhs = rng.integers(-3, 4, N).astype(float)
+        x0 = np.array([1.0, 0.0, 1.0, 0.0])
+        slack = base_rhs - base @ x0
+        expected = np.zeros(N, dtype=bool)
+        expected[np.argsort(slack, kind="stable")[:step]] = True
+        cut = np.sort(slack)[step - 1]
+        assert 0 < np.count_nonzero(expected & (slack == cut)) < np.count_nonzero(slack == cut)
+        first = []
+
+        def stop_after_first(c, **kwargs):
+            first.append(kwargs["A_ub"])
+            raise StopIteration
+
+        assert N > lmi._ROW_BLOCK
+        monkeypatch.setattr(lmi, "linprog", stop_after_first)
+        bounds, trace_row = lmi._trace_box(D, (-4.0, 4.0))
+        with pytest.raises(StopIteration):
+            lmi._cut_loop(-1.0, bounds, base, base_rhs, [], 0.0, 0.1, D,
+                          A_eq=trace_row, b_eq=[float(D)])
+        assert np.array_equal(first[0][:step], base[expected])
+        assert first[0].shape[0] == step + len(lmi.seed_cut_directions(D))
+
+
 def parent_clean_rows(rows):
     """`_clean_rows` as it stood with np.unique, the reference for the sort."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
@@ -348,13 +403,22 @@ def parent_clean_rows(rows):
     return rows
 
 
+@lru_cache(maxsize=1)
 def clean_rows_cases():
     rng = np.random.default_rng(7)
     V = rng.standard_normal((300, 3))
     antipodal = lmi.quad_form_rows(np.vstack([V, -V, V[:50]]))
     ints = rng.integers(-2, 3, (400, 4)).astype(float)
     ints[ints == 0] = -0.0  # every zero negative, so duplicates agree bit for bit
+    lead_ties = rng.standard_normal((300, 3))
+    lead_ties[:, 0] = rng.choice([-0.5, 0.25, 1.0], 300)
+    lead_zeros = rng.standard_normal((200, 4))
+    lead_zeros[:, 0] = rng.choice([0.0, -0.0], 200)
+    lead_zeros[::7, 0] = rng.standard_normal(29)
     return {
+        "parrilo_bench_sample": cache_for(PARRILO, 3000, 1, 1).rows(1.4142135554517867),
+        "first_column_ties": np.vstack([lead_ties, lead_ties[:40]]),
+        "first_column_signed_zeros": lead_zeros,
         "exact_duplicates": np.vstack([ints[:200], ints[:200][::-1], 2.5 * ints[:100]]),
         "antipodal_samples": antipodal,
         "sample_rows": cache_for(RAND, 400, 2, 5).rows(0.95),
@@ -382,6 +446,18 @@ def test_clean_rows_matches_parent_bit_for_bit(case):
     ours, ref = lmi._clean_rows(rows), parent_clean_rows(rows)
     assert ours.dtype == ref.dtype and ours.shape == ref.shape
     assert ours.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("case, full_sort", [
+    ("parrilo_bench_sample", False), ("sample_rows", False),
+    ("first_column_ties", True), ("first_column_signed_zeros", True), ("exact_duplicates", True),
+])
+def test_clean_rows_sorts_on_one_key_unless_the_first_column_ties(case, full_sort, monkeypatch):
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+    lmi._clean_rows(clean_rows_cases()[case])
+    assert bool(calls) == full_sort
 
 
 def test_clean_rows_keeps_first_of_signed_zero_ties():

@@ -292,6 +292,66 @@ class TestTrajectoryFiles:
         assert np.array_equal(obs.XL, [[2.0, 0.0], [0.0, 3.0]])
 
 
+# The loader's contract on spellings of one file and on bad fields: the first
+# bad row is named by its record number, blank lines included.
+PLAIN_ROWS = ["7,0,1.0,0.0", "7,1,0.5,-2.0", "-3,0,0.0,-1.0", "-3,1,0.25,4.0"]
+PLAIN_X0 = [[0.0, -1.0], [1.0, 0.0]]
+PLAIN_XL = [[0.25, 4.0], [0.5, -2.0]]
+
+
+def write_trajectories(tmp_path, rows, newline="\n"):
+    path = tmp_path / "t.csv"
+    path.write_bytes(newline.join(["traj_id,step,x1,x2", *rows, ""]).encode())
+    return path
+
+
+@pytest.mark.parametrize("rows, newline", [
+    (PLAIN_ROWS, "\n"),
+    (PLAIN_ROWS, "\r\n"),
+    (["", PLAIN_ROWS[0], "", "", *PLAIN_ROWS[1:], ""], "\n"),
+    ([",".join(f'"{v}"' for v in row.split(",")) for row in PLAIN_ROWS], "\n"),
+    ([",".join(f'"{v}"' for v in row.split(",")) for row in PLAIN_ROWS], "\r\n"),
+], ids=["lf", "crlf", "blank_lines", "quoted", "quoted_crlf"])
+def test_file_spellings_load_the_same_bytes(tmp_path, rows, newline):
+    obs = load_observations(write_trajectories(tmp_path, rows, newline))
+    assert obs.l == 1 and obs.X0.dtype == obs.XL.dtype == np.float64
+    assert obs.X0.tobytes() == np.array(PLAIN_X0).tobytes()
+    assert obs.XL.tobytes() == np.array(PLAIN_XL).tobytes()
+
+
+def test_ids_mixing_negative_and_beyond_int64(tmp_path):
+    big = 2**63 + 5
+    rows = [f"{big},1,0.0,3.0", "-4,0,0.0,1.0", f"{big},0,1.0,0.0", "-4,1,2.0,0.0",
+            f"{big - 1},0,0.0,-1.0", f"{big - 1},1,5.0,5.0"]
+    obs = load_observations(write_trajectories(tmp_path, rows))
+    assert obs.N == 3
+    assert obs.X0.tobytes() == np.array([[0.0, 1.0], [0.0, -1.0], [1.0, 0.0]]).tobytes()
+    assert obs.XL.tobytes() == np.array([[2.0, 0.0], [5.0, 5.0], [0.0, 3.0]]).tobytes()
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([PLAIN_ROWS[0], "7,1,abc,-2.0"], "3: could not convert string to float: 'abc'"),
+    (["1.5,0,1.0,0.0", "1.5,1,0.5,-2.0"], "2: invalid literal for int() with base 10: '1.5'"),
+    (["7,0,1.0,0.0", "7,x,0.5,-2.0"], "3: invalid literal for int() with base 10: 'x'"),
+    (["", PLAIN_ROWS[0], "", "7,1,0.5,"], "5: could not convert string to float: ''"),
+    (["", PLAIN_ROWS[0], "", "7,1,0.5"], "5: expected 4 fields, got 3"),
+    # The first bad row is named, whatever is wrong with later rows.
+    ([PLAIN_ROWS[0], "7,1,0.5,z", "-3,0,0.0"], "3: could not convert string to float: 'z'"),
+    ([PLAIN_ROWS[0], "7,1,0.5", "-3,y,0.0,-1.0"], "3: expected 4 fields, got 3"),
+    # Contract checks after parsing count blank lines too.
+    ([PLAIN_ROWS[0], "", PLAIN_ROWS[1], "", "7,1,0.0,0.0"],
+     "6: duplicate row for trajectory 7 step 1"),
+    ([PLAIN_ROWS[0], "", "", "7,-1,0.5,-2.0"], "5: negative step -1"),
+    (["", "", PLAIN_ROWS[0], "7,1,0.5,nan"], "5: non-finite state"),
+], ids=["state", "traj_id", "step", "empty_after_blank", "ragged_after_blank",
+        "value_before_ragged", "ragged_before_value", "duplicate_after_blank",
+        "negative_step_after_blank", "nan_after_blank"])
+def test_bad_rows_are_named_by_record_number(tmp_path, rows, message):
+    path = write_trajectories(tmp_path, rows)
+    with pytest.raises(TrajectoryFormatError, match=re.escape(f"{path}:{message}")):
+        load_observations(path)
+
+
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
 

@@ -10,7 +10,8 @@ sha256 over every LP's c, A_ub, b_ub, bounds, A_eq, b_eq, status and x in
 call order, and the item's outputs:
 
 * `certify_run` on the bench's two seed-1 samples, built by the bench's own
-  workload classes (simulate, save, load);
+  workload classes (simulate, save, load), with a sha256 over the loaded
+  `X0` and `XL` bytes;
 * the three sweeps of `sweep-parrilo-small` at seed 1 (master seeds 3, 4,
   5), with each CSV's sha256;
 * `support_constraints` on the 20 seeds of acceptance criterion 9 (Parrilo
@@ -35,7 +36,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import jsrcert.lmi  # noqa: E402
 from jsrcert.oracles import support_constraints  # noqa: E402
-from jsrcert.sampling import load_modes, simulate  # noqa: E402
+from jsrcert.sampling import load_modes, load_observations, simulate  # noqa: E402
 from workloads import DATA, WORKLOADS  # noqa: E402
 
 
@@ -82,8 +83,11 @@ def main() -> None:
             work = WORKLOADS[name]
             work.setup(Path(tmp), seed=1, tiny=False)
             report, _ = work.op(0)
+            obs = load_observations(work.path)
+            sample = hashlib.sha256(obs.X0.tobytes() + obs.XL.tobytes()).hexdigest()
             print(digest.line(name, f"bound={report.jsr_upper_bound!r} "
-                              f"gamma_star={report.gamma_star!r} kappa={report.kappa!r}"), flush=True)
+                              f"gamma_star={report.gamma_star!r} kappa={report.kappa!r} "
+                              f"sample_sha256={sample}"), flush=True)
         sweep = WORKLOADS["sweep-parrilo-small"]
         sweep.setup(Path(tmp), seed=1, tiny=False)
         for i, config in enumerate(sweep.configs):
