@@ -282,6 +282,8 @@ def min_samples_finite(beta1: float, m: int, l: int) -> int:
     """
     if not 0.0 < beta1 < 1.0:
         raise ValueError(f"min_samples_finite requires beta1 in (0, 1), got {beta1}")
+    if m < 1 or l < 1:
+        raise ValueError(f"min_samples_finite requires m >= 1 and l >= 1, got m={m}, l={l}")
     ml = m**l
     if ml <= 1:
         return 1

@@ -172,18 +172,18 @@ def _tie_break_cache(
     opts: SolveOptions,
 ) -> LyapunovCandidate:
     gamma_tb = gamma_star * (1.0 + TIEBREAK_SLACK)
-    hint = matrix_metrics(witness).lambda_max * (1.0 + 1e-6)
+    P, gamma_cert, m = witness, gamma_star, matrix_metrics(witness)
     try:
-        P = lmi.min_lambda_max(cache.rows(gamma_tb), cache.dim, opts.c_bound, upper_hint=hint,
-                               dirs=cache.dirs)
-        gamma_cert = gamma_tb
+        tied = lmi.min_lambda_max(cache.rows(gamma_tb), cache.dim, opts.c_bound,
+                                  upper_hint=m.lambda_max * (1.0 + 1e-6), dirs=cache.dirs)
     except SolverStallError:
-        P, gamma_cert = witness, gamma_star
-    if matrix_metrics(P).kappa > matrix_metrics(witness).kappa + 1e-6:
-        # The slackened problem should never beat the bisection witness;
-        # keep the better-conditioned shape if it somehow does.
-        P, gamma_cert = witness, gamma_star
-    m = matrix_metrics(P)
+        pass  # the bisection witness stays
+    else:
+        tied_m = matrix_metrics(tied)
+        # The slackened problem should never be worse conditioned than the
+        # bisection witness; the witness stays if it somehow is.
+        if tied_m.kappa <= m.kappa + 1e-6:
+            P, gamma_cert, m = tied, gamma_tb, tied_m
     return LyapunovCandidate(
         gamma=gamma_cert,
         P=SymMatrix.from_full(P),

@@ -6,6 +6,11 @@ weighting the lift is an isometry in the sense ||lift(x)|| = ||x||^d, and the
 lift of a linear map A is again a linear map on the lifted space.  These two
 facts are what make quartic-and-higher Lyapunov conditions expressible as
 linear matrix inequalities, so everything downstream leans on this module.
+
+The module also owns the packed layout of symmetric matrices: the upper
+triangle read row by row (vech), indexed by the cached `_triu` and unpacked
+by `unpack_sym`.  `SymMatrix`, every LP row of `lmi` and every witness check
+use it, so a quadratic form is one dot product with the packed shape.
 """
 
 from __future__ import annotations
@@ -186,14 +191,41 @@ def d_lift_matrix(A, d: int) -> np.ndarray:
     return C @ Ak @ C.T
 
 
+@lru_cache(maxsize=64)
+def _triu(D: int):
+    """Read-only row and column indices of the packed upper triangle, vech order."""
+    iu, ju = np.triu_indices(D)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
+
+
+def unpack_sym(z: np.ndarray, D: int) -> np.ndarray:
+    """The symmetric D x D matrix whose packed upper triangle is z."""
+    P = np.zeros((D, D))
+    iu = _triu(D)
+    P[iu] = z
+    P.T[iu] = z
+    return P
+
+
+def _checked_symmetric(M, caller: str) -> np.ndarray:
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"{caller} expects a square matrix")
+    scale = max(1.0, float(np.abs(M).max()))
+    if np.abs(M - M.T).max() > 1e-9 * scale:
+        raise ValueError(f"{caller} requires a symmetric matrix")
+    return M
+
+
 class SymMatrix:
     """Real symmetric matrix stored as its packed upper triangle.
 
-    Storage guarantees exact symmetry; eigenvalue extremes are computed once
-    and cached.
+    Storage guarantees exact symmetry.
     """
 
-    __slots__ = ("dim", "packed", "_eig")
+    __slots__ = ("dim", "packed")
 
     def __init__(self, dim: int, packed: np.ndarray):
         packed = np.asarray(packed, dtype=float)
@@ -201,39 +233,14 @@ class SymMatrix:
             raise ValueError(f"packed length {packed.shape} does not match dim {dim}")
         self.dim = dim
         self.packed = packed
-        self._eig = None
 
     @classmethod
     def from_full(cls, M) -> "SymMatrix":
-        M = np.asarray(M, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise ValueError("SymMatrix.from_full expects a square matrix")
-        scale = max(1.0, float(np.abs(M).max()))
-        if np.abs(M - M.T).max() > 1e-9 * scale:
-            raise ValueError("matrix is not symmetric")
-        iu = np.triu_indices(M.shape[0])
-        sym = 0.5 * (M + M.T)
-        return cls(M.shape[0], sym[iu])
+        M = _checked_symmetric(M, "SymMatrix.from_full")
+        return cls(M.shape[0], (0.5 * (M + M.T))[_triu(M.shape[0])])
 
     def full(self) -> np.ndarray:
-        M = np.zeros((self.dim, self.dim))
-        iu = np.triu_indices(self.dim)
-        M[iu] = self.packed
-        M.T[iu] = self.packed
-        return M
-
-    def _eigvals(self) -> np.ndarray:
-        if self._eig is None:
-            self._eig = np.linalg.eigvalsh(self.full())
-        return self._eig
-
-    @property
-    def lambda_min(self) -> float:
-        return float(self._eigvals()[0])
-
-    @property
-    def lambda_max(self) -> float:
-        return float(self._eigvals()[-1])
+        return unpack_sym(self.packed, self.dim)
 
 
 @dataclass(frozen=True)
@@ -249,14 +256,7 @@ def matrix_metrics(P) -> MatrixMetrics:
 
     kappa is reported as +inf when the matrix is not positive definite.
     """
-    if isinstance(P, SymMatrix):
-        eigs = P._eigvals()
-    else:
-        P = np.asarray(P, dtype=float)
-        scale = max(1.0, float(np.abs(P).max()))
-        if np.abs(P - P.T).max() > 1e-9 * scale:
-            raise ValueError("matrix_metrics requires a symmetric matrix")
-        eigs = np.linalg.eigvalsh(P)
+    eigs = np.linalg.eigvalsh(_checked_symmetric(P, "matrix_metrics"))
     lmin, lmax = float(eigs[0]), float(eigs[-1])
     kappa = math.sqrt(lmax / lmin) if lmin > 0 else math.inf
     return MatrixMetrics(

@@ -2,11 +2,12 @@
 
 Every program solved here has the same shape: find a symmetric P with
 I <= P <= C*I satisfying a list of homogeneous linear inequalities
-<G_i, P> <= 0.  The engine works in packed coordinates z = vech(P) and
-solves a sequence of linear programs over an outer approximation of the
-semidefinite constraints, refining it with eigenvector cuts w^T P w >= r
-whenever the LP solution leaves the cone.  Because the LP relaxation only
-ever over-estimates the achievable margin, a relaxation margin below the
+<G_i, P> <= 0.  The engine works in packed coordinates z = vech(P), the
+layout that `lift` owns (`_triu`, `unpack_sym`), and solves a sequence of
+linear programs over an outer approximation of the semidefinite
+constraints, refining it with eigenvector cuts w^T P w >= r whenever the LP
+solution leaves the cone.  Because the LP relaxation only ever
+over-estimates the achievable margin, a relaxation margin below the
 infeasibility threshold certifies that the true program is infeasible.
 
 The inequality constraints are homogeneous in P, so the search is run under
@@ -57,11 +58,12 @@ recorded LPs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize._highspy import _core as _highs
+
+from .lift import _triu, unpack_sym
 
 __all__ = [
     "FEASIBILITY_MARGIN",
@@ -130,14 +132,6 @@ class MarginResult:
     margin: float
 
 
-@lru_cache(maxsize=64)
-def _triu(D: int):
-    iu, ju = np.triu_indices(D)
-    iu.setflags(write=False)
-    ju.setflags(write=False)
-    return iu, ju
-
-
 def quad_form_rows(V: np.ndarray) -> np.ndarray:
     """Rows r with r . vech(P) = v^T P v for each row v of V.
 
@@ -150,14 +144,6 @@ def quad_form_rows(V: np.ndarray) -> np.ndarray:
     rows = V[:, iu] * V[:, ju]
     rows[:, iu != ju] *= 2.0
     return rows
-
-
-def unpack_sym(z: np.ndarray, D: int) -> np.ndarray:
-    P = np.zeros((D, D))
-    iu = _triu(D)
-    P[iu] = z
-    P.T[iu] = z
-    return P
 
 
 def seed_cut_directions(D: int) -> list[np.ndarray]:

@@ -87,10 +87,9 @@ def load_modes(path) -> ModeSet:
         payload = json.load(fh)
     if not isinstance(payload, dict) or not isinstance(payload.get("matrices"), list):
         raise ValueError(f"{path}: expected a JSON object with a 'matrices' list")
-    try:
-        n = int(payload["dim"])
-    except (KeyError, TypeError, ValueError):
-        raise ValueError(f"{path}: expected an integer 'dim'") from None
+    n = payload.get("dim")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"{path}: expected an integer 'dim'")
     modes = ModeSet(tuple(payload["matrices"]))
     if modes.n != n:
         raise ValueError(f"mode-set file declares dim {n} but matrices are {modes.n}x{modes.n}")
@@ -127,6 +126,8 @@ class ObservationSet:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if isinstance(self.l, bool) or not isinstance(self.l, (int, np.integer)) or self.l < 1:
+            raise ValueError(f"trace length l must be an integer >= 1, got {self.l!r}")
         X0, XL = _readonly(self.X0), _readonly(self.XL)
         if X0.ndim != 2 or X0.shape != XL.shape:
             raise ValueError(

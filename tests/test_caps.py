@@ -194,6 +194,11 @@ class TestMinSamplesFinite:
         with pytest.raises(ValueError):
             min_samples_finite(1.0, 2, 1)
 
+    @pytest.mark.parametrize("m, l", [(0, 1), (-3, 1), (2, 0), (2, -1)])
+    def test_rejects_empty_mode_set_or_trace(self, m, l):
+        with pytest.raises(ValueError, match="m >= 1 and l >= 1"):
+            min_samples_finite(0.95, m, l)
+
 
 class TestConfidenceBudget:
     def test_derived_quantities(self):

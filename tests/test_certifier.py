@@ -13,7 +13,7 @@ from jsrcert.certifier import (
     solve_gamma,
     solve_lambda,
 )
-from jsrcert.lift import lift_batch, matrix_metrics
+from jsrcert.lift import SymMatrix, lift_batch, matrix_metrics
 from jsrcert.sampling import ModeSet, ObservationSet, simulate
 
 SQRT2 = math.sqrt(2.0)
@@ -159,8 +159,9 @@ class TestSolveGamma:
             obs = simulate(parrilo, 200, 1, seed=5)
             gamma, cand = solve_gamma(obs, d, opts)
             P = cand.P.full()
-            assert cand.P.lambda_min >= 1.0 - 1e-8
-            assert cand.P.lambda_max <= opts.c_bound * (1.0 + 1e-8)
+            m = matrix_metrics(P)
+            assert m.lambda_min >= 1.0 - 1e-8
+            assert m.lambda_max <= opts.c_bound * (1.0 + 1e-8)
             U = lift_batch(obs.endpoints()[0], d)
             V = lift_batch(obs.endpoints()[1], d)
             lhs = np.einsum("ij,jk,ik->i", V, P, V)
@@ -318,6 +319,22 @@ class TestTieBreak:
         assert matrix_metrics(P).kappa == pytest.approx(1.0, abs=1e-6)
         cand = _tie_break_cache(cache, gamma, witness, opts)
         assert cand.kappa == pytest.approx(1.0, abs=1e-6)
+
+    def test_worse_conditioned_solve_keeps_witness(self, double_identity, monkeypatch):
+        obs = simulate(double_identity, 10, 1, seed=7)
+        opts = SolveOptions()
+        cache = _PairCache(obs, 1)
+        gamma_star, witness = _bisect_gamma(cache, opts)
+        # With the single mode 2I every P >= I is feasible at gamma >= 2.
+        skewed = np.diag([1.0, 50.0])
+        rows = cache.rows(gamma_star * (1.0 + TIEBREAK_SLACK))
+        assert np.max(rows @ SymMatrix.from_full(skewed).packed) <= 0.0
+        assert matrix_metrics(skewed).kappa > matrix_metrics(witness).kappa + 1e-6
+        monkeypatch.setattr(lmi, "min_lambda_max", lambda *args, **kwargs: skewed)
+        cand = _tie_break_cache(cache, gamma_star, witness, opts)
+        assert cand.gamma == gamma_star
+        assert np.array_equal(cand.P.full(), witness)
+        assert cand.kappa == matrix_metrics(witness).kappa
 
     def test_never_worse_than_bisection_witness(self, parrilo):
         obs = simulate(parrilo, 150, 1, seed=19)

@@ -110,6 +110,9 @@ class TestCertifyCommand:
             ('{"dim": 2, "matrices": 5}', "expected a JSON object with a 'matrices' list"),
             ("[[[1.0, 0.0], [0.0, 1.0]]]", "expected a JSON object with a 'matrices' list"),
             ('{"dim": 1, "matrices": [{"a": 1.0}]}', "mode matrices must hold numbers"),
+            ('{"dim": true, "matrices": [[[1.0]]]}', "expected an integer 'dim'"),
+            ('{"dim": 2.7, "matrices": [[[1.0, 0.0], [0.0, 1.0]]]}', "expected an integer 'dim'"),
+            ('{"dim": "2", "matrices": [[[1.0, 0.0], [0.0, 1.0]]]}', "expected an integer 'dim'"),
         ],
     )
     def test_malformed_mode_file_exits_2(self, tmp_path, capsys, text, message):

@@ -14,7 +14,9 @@ from jsrcert.lift import (
     lift_dimension,
     matrix_metrics,
     multi_index_set,
+    unpack_sym,
 )
+from jsrcert.lmi import quad_form_rows
 
 SQRT2 = math.sqrt(2.0)
 
@@ -211,9 +213,20 @@ class TestSymMatrix:
         M = np.array([[2.0, 1.0], [1.0, 3.0]])
         S = SymMatrix.from_full(M)
         assert np.array_equal(S.full(), M)
-        assert S.lambda_min == pytest.approx(matrix_metrics(M).lambda_min)
-        assert S.lambda_max == pytest.approx(matrix_metrics(M).lambda_max)
+        assert matrix_metrics(S.full()) == matrix_metrics(M)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             SymMatrix.from_full(np.array([[1.0, 5.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("D", [2, 3, 6])
+    def test_packed_layout_shared_with_lp_rows(self, D):
+        # A quadratic form is the LP row of v dotted with the packed shape.
+        rng = np.random.default_rng(D)
+        A = rng.standard_normal((D, D))
+        P = A + A.T
+        V = rng.standard_normal((8, D))
+        packed = SymMatrix.from_full(P).packed
+        assert np.allclose(quad_form_rows(V) @ packed, np.einsum("ij,jk,ik->i", V, P, V),
+                           rtol=1e-12, atol=1e-12)
+        assert np.array_equal(unpack_sym(packed, D), P)

@@ -162,6 +162,11 @@ class TestObservationValidation:
         with pytest.raises(ValueError):
             ObservationSet(2, [[1.0, 0.0]], [[0.0, 0.0]], modes=[[0]])
 
+    @pytest.mark.parametrize("l", [0, -2, 1.5, 1.0, True, "1"])
+    def test_rejects_trace_length_outside_positive_integers(self, l):
+        with pytest.raises(ValueError, match="trace length l must be an integer >= 1"):
+            ObservationSet(l, [[1.0, 0.0]], [[0.0, 0.0]])
+
 
 class TestTrajectoryFiles:
     def test_roundtrip_exact(self, parrilo, tmp_path):
@@ -466,6 +471,9 @@ class TestModeSetIO:
             ("[[[1.0, 0.0], [0.0, 1.0]]]", "expected a JSON object with a 'matrices' list"),
             ('{"dim": 1, "matrices": [{"a": 1.0}]}', "mode matrices must hold numbers"),
             ('{"matrices": [[[1.0]]]}', "expected an integer 'dim'"),
+            ('{"dim": true, "matrices": [[[1.0]]]}', "expected an integer 'dim'"),
+            ('{"dim": 2.7, "matrices": [[[1.0, 0.0], [0.0, 1.0]]]}', "expected an integer 'dim'"),
+            ('{"dim": "2", "matrices": [[[1.0, 0.0], [0.0, 1.0]]]}', "expected an integer 'dim'"),
         ],
     )
     def test_malformed_file_rejected(self, tmp_path, text, message):

@@ -11,7 +11,8 @@ call order, and the item's outputs:
 
 * `certify_run` on the bench's two seed-1 samples, built by the bench's own
   workload classes (simulate, save, load), with a sha256 over the loaded
-  `X0` and `XL` bytes;
+  `X0` and `XL` bytes and one over the returned shape's packed `P`, taken
+  from a pass-through around `jsrcert.cli.solve_gamma`;
 * the three sweeps of `sweep-parrilo-small` at seed 1 (master seeds 3, 4,
   5), with each CSV's sha256;
 * `support_constraints` on the 20 seeds of acceptance criterion 9 (Parrilo
@@ -34,6 +35,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.dont_write_bytecode = True  # leave no __pycache__ under bench/
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
+import jsrcert.cli  # noqa: E402
 import jsrcert.lmi  # noqa: E402
 from jsrcert.oracles import support_constraints  # noqa: E402
 from jsrcert.sampling import load_modes, load_observations, simulate  # noqa: E402
@@ -78,16 +80,28 @@ class LPDigest:
 def main() -> None:
     digest = LPDigest()
     jsrcert.lmi.linprog = digest
+    candidates = []
+    solve_gamma = jsrcert.cli.solve_gamma
+
+    def keep_candidate(obs, d, opts=None):
+        gamma_star, cand = solve_gamma(obs, d, opts)
+        candidates.append(cand)
+        return gamma_star, cand
+
+    jsrcert.cli.solve_gamma = keep_candidate
     with tempfile.TemporaryDirectory() as tmp:
         for name in ("parrilo-d1-n3000", "rand2x2m3-d2-n1000"):
             work = WORKLOADS[name]
             work.setup(Path(tmp), seed=1, tiny=False)
+            candidates.clear()
             report, _ = work.op(0)
             obs = load_observations(work.path)
             sample = hashlib.sha256(obs.X0.tobytes() + obs.XL.tobytes()).hexdigest()
+            (cand,) = candidates
+            shape = hashlib.sha256(cand.P.packed.tobytes()).hexdigest()
             print(digest.line(name, f"bound={report.jsr_upper_bound!r} "
                               f"gamma_star={report.gamma_star!r} kappa={report.kappa!r} "
-                              f"sample_sha256={sample}"), flush=True)
+                              f"sample_sha256={sample} P_sha256={shape}"), flush=True)
         sweep = WORKLOADS["sweep-parrilo-small"]
         sweep.setup(Path(tmp), seed=1, tiny=False)
         for i, config in enumerate(sweep.configs):
