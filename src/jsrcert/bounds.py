@@ -10,8 +10,9 @@ holding with probability at least beta + beta1 - 1, where A inflates
 lambda* by the cap threshold of eps_1, and f reduces to the chord bound
 Delta(eps) in the quadratic case d = 1.
 
-An infinite bound (delta(eps_1) = 0, too few samples) is an informative
-first-class outcome, reported with finite=False rather than raised.
+An infinite bound (delta(eps_1) = 0, too few samples, or a bound beyond the
+float range) is an informative first-class outcome, reported with
+finite=False rather than raised.
 """
 
 from __future__ import annotations
@@ -97,8 +98,11 @@ def combine_bound(
     """Assemble (gamma^(dl) + (gamma^(dl) + A^d) f kappa)^(1/(dl))."""
     if math.isinf(A_value):
         return math.inf
-    g = gamma_star ** (d * l)
-    raw = g + (g + A_value**d) * f_value * kappa
+    try:
+        g = gamma_star ** (d * l)
+        raw = g + (g + A_value**d) * f_value * kappa
+    except OverflowError:  # a true bound beyond the float range
+        return math.inf
     return raw ** (1.0 / (d * l))
 
 
@@ -151,7 +155,7 @@ def jsr_upper_bound(
         A_value=A_value,
         jsr_upper_bound=bound,
         confidence=max(0.0, raw_confidence),
-        finite=delta_eps1 > 0.0,
+        finite=math.isfinite(bound),  # delta(eps1) = 0 makes it infinite too
         flags=all_flags,
         provenance=provenance or {},
     )

@@ -111,16 +111,25 @@ class _PairCache:
 
     `dirs` holds the semidefiniteness probe directions learned by the LPs on
     these rows; they depend only on the lift dimension, so every oracle call
-    on the cache (any gamma, any row subset) starts from them.
+    on the cache (any gamma, any row subset) starts from them.  A sample
+    whose lifted rows, or whose factor gamma^(2dl) at the top of the
+    bisection bracket (lambda*^(2d)), overflow is rejected.
     """
 
     def __init__(self, obs: ObservationSet, degree: int):
         self.degree = degree
         self.l = obs.l
         self.dim = checked_lift_dimension(obs.n, degree)
-        self.lambda_star = solve_lambda(obs)
-        self.Wu = lmi.quad_form_rows(lift_batch(obs.X0, degree))
-        self.Wv = lmi.quad_form_rows(lift_batch(obs.XL, degree))
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.lambda_star = solve_lambda(obs)
+            self.Wu = lmi.quad_form_rows(lift_batch(obs.X0, degree))
+            self.Wv = lmi.quad_form_rows(lift_batch(obs.XL, degree))
+            growth = np.linalg.norm(obs.XL, axis=1) ** (2 * degree)
+        bad = np.flatnonzero(~(np.isfinite(self.Wu).all(axis=1) & np.isfinite(self.Wv).all(axis=1)
+                               & np.isfinite(growth)))
+        if bad.size:
+            raise ValueError(f"row {bad[0]}: the degree-{degree} program overflows on this "
+                             f"sample (lifted rows or ||xl||^{2 * degree} not finite)")
         self.dirs: list[np.ndarray] = []
 
     def rows(self, gamma: float) -> np.ndarray:

@@ -58,8 +58,8 @@ def certify_run(
     budget = ConfidenceBudget(
         beta=beta, beta1=beta1, m=m_upper, l=blind.l, N=blind.N, n=blind.n, d=degree
     )
+    gamma_star, cand = solve_gamma(blind, degree, opts)  # rejects an overflowing sample first
     lam = solve_lambda(blind)
-    gamma_star, cand = solve_gamma(blind, degree, opts)
     provenance = dict(blind.provenance)
     provenance["options"] = asdict(opts)
     provenance["certified_gamma"] = cand.gamma

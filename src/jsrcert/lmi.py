@@ -49,18 +49,25 @@ scipy vendors (`scipy.optimize._highspy._core`).  It gives HiGHS the model
 and options `scipy.optimize.linprog(method="highs")` would, and accepts a
 solution on the same test, so every solution is bit-identical to linprog's;
 what it drops is linprog's per-call input and option validation, which cost
-more than HiGHS itself on the small LPs here.  The options of each rung of
-_LP_OPTION_LADDER are built once, at import.  `_core` is private scipy API,
-so its import fails loudly and a test checks the adapter against linprog on
-recorded LPs.
+more than HiGHS itself on the small LPs here.  One HiGHS instance, made at
+import, solves every LP of the process, one at a time under a lock: each
+call passes it the options of its rung of _LP_OPTION_LADDER (built once, at
+import) and the model straight from arrays, and passing a model clears the
+previous one.  Like linprog, the adapter refuses an LP holding a NaN
+(HiGHS would call it optimal), and it never solves a model HiGHS refuses.
+`_core` and its array overload of `passModel` are private scipy API, so the
+import fails loudly if either is missing, and a test checks the adapter
+against linprog on recorded LPs.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 from scipy.optimize._highspy import _core as _highs
 
 from .lift import _triu, unpack_sym
@@ -119,6 +126,40 @@ _LINPROG_STATUS = {_MS.kOptimal: 0, _MS.kTimeLimit: 1, _MS.kIterationLimit: 1,
                    _MS.kInfeasible: 2, _MS.kModelError: 2, _MS.kUnbounded: 3}
 # Slack allowed on a solution HiGHS calls optimal, as in linprog.
 _RESULT_TOL = 10 * np.sqrt(1e-9)
+# The one HiGHS instance behind every LP of the process.  Each `linprog`
+# call passes it options and a model afresh, and passing a model clears the
+# previous model, basis and solution.  A fresh instance logs to the console
+# until it gets options.  The lock keeps threads from interleaving LPs on it.
+_HIGHS = _highs._Highs()
+_HIGHS.passOptions(_HIGHS_LADDER[0])
+_HIGHS_LOCK = threading.Lock()
+
+
+def _pass_model(c, col_lower, col_upper, row_lower, row_upper, starts, index, values):
+    """Hand `_HIGHS` a column-wise LP to minimize, from contiguous arrays."""
+    return _HIGHS.passModel(
+        len(c), len(row_lower), len(values), int(_highs.MatrixFormat.kColwise),
+        int(_highs.ObjSense.kMinimize), 0.0, c, col_lower, col_upper, row_lower, row_upper,
+        starts, index, values, np.zeros(len(c), np.int32))
+
+
+def _check_array_model() -> None:
+    """Fail at import if the binding no longer takes a model from arrays.
+
+    That overload is private binding API, like `_core` itself.
+    """
+    one, zero = np.ones(1), np.zeros(1)
+    try:
+        status = _pass_model(one, zero, one, zero, one, np.array([0, 1], np.int32),
+                             np.zeros(1, np.int32), one)
+    except (TypeError, AttributeError) as exc:
+        status = exc
+    if status != _highs.HighsStatus.kOk:
+        raise ImportError(f"jsrcert.lmi: the HiGHS binding of scipy {scipy.__version__} "
+                          f"does not take an LP from arrays ({status})")
+
+
+_check_array_model()
 
 
 class SolverStallError(RuntimeError):
@@ -168,10 +209,14 @@ def _clean_rows(rows: np.ndarray) -> np.ndarray:
     rows).  Rows come back in lexicographic order, the first of each equal
     group kept.  A sort on the first column alone gives that order when the
     sorted column strictly increases, and then no rows are equal; only a tie
-    there (dense grids, signed zeros) or a NaN takes the full sort and merge.
+    there (dense grids, signed zeros) takes the full sort and merge.  A row
+    whose norm is not finite (a NaN, or an overflow) raises ValueError.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     norms = np.linalg.norm(rows, axis=1)
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:  # a NaN row would fail `keep` and drop out unseen
+        raise ValueError(f"constraint row {bad[0]}: its norm is not finite")
     keep = norms > 1e-300
     rows = rows[keep] / norms[keep, None]
     if rows.shape[0] > 1:
@@ -196,7 +241,8 @@ def linprog(c, *, A_ub, b_ub, bounds, options, A_eq=None, b_eq=None) -> LPResult
     HiGHS gets the model `scipy.optimize.linprog(method="highs")` would give
     it, bit for bit, and a solution counts as solved on linprog's terms:
     model status optimal, and bounds, slacks and equality residuals within
-    _RESULT_TOL.
+    _RESULT_TOL.  Raises ValueError, without solving, for an LP with a NaN
+    or mismatched shapes, or one HiGHS refuses.
     """
     m = len(b_ub)
     A, lower, upper = A_ub, np.full(m, -_highs.kHighsInf), np.asarray(b_ub, dtype=float)
@@ -204,25 +250,31 @@ def linprog(c, *, A_ub, b_ub, bounds, options, A_eq=None, b_eq=None) -> LPResult
         b_eq = np.asarray(b_eq, dtype=float)
         A = np.vstack([A_ub, A_eq])
         lower, upper = np.concatenate([lower, b_eq]), np.concatenate([upper, b_eq])
-    col_lower, col_upper = np.array(bounds, dtype=float).T
+    c = np.asarray(c, dtype=float)
+    col_bounds = np.array(bounds, dtype=float)
+    num_row, num_col = A.shape
+    if c.shape != (num_col,) or col_bounds.shape != (num_col, 2) or upper.shape != (num_row,):
+        raise ValueError(f"LP shapes disagree: c {c.shape}, A {A.shape}, "
+                         f"b {upper.shape}, bounds {col_bounds.shape}")
     cols, rows = np.nonzero(A.T)  # column-major nonzeros, as in a CSC matrix
-    lp = _highs.HighsLp()
-    lp.num_row_, lp.num_col_ = lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = A.shape
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = np.asarray(c, dtype=float), col_lower, col_upper
-    lp.row_lower_, lp.row_upper_ = lower, upper
-    # HighsInt vectors convert faster from lists than from arrays.
-    lp.a_matrix_.start_ = np.searchsorted(cols, np.arange(A.shape[1] + 1)).tolist()
-    lp.a_matrix_.index_, lp.a_matrix_.value_ = rows.tolist(), A[rows, cols]
-    highs = _highs._Highs()
-    highs.passOptions(options)
-    highs.passModel(lp)
-    highs.run()
-    model_status = highs.getModelStatus()
-    message = f"HiGHS model status {highs.modelStatusToString(model_status)}"
+    values = A[rows, cols]
+    for name, value in (("c", c), ("A_ub/A_eq", values), ("b_ub/b_eq", upper),
+                        ("bounds", col_bounds)):
+        if np.isnan(value).any():
+            raise ValueError(f"LP {name} holds a NaN")
+    col_lower, col_upper = np.ascontiguousarray(col_bounds.T)
+    starts = np.searchsorted(cols, np.arange(num_col + 1)).astype(np.int32)
+    with _HIGHS_LOCK:
+        _HIGHS.passOptions(options)
+        if _pass_model(c, col_lower, col_upper, lower, upper, starts, rows.astype(np.int32),
+                       values) == _highs.HighsStatus.kError:
+            raise ValueError("HiGHS refused the LP model")
+        _HIGHS.run()
+        model_status = _HIGHS.getModelStatus()
+        message = f"HiGHS model status {_HIGHS.modelStatusToString(model_status)}"
+        solution = _HIGHS.getSolution()  # a copy
     if model_status != _MS.kOptimal:
         return LPResult(_LINPROG_STATUS.get(model_status, 4), None, message)
-    solution = highs.getSolution()
     x = np.array(solution.col_value)
     slack = upper - np.array(solution.row_value)
     if (np.all(x >= col_lower - _RESULT_TOL) and np.all(x <= col_upper + _RESULT_TOL)

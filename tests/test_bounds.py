@@ -152,6 +152,14 @@ class TestJsrUpperBound:
         assert all(a >= b - 1e-12 for a, b in zip(bounds, bounds[1:]))
         assert len(finite) >= 3
 
+    @pytest.mark.parametrize("lam, d", [(math.inf, 1), (1e200, 2)])
+    def test_infinite_bound_never_finite(self, lam, d):
+        # lambda* = inf used to give an infinite bound flagged finite; at
+        # d = 2, lambda* = 1e200 raised OverflowError in A^d.
+        rep = jsr_upper_bound(1.0, 1.0, lam, make_budget(d=d))
+        assert math.isinf(rep.jsr_upper_bound) and not rep.finite
+        assert rep.delta_eps1 > 0.0
+
     def test_finiteness_iff_cap_positive(self):
         for N in (4, 5, 8, 40, 400):
             budget = make_budget(N=N, m=3, l=2)

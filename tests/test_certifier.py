@@ -90,6 +90,19 @@ class TestAssembleConstraints:
         assert cache.dim == 3
         assert cache.rows(1.0).shape == (4, 6)
 
+    @pytest.mark.parametrize("degree, scale", [(1, 1e160), (2, 1e80), (2, 8.5e76)])
+    def test_overflowing_sample_rejected(self, parrilo, degree, scale):
+        # At d = 1 and 1e160 the squared norm overflows, at d = 2 and 1e80
+        # the lifted rows do, and at d = 2 and 8.5e76 only ||xl||^4 does,
+        # which the bisection's gamma^4 would reach.
+        obs = simulate(parrilo, 50, 1, seed=3)
+        XL = obs.XL.copy()
+        XL[[7, 20]] *= scale
+        with pytest.raises(ValueError, match=r"^row 7: the degree-%d program overflows" % degree):
+            _PairCache(ObservationSet(l=1, X0=obs.X0, XL=XL), degree)
+        if scale < 1e77:
+            assert np.isfinite(lmi.quad_form_rows(lift_batch(XL, degree))).all()
+
 
 class TestFeasibilityCheck:
     """The oracle's verdicts and witnesses on the rows the bisection passes it."""

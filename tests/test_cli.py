@@ -11,7 +11,8 @@ import pytest
 import jsrcert
 from jsrcert import cli
 from jsrcert.cli import SweepConfig, certify_run, main, run_sweep, write_sweep_csv, write_sweep_svg
-from jsrcert.sampling import ModeSet, load_modes, save_modes, simulate
+from jsrcert.sampling import (ModeSet, ObservationSet, load_modes, save_modes, save_observations,
+                              simulate)
 
 
 @pytest.fixture()
@@ -50,6 +51,20 @@ class TestCertifyCommand:
         assert "jsr_upper_bound:" in stdout
         assert "confidence:" in stdout
         assert "finite: true" in stdout
+
+    @pytest.mark.parametrize("degree, scale", [(1, 1e160), (2, 1e80)])
+    def test_overflowing_sample_exits_2(self, tmp_path, parrilo, capsys, degree, scale):
+        # One final state scaled past the float range of the program: at d = 1
+        # lambda* used to overflow into an infinite bound reported as finite,
+        # at d = 2 the bisection raised an uncaught OverflowError.
+        obs = simulate(parrilo, 50, 1, seed=3)
+        XL = obs.XL.copy()
+        XL[7] *= scale
+        traj = tmp_path / "t.csv"
+        save_observations(ObservationSet(l=1, X0=obs.X0, XL=XL), traj)
+        rc = main(["certify", "--traj", str(traj), "--degree", str(degree), "--modes-upper", "2"])
+        assert rc == 2
+        assert "row 7: the degree-%d program overflows" % degree in capsys.readouterr().err
 
     def test_missing_modes_upper_exits_2(self, tmp_path, double_identity_file, capsys):
         rc = main([

@@ -476,6 +476,18 @@ def test_clean_rows_keeps_first_of_signed_zero_ties():
         assert first.tobytes() == row.tobytes()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+def test_clean_rows_refuses_a_row_without_finite_norm(bad):
+    # A NaN row used to fail the zero-row test and drop out: the oracle then
+    # called rows [nan, 1, 0] and [-1, 0, -1] feasible.
+    rows = np.array([[1.0, 0.0, 0.5], [bad, 1.0, 0.0], [np.nan, 0.0, 0.0]])
+    with np.errstate(over="ignore"):  # the norm of the 1e200 row overflows
+        with pytest.raises(ValueError, match="constraint row 1: its norm is not finite"):
+            lmi._clean_rows(rows)
+        with pytest.raises(ValueError, match="constraint row 0:"):
+            lmi.max_margin_feasibility(np.array([[bad, 1.0, 0.0], [-1.0, 0.0, -1.0]]), 2, 100.0)
+
+
 def record_lps(program):
     """The keyword arguments, options left out, of every LP `program()` issues."""
     lps = []
@@ -550,3 +562,161 @@ class TestOptionLadder:
         res = lmi.linprog(**first_lp, options=lmi._HIGHS_LADDER[0])
         assert res.status == 4
         assert "Optimal" in res.message and "missed" in res.message
+
+
+# x in [0, 1] with x <= -1: HiGHS reports it infeasible.
+INFEASIBLE_LP = dict(c=np.ones(1), A_ub=np.ones((1, 1)), b_ub=-np.ones(1), bounds=[(0.0, 1.0)])
+
+
+class HighsSpy:
+    """Stands in for `lmi._HIGHS` and records the methods called on it."""
+
+    def __init__(self, highs):
+        self.highs, self.calls = highs, []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.highs, name)
+
+
+def with_nan(lp, key, index):
+    value = np.array(lp[key], dtype=float)
+    value[index] = np.nan
+    return dict(lp, **{key: value if key != "bounds" else [tuple(b) for b in value]})
+
+
+@pytest.fixture(scope="module")
+def first_lps(parrilo_d2, rand_d1):
+    """The first oracle LPs at D = 3 (7 columns) and D = 2 (4 columns)."""
+    seven = record_lps(lambda: lmi.max_margin_feasibility(*parrilo_d2, 100.0))[0]
+    four = record_lps(lambda: lmi.max_margin_feasibility(*rand_d1, 100.0))[0]
+    assert (seven["c"].size, four["c"].size) == (7, 4) and four["A_eq"] is not None
+    return seven, four
+
+
+class TestReusedInstance:
+    """One HiGHS instance solves every LP; none may see another's model or options."""
+
+    def test_no_state_between_lps(self, first_lps):
+        from scipy.optimize import linprog
+
+        seven, four = first_lps
+        options = lmi._HIGHS_LADDER[0]
+        refs = [linprog(**lp, method="highs", options=lmi._LP_OPTION_LADDER[0]) for lp in first_lps]
+        steps = [
+            (seven, options, 0),
+            (four, options, 0),
+            (four, TestOptionLadder.FAILING, 1),
+            (INFEASIBLE_LP, options, 2),
+            (with_nan(seven, "c", 0), options, ValueError),
+        ]
+        for lp, ref in zip(first_lps, refs):
+            for step, step_options, status in steps:
+                if status is ValueError:
+                    with pytest.raises(ValueError, match="NaN"):
+                        lmi.linprog(**step, options=step_options)
+                else:
+                    assert lmi.linprog(**step, options=step_options).status == status
+                ours = lmi.linprog(**lp, options=options)
+                assert ours.status == ref.status == 0
+                assert ours.x.tobytes() == ref.x.tobytes()
+
+    def test_same_lp_twice(self, first_lps):
+        for lp in first_lps:
+            first, second = (lmi.linprog(**lp, options=lmi._HIGHS_LADDER[0]) for _ in range(2))
+            assert first.status == second.status == 0
+            assert first.x.tobytes() == second.x.tobytes()
+
+    def test_threads_share_the_instance_safely(self, first_lps):
+        # More threads than cores, switching often: each LP must still get
+        # its own model and options.
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        jobs = [(lp, options) for lp in first_lps for options in lmi._HIGHS_LADDER] * 8
+        expected = [lmi.linprog(**lp, options=options).x.tobytes() for lp, options in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(lambda job: lmi.linprog(**job[0], options=job[1]), job)
+                           for job in jobs]
+                got = [future.result(timeout=60).x.tobytes() for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+
+
+class TestMalformedLP:
+    @pytest.fixture(scope="class")
+    def lp(self, first_lps):
+        return first_lps[1]
+
+    @pytest.mark.parametrize("key, index", [
+        ("c", 0), ("A_ub", (0, 0)), ("b_ub", 0), ("A_eq", (0, 0)), ("b_eq", 0),
+        ("bounds", (0, 0)), ("bounds", (-1, 1)),
+    ])
+    def test_nan_refused_before_highs(self, lp, key, index, monkeypatch):
+        # HiGHS takes a NaN in c or A_ub and calls the LP optimal; linprog
+        # raises on every one of these but the bounds, which it reads as free.
+        from scipy.optimize import linprog
+
+        bad = with_nan(lp, key, index)
+        if key != "bounds":
+            with pytest.raises(ValueError):
+                linprog(**bad, method="highs")
+        spy = HighsSpy(lmi._HIGHS)
+        monkeypatch.setattr(lmi, "_HIGHS", spy)
+        with pytest.raises(ValueError, match="NaN"):
+            lmi.linprog(**bad, options=lmi._HIGHS_LADDER[0])
+        assert spy.calls == []
+
+    def test_refused_model_is_not_solved(self, lp, monkeypatch):
+        # An infinite matrix entry gets kError from passModel; the model left
+        # in the instance must not be solved in its place.
+        lmi.linprog(**lp, options=lmi._HIGHS_LADDER[0])
+        A_ub = lp["A_ub"].copy()
+        A_ub[0, 0] = np.inf
+        spy = HighsSpy(lmi._HIGHS)
+        monkeypatch.setattr(lmi, "_HIGHS", spy)
+        with pytest.raises(ValueError, match="refused"):
+            lmi.linprog(**dict(lp, A_ub=A_ub), options=lmi._HIGHS_LADDER[0])
+        assert "passModel" in spy.calls and "run" not in spy.calls
+
+    def test_infinite_bounds_accepted(self, lp):
+        from scipy.optimize import linprog
+
+        free = dict(lp, bounds=lp["bounds"][:-1] + [(-np.inf, np.inf)])
+        ours = lmi.linprog(**free, options=lmi._HIGHS_LADDER[0])
+        ref = linprog(**free, method="highs", options=lmi._LP_OPTION_LADDER[0])
+        assert ours.status == ref.status == 0
+        assert ours.x.tobytes() == ref.x.tobytes()
+
+    def test_mismatched_shapes_refused(self, lp, monkeypatch):
+        spy = HighsSpy(lmi._HIGHS)
+        monkeypatch.setattr(lmi, "_HIGHS", spy)
+        for bad in (dict(lp, c=lp["c"][:-1]), dict(lp, b_ub=lp["b_ub"][:-1]),
+                    dict(lp, bounds=lp["bounds"][:-1])):
+            with pytest.raises(ValueError, match="shapes"):
+                lmi.linprog(**bad, options=lmi._HIGHS_LADDER[0])
+        assert spy.calls == []
+
+
+class StubHighs:
+    def __init__(self, outcome):
+        self.outcome = outcome
+
+    def passModel(self, *args):
+        if isinstance(self.outcome, Exception):
+            raise self.outcome
+        return self.outcome
+
+
+@pytest.mark.parametrize("outcome", [lmi._highs.HighsStatus.kError, TypeError("no overload")])
+def test_import_check_names_scipy_version(outcome, monkeypatch):
+    import scipy
+
+    lmi._check_array_model()  # the binding in use takes a model from arrays
+    monkeypatch.setattr(lmi, "_HIGHS", StubHighs(outcome))
+    with pytest.raises(ImportError, match=f"scipy {scipy.__version__}"):
+        lmi._check_array_model()
