@@ -233,7 +233,7 @@ class ConfidenceBudget:
 
     @property
     def ml(self) -> float:
-        return float(self.m**self.l)
+        return _ml_float(self.m, self.l)
 
     @property
     def lift_dim(self) -> int:
@@ -243,6 +243,16 @@ class ConfidenceBudget:
     def free_vars(self) -> int:
         D = self.lift_dim
         return D * (D + 1) // 2
+
+
+def _ml_float(m: int, l: int) -> float:
+    """m^l as a float: the exact power rounded once, math.inf past the float range."""
+    if m > 1 and l > 1100:  # 2^1100 is past the float range; skip the huge power
+        return math.inf
+    try:
+        return float(m**l)
+    except OverflowError:
+        return math.inf
 
 
 def eps_cover(beta: float, ml: float, d1: int, N: int) -> float:
@@ -270,27 +280,35 @@ def beta_from_eps(eps: float, ml: float, d1: int, N: int) -> float:
 
 
 def eps_one(beta1: float, m: int, l: int, N: int) -> float:
-    """Cap measure of the growth-rate bound: m^l/2 (1 - (1-beta1)^(1/N))."""
-    return m**l / 2.0 * (1.0 - (1.0 - beta1) ** (1.0 / N))
+    """Cap measure of the growth-rate bound: m^l/2 (1 - (1-beta1)^(1/N)).
+
+    math.inf when m^l is past the float range, unless beta1 = 0 makes it 0.
+    """
+    shrink = 1.0 - (1.0 - beta1) ** (1.0 / N)
+    return _ml_float(m, l) / 2.0 * shrink if shrink else 0.0
 
 
 def min_samples_finite(beta1: float, m: int, l: int) -> int:
     """Smallest N for which the growth-rate bound is finite.
 
-    Finiteness needs eps_one < 1/2 so that delta(eps_one) > 0.  Solved in
-    closed form, then verified by direct evaluation around the candidate.
+    Finiteness needs eps_one < 1/2 so that delta(eps_one) > 0.  The closed
+    form N > log(1-beta1) / log(1 - 1/m^l) brackets N, and a bisection on the
+    computed eps_one, which the bound uses, finds it.  From m^l = 2^53 on the
+    computed eps_one cannot resolve its threshold, so this raises.
     """
     if not 0.0 < beta1 < 1.0:
         raise ValueError(f"min_samples_finite requires beta1 in (0, 1), got {beta1}")
     if m < 1 or l < 1:
         raise ValueError(f"min_samples_finite requires m >= 1 and l >= 1, got m={m}, l={l}")
-    ml = m**l
+    ml = _ml_float(m, l)
     if ml <= 1:
         return 1
-    ratio = math.log(1.0 - beta1) / math.log(1.0 - 1.0 / ml)
-    N = max(1, math.floor(ratio))
-    while eps_one(beta1, m, l, N) >= 0.5:
-        N += 1
-    while N > 1 and eps_one(beta1, m, l, N - 1) < 0.5:
-        N -= 1
-    return N
+    if ml >= 2.0**53:
+        raise ValueError(f"min_samples_finite cannot resolve m^l >= 2^53 (m={m}, l={l})")
+    lo, hi = 0, max(1, math.ceil(math.log1p(-beta1) / math.log1p(-1.0 / ml)))
+    while eps_one(beta1, m, l, hi) >= 0.5:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:  # eps_one(lo) >= 1/2 > eps_one(hi), with eps_one(0) read as 1/2
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if eps_one(beta1, m, l, mid) < 0.5 else (mid, hi)
+    return hi

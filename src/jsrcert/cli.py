@@ -50,17 +50,14 @@ def certify_run(
 ) -> CertificateReport:
     """Full certification pipeline on one observation set.
 
-    Strips any hidden mode metadata, solves the growth and decrease
-    programs, applies the tie-break, and assembles the certificate report.
+    Solves the growth and decrease programs, applies the tie-break, and
+    assembles the certificate report.
     """
     opts = opts or SolveOptions()
-    blind = obs.blind()
-    budget = ConfidenceBudget(
-        beta=beta, beta1=beta1, m=m_upper, l=blind.l, N=blind.N, n=blind.n, d=degree
-    )
-    gamma_star, cand = solve_gamma(blind, degree, opts)  # rejects an overflowing sample first
-    lam = solve_lambda(blind)
-    provenance = dict(blind.provenance)
+    budget = ConfidenceBudget(beta=beta, beta1=beta1, m=m_upper, l=obs.l, N=obs.N, n=obs.n, d=degree)
+    gamma_star, cand = solve_gamma(obs, degree, opts)  # rejects an overflowing sample first
+    lam = solve_lambda(obs)
+    provenance = dict(obs.provenance)
     provenance["options"] = asdict(opts)
     provenance["certified_gamma"] = cand.gamma
     provenance["highs_version"] = HIGHS_VERSION
@@ -360,7 +357,7 @@ def _load_certify_observations(args) -> ObservationSet:
         if args.n_traj is None:
             raise ValueError("--n-traj is required when simulating from --modes")
         modes = load_modes(args.modes)
-        return simulate(modes, args.n_traj, args.length, args.seed).blind()
+        return simulate(modes, args.n_traj, args.length, args.seed)
     raise ValueError("one of --traj or --modes is required")
 
 

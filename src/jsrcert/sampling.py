@@ -2,9 +2,8 @@
 
 The certifier only ever sees pairs (x0, xl): a unit-norm initial state and
 the state l steps later.  The simulator in this module produces such pairs
-from a white-box mode set under uniformly random switching; it also records
-the hidden mode sequence of each trajectory, which validation oracles may
-read but which `ObservationSet.blind()` strips before certification.
+from a white-box mode set under uniformly random switching and keeps only
+the endpoints, so a sample cannot carry the switching it came from.
 
 File formats:
   trajectory CSV  header ``traj_id,step,x1,...,xn``, one row per state,
@@ -103,8 +102,8 @@ def save_modes(modes: ModeSet, path) -> None:
         fh.write("\n")
 
 
-def _readonly(a, dtype=float) -> np.ndarray:
-    a = np.array(a, dtype=dtype)
+def _readonly(a) -> np.ndarray:
+    a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a
 
@@ -114,16 +113,14 @@ class ObservationSet:
     """N endpoint pairs (x0, xl) sharing the state dimension n and trace length l.
 
     `X0` and `XL` are read-only (N, n) arrays: row i holds the unit-norm
-    initial state of trajectory i and its state l steps later.  `modes`
-    holds the hidden (N, l) switching sequences when the set came from the
-    simulator; certification must never read it.
+    initial state of trajectory i and its state l steps later.  That is all
+    a sample holds; `provenance` is keyword-only.
     """
 
     l: int
     X0: np.ndarray
     XL: np.ndarray
-    modes: np.ndarray | None = None
-    provenance: dict = field(default_factory=dict)
+    provenance: dict = field(default_factory=dict, kw_only=True)
 
     def __post_init__(self):
         if isinstance(self.l, bool) or not isinstance(self.l, (int, np.integer)) or self.l < 1:
@@ -144,11 +141,6 @@ class ObservationSet:
             raise ValueError(f"row {bad[0]}: final state must be finite")
         object.__setattr__(self, "X0", X0)
         object.__setattr__(self, "XL", XL)
-        if self.modes is not None:
-            modes = _readonly(self.modes, dtype=np.int64)
-            if modes.shape != (len(X0), self.l):
-                raise ValueError(f"modes must have shape {(len(X0), self.l)}, got {modes.shape}")
-            object.__setattr__(self, "modes", modes)
 
     @property
     def n(self) -> int:
@@ -159,8 +151,8 @@ class ObservationSet:
         return self.X0.shape[0]
 
     def blind(self) -> "ObservationSet":
-        """Certifier view: hidden mode sequences stripped."""
-        return self if self.modes is None else replace(self, modes=None)
+        """The set itself, kept for older callers: there is no switching record to strip."""
+        return self
 
     def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         """The (N, n) arrays of initial and final states."""
@@ -168,8 +160,7 @@ class ObservationSet:
 
     def subset(self, indices) -> "ObservationSet":
         idx = list(indices)
-        modes = None if self.modes is None else self.modes[idx]
-        return replace(self, X0=self.X0[idx], XL=self.XL[idx], modes=modes)
+        return replace(self, X0=self.X0[idx], XL=self.XL[idx])
 
 
 def sample_unit_sphere(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -198,25 +189,21 @@ def simulate(modes: ModeSet, N: int, l: int, seed: int) -> ObservationSet:
     """Sample N length-l trajectories under uniform switching.
 
     Each trajectory starts at a uniform point of the unit sphere and applies
-    l modes drawn uniformly at random; only the endpoints are kept, with the
-    switching sequence stored as hidden metadata.  Deterministic given
-    (seed, modes, N, l).
+    l modes drawn uniformly at random; only the endpoints are kept.
+    Deterministic given (seed, modes, N, l).
     """
     if N < 1 or l < 1:
         raise ValueError(f"need N >= 1 and l >= 1, got N={N}, l={l}")
     X0 = np.empty((N, modes.n))
     XL = np.empty((N, modes.n))
-    seqs = np.empty((N, l), dtype=np.int64)
     for i in range(N):
         rng = _trajectory_rng(seed, i)
-        x0 = sample_unit_sphere(modes.n, rng)
-        seq = sample_mode_sequence(modes.m, l, rng)
-        x = x0
-        for j in seq:
+        x0 = x = sample_unit_sphere(modes.n, rng)
+        for j in sample_mode_sequence(modes.m, l, rng):
             x = modes.matrices[j] @ x
-        X0[i], XL[i], seqs[i] = x0, x, seq
+        X0[i], XL[i] = x0, x
     provenance = {"source": "simulate", "seed": int(seed), "rng": RNG_NAME, "N": N, "l": l}
-    return ObservationSet(l, X0, XL, seqs, provenance)
+    return ObservationSet(l, X0, XL, provenance=provenance)
 
 
 def save_observations(obs: ObservationSet, path) -> None:

@@ -170,6 +170,16 @@ class TestEpsOne:
         assert eps_one(0.95, 5, 3, 375) == pytest.approx(0.49729969852879696, rel=1e-9)
         assert eps_one(0.95, 2, 1, 1000) == pytest.approx(0.0029912495450953314, rel=1e-9)
 
+    def test_mode_count_past_float_range(self):
+        # m^l from 2^1024 on has no float: it reads as infinite, and so does the cap.
+        assert eps_one(0.95, 2, 1024, 20) == eps_one(0.95, 2, 1100, 20) == math.inf
+        assert math.isfinite(eps_one(0.95, 2, 1023, 20))
+        assert eps_one(0.0, 2, 1100, 20) == 0.0
+        b = ConfidenceBudget(beta=0.95, beta1=0.95, m=2, l=1100, N=20, n=2, d=1)
+        assert b.ml == math.inf
+        # Where m^l fits, it is the exact power rounded once.
+        assert eps_one(0.95, 3, 40, 1000) == 3**40 / 2.0 * (1.0 - 0.05 ** (1.0 / 1000))
+
 
 class TestMinSamplesFinite:
     def test_five_modes_three_steps(self):
@@ -193,6 +203,17 @@ class TestMinSamplesFinite:
             min_samples_finite(0.0, 2, 1)
         with pytest.raises(ValueError):
             min_samples_finite(1.0, 2, 1)
+
+    @pytest.mark.parametrize("m, l", [(2, 26), (2, 40), (3, 30), (2, 52), (3, 33)])
+    def test_large_mode_counts_return_the_threshold(self, m, l):
+        n = min_samples_finite(0.95, m, l)
+        assert eps_one(0.95, m, l, n) < 0.5 <= eps_one(0.95, m, l, n - 1)
+
+    @pytest.mark.parametrize("m, l", [(2, 53), (2, 60), (3, 34), (2, 1100)])
+    def test_unresolvable_mode_counts_raise(self, m, l):
+        # From m^l = 2^53 on, eps_one cannot resolve its 1/2 threshold.
+        with pytest.raises(ValueError, match=rf"m\^l >= 2\^53 \(m={m}, l={l}\)"):
+            min_samples_finite(0.95, m, l)
 
     @pytest.mark.parametrize("m, l", [(0, 1), (-3, 1), (2, 0), (2, -1)])
     def test_rejects_empty_mode_set_or_trace(self, m, l):

@@ -11,8 +11,8 @@ import pytest
 import jsrcert
 from jsrcert import cli
 from jsrcert.cli import SweepConfig, certify_run, main, run_sweep, write_sweep_csv, write_sweep_svg
-from jsrcert.sampling import (ModeSet, ObservationSet, load_modes, save_modes, save_observations,
-                              simulate)
+from jsrcert.sampling import (ModeSet, ObservationSet, load_modes, load_observations, save_modes,
+                              save_observations, simulate)
 
 
 @pytest.fixture()
@@ -65,6 +65,31 @@ class TestCertifyCommand:
         rc = main(["certify", "--traj", str(traj), "--degree", str(degree), "--modes-upper", "2"])
         assert rc == 2
         assert "row 7: the degree-%d program overflows" % degree in capsys.readouterr().err
+
+    def test_long_trace_reports_an_infinite_bound(self, tmp_path, modes_file, capsys):
+        # m^l = 2^1100 is past the float range: the bound is infinite, not a crash.
+        traj, out = tmp_path / "t.csv", tmp_path / "report.json"
+        assert main(["simulate", "--modes", modes_file, "--n-traj", "20", "--len", "1100",
+                     "--out", str(traj)]) == 0
+        rc = main(["certify", "--traj", str(traj), "--modes-upper", "2", "--out", str(out)])
+        assert rc == 0
+        assert "jsr_upper_bound: inf" in capsys.readouterr().out
+        report = json.loads(out.read_text())
+        assert report["jsr_upper_bound"] == report["eps"] == report["eps1"] == math.inf
+        assert report["finite"] is False
+        assert report["flags"]["delta_eps_zero"] and report["flags"]["delta_eps1_zero"]
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_certificate_depends_on_endpoints_only(self, tmp_path, parrilo, degree):
+        # A simulated set and its trajectory file hold the same endpoints and
+        # nothing else, so they give the same certificate bit for bit.
+        obs = simulate(parrilo, 200, 1, seed=8)
+        traj = tmp_path / "t.csv"
+        save_observations(obs, traj)
+        direct = certify_run(obs, degree, 0.95, 0.95, 2)
+        loaded = certify_run(load_observations(traj), degree, 0.95, 0.95, 2)
+        for key in ("gamma_star", "kappa", "lambda_star", "jsr_upper_bound"):
+            assert getattr(loaded, key) == getattr(direct, key)
 
     def test_missing_modes_upper_exits_2(self, tmp_path, double_identity_file, capsys):
         rc = main([

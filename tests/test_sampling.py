@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tempfile
@@ -23,6 +24,7 @@ from jsrcert.sampling import (
     save_observations,
     simulate,
 )
+from jsrcert.sampling import _trajectory_rng
 
 
 class TestSphereSampling:
@@ -76,19 +78,21 @@ class TestSimulate:
         assert np.allclose(A1 @ np.array([1.0, 0.0]), [1.0, 1.0])
 
     def test_endpoints_consistent_with_hidden_modes(self, parrilo):
+        # Trajectory i draws x0, then its switching, from its own stream:
+        # redrawing them replays the simulator bit for bit.
         obs = simulate(parrilo, 40, 3, seed=9)
-        assert obs.modes.shape == (40, 3)
-        for x0, xl, seq in zip(obs.X0, obs.XL, obs.modes):
-            x = x0
-            for j in seq:
+        for i, (x0, xl) in enumerate(zip(obs.X0, obs.XL)):
+            rng = _trajectory_rng(9, i)
+            x = sample_unit_sphere(parrilo.n, rng)
+            assert x.tobytes() == x0.tobytes()
+            for j in sample_mode_sequence(parrilo.m, 3, rng):
                 x = parrilo.matrices[j] @ x
-            assert np.allclose(x, xl, atol=1e-12)
+            assert x.tobytes() == xl.tobytes()
 
     def test_deterministic_given_seed(self, parrilo):
         a = simulate(parrilo, 25, 2, seed=77)
         b = simulate(parrilo, 25, 2, seed=77)
         assert np.array_equal(a.X0, b.X0) and np.array_equal(a.XL, b.XL)
-        assert np.array_equal(a.modes, b.modes)
         c = simulate(parrilo, 25, 2, seed=78)
         assert not np.array_equal(a.X0[0], c.X0[0])
 
@@ -99,16 +103,6 @@ class TestSimulate:
         big = simulate(parrilo, 20, 1, seed=3)
         assert np.array_equal(small.X0, big.X0[:10])
         assert np.array_equal(small.XL, big.XL[:10])
-
-    def test_blind_strips_modes(self, parrilo):
-        obs = simulate(parrilo, 5, 1, seed=2)
-        assert obs.modes is not None
-        blind = obs.blind()
-        assert blind.modes is None
-        assert blind.N == obs.N
-        X0, _ = obs.endpoints()
-        B0, _ = blind.endpoints()
-        assert np.array_equal(X0, B0)
 
     def test_provenance_recorded(self, parrilo):
         obs = simulate(parrilo, 3, 2, seed=11)
@@ -159,8 +153,13 @@ class TestObservationValidation:
             ObservationSet(1, [[1.0, 0.0]], [[0.0, 0.0, 0.0]])
         with pytest.raises(ValueError):
             ObservationSet(1, [1.0, 0.0], [0.0, 0.0])
-        with pytest.raises(ValueError):
-            ObservationSet(2, [[1.0, 0.0]], [[0.0, 0.0]], modes=[[0]])
+
+    def test_sample_holds_only_its_endpoints(self):
+        obs = ObservationSet(1, [[1.0, 0.0]], [[0.0, 0.0]], provenance={"source": "t"})
+        assert [f.name for f in dataclasses.fields(obs)] == ["l", "X0", "XL", "provenance"]
+        assert obs.blind() is obs
+        with pytest.raises(TypeError):  # a fourth positional argument is never stored
+            ObservationSet(1, [[1.0, 0.0]], [[0.0, 0.0]], [[0]])
 
     @pytest.mark.parametrize("l", [0, -2, 1.5, 1.0, True, "1"])
     def test_rejects_trace_length_outside_positive_integers(self, l):

@@ -14,7 +14,9 @@ call order, and the item's outputs:
   `X0` and `XL` bytes and one over the returned shape's packed `P`, taken
   from a pass-through around `jsrcert.cli.solve_gamma`;
 * the three sweeps of `sweep-parrilo-small` at seed 1 (master seeds 3, 4,
-  5), with each CSV's sha256;
+  5), with each CSV's sha256 and a sha256 over every cell's `X0` and `XL`
+  bytes in call order, taken from a pass-through around
+  `jsrcert.cli.simulate`, so a change to the simulator shows directly;
 * `support_constraints` on the 20 seeds of acceptance criterion 9 (Parrilo
   pair, N = 10, d = 1), with the support sets and gammas.
 
@@ -89,6 +91,15 @@ def main() -> None:
         return gamma_star, cand
 
     jsrcert.cli.solve_gamma = keep_candidate
+    samples = []
+    simulate_cell = jsrcert.cli.simulate
+
+    def keep_sample(modes, N, l, seed):
+        obs = simulate_cell(modes, N, l, seed)
+        samples.append(obs.X0.tobytes() + obs.XL.tobytes())
+        return obs
+
+    jsrcert.cli.simulate = keep_sample
     with tempfile.TemporaryDirectory() as tmp:
         for name in ("parrilo-d1-n3000", "rand2x2m3-d2-n1000"):
             work = WORKLOADS[name]
@@ -105,9 +116,12 @@ def main() -> None:
         sweep = WORKLOADS["sweep-parrilo-small"]
         sweep.setup(Path(tmp), seed=1, tiny=False)
         for i, config in enumerate(sweep.configs):
+            samples.clear()
             sweep.op(i)
             csv = hashlib.sha256(sweep.csv_path.read_bytes()).hexdigest()
-            print(digest.line(f"sweep-seed{config.seed}", f"csv_sha256={csv}"), flush=True)
+            sample = hashlib.sha256(b"".join(samples)).hexdigest()
+            print(digest.line(f"sweep-seed{config.seed}",
+                              f"csv_sha256={csv} sample_sha256={sample}"), flush=True)
     parrilo = load_modes(DATA / "parrilo.json")
     total = 0
     for seed in range(20):
