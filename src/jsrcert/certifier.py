@@ -12,8 +12,8 @@ Given observed endpoint pairs (x0, xl), three quantities are computed:
   builds each witness itself, with `lmi.feasibility_witness`;
 * the tie-break -- among shapes feasible at (slightly above) the optimum,
   one minimizing lambda_max(P), hence the condition number, which enters
-  the certificate bound directly; when that solve stalls, the bisection
-  witness at gamma* is kept.
+  the certificate bound directly; when that solve stalls, or its rows
+  overflow at huge l, the bisection witness at gamma* is kept.
 
 `solve_gamma` always applies the tie-break; the white-box oracles, which
 need only gamma*, run `_bisect_gamma` on a `_PairCache` of their own.  The
@@ -183,9 +183,13 @@ def _tie_break_cache(
     gamma_tb = gamma_star * (1.0 + TIEBREAK_SLACK)
     P, gamma_cert, m = witness, gamma_star, matrix_metrics(witness)
     try:
-        tied = lmi.min_lambda_max(cache.rows(gamma_tb), cache.dim, opts.c_bound,
+        # The slack factor (1 + TIEBREAK_SLACK)^(2dl) can pass the float range
+        # at huge l, where the bisection's own factors (<= lambda*^(2d)) do not.
+        with np.errstate(over="raise"):
+            rows = cache.rows(gamma_tb)
+        tied = lmi.min_lambda_max(rows, cache.dim, opts.c_bound,
                                   upper_hint=m.lambda_max * (1.0 + 1e-6), dirs=cache.dirs)
-    except SolverStallError:
+    except (SolverStallError, OverflowError, FloatingPointError):
         pass  # the bisection witness stays
     else:
         tied_m = matrix_metrics(tied)

@@ -57,18 +57,23 @@ previous one.  Like linprog, the adapter refuses an LP holding a NaN
 (HiGHS would call it optimal), and it never solves a model HiGHS refuses.
 `_core` and its array overload of `passModel` are private scipy API, so the
 import fails loudly if either is missing, and a test checks the adapter
-against linprog on recorded LPs.
+against linprog on recorded LPs.  `_core` is loaded straight from its file
+(`_load_highs`): `scipy.optimize`'s package init imports scipy.linalg,
+scipy.sparse and more, and would triple the package's import time.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 import threading
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import scipy
-from scipy.optimize._highspy import _core as _highs
 
 from .lift import _triu, unpack_sym
 
@@ -101,6 +106,30 @@ _LP_OPTION_LADDER = (
     {"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9},
     {},
 )
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _load_highs(folder: Path):
+    """Load scipy's HiGHS binding from its file in `folder`, registered under
+    its full name so that a later `import scipy.optimize` reuses it."""
+    paths = (folder / f"_core{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES)
+    path = next((path for path in paths if path.is_file()), None)
+    try:
+        if path is None:
+            raise ImportError(f"no _core extension in {folder}")
+        spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except ImportError as exc:
+        raise ImportError(f"jsrcert.lmi: cannot load the HiGHS binding of scipy "
+                          f"{scipy.__version__} ({exc})") from exc
+    sys.modules[_HIGHS_MODULE] = module
+    return module
+
+
+# Reuse the binding if the caller imported scipy.optimize first.
+_highs = sys.modules.get(_HIGHS_MODULE) or _load_highs(
+    Path(scipy.__file__).parent / "optimize" / "_highspy")
 
 
 def _highs_options(tolerances: dict) -> _highs.HighsOptions:

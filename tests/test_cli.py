@@ -79,6 +79,24 @@ class TestCertifyCommand:
         assert report["finite"] is False
         assert report["flags"]["delta_eps_zero"] and report["flags"]["delta_eps1_zero"]
 
+    @pytest.mark.parametrize("l", [10**9, 10**12])
+    def test_huge_final_step_keeps_the_bisection_witness(self, tmp_path, l, capsys):
+        # At l = 10**12 the tie-break factor (1 + TIEBREAK_SLACK)^(2l) is past
+        # the float range; the bisection witness stays, as after a stall.
+        rng = np.random.default_rng(0)
+        X0 = rng.standard_normal((20, 2))
+        X0 /= np.linalg.norm(X0, axis=1, keepdims=True)
+        traj, out = tmp_path / "t.csv", tmp_path / "report.json"
+        save_observations(ObservationSet(l=l, X0=X0, XL=rng.standard_normal((20, 2))), traj)
+        rc = main(["certify", "--traj", str(traj), "--modes-upper", "2", "--out", str(out)])
+        assert rc == 0
+        assert "jsr_upper_bound: inf" in capsys.readouterr().out
+        report = json.loads(out.read_text())
+        assert report["finite"] is False
+        assert report["gamma_star"] > 0 and math.isfinite(report["kappa"])
+        tied = report["provenance"]["certified_gamma"] > report["gamma_star"]
+        assert tied == (l == 10**9)
+
     @pytest.mark.parametrize("degree", [1, 2])
     def test_certificate_depends_on_endpoints_only(self, tmp_path, parrilo, degree):
         # A simulated set and its trajectory file hold the same endpoints and

@@ -7,7 +7,13 @@ Row generation is checked against the full LP, obtained by raising
 `_ROW_BLOCK` above the row count.
 """
 
+import importlib.machinery
+import os
+import re
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -720,3 +726,46 @@ def test_import_check_names_scipy_version(outcome, monkeypatch):
     monkeypatch.setattr(lmi, "_HIGHS", StubHighs(outcome))
     with pytest.raises(ImportError, match=f"scipy {scipy.__version__}"):
         lmi._check_array_model()
+
+
+def test_loader_failure_names_scipy_version(tmp_path):
+    import scipy
+
+    version = re.escape(f"scipy {scipy.__version__}")
+    with pytest.raises(ImportError, match=version):
+        lmi._load_highs(tmp_path)  # no extension there
+    (tmp_path / f"_core{importlib.machinery.EXTENSION_SUFFIXES[0]}").write_bytes(b"not a library")
+    with pytest.raises(ImportError, match=version):
+        lmi._load_highs(tmp_path)
+    assert sys.modules[lmi._HIGHS_MODULE] is lmi._highs
+
+
+def _fresh_python(code: str) -> str:
+    """stdout of `code` run in a new interpreter that imports this checkout's jsrcert."""
+    src = str(Path(lmi.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize("module", ["jsrcert", "jsrcert.cli"])
+def test_import_leaves_scipy_optimize_unloaded(module):
+    # scipy.optimize's package init pulls in scipy.linalg, scipy.sparse and
+    # more, and triples the cold start of every command.
+    out = _fresh_python(f"import sys, {module}\n"
+                        "print(*(m for m in ('scipy.optimize', 'scipy.linalg', 'scipy.sparse')"
+                        " if m in sys.modules))")
+    assert out.split() == []
+
+
+@pytest.mark.parametrize("scipy_first", [False, True])
+def test_scipy_optimize_shares_the_binding(scipy_first):
+    imports = ["import jsrcert.lmi", "from scipy.optimize import linprog"]
+    code = "\n".join(imports[::-1] if scipy_first else imports) + """
+import sys
+assert jsrcert.lmi._highs is sys.modules["scipy.optimize._highspy._core"]
+res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], bounds=[(0, None)] * 2, method="highs")
+print(res.status, res.fun, *res.x)
+"""
+    assert _fresh_python(code).split() == ["0", "1.0", "1.0", "0.0"]
