@@ -187,11 +187,16 @@ def _tie_break_cache(
         # at huge l, where the bisection's own factors (<= lambda*^(2d)) do not.
         with np.errstate(over="raise"):
             rows = cache.rows(gamma_tb)
-        tied = lmi.min_lambda_max(rows, cache.dim, opts.c_bound,
-                                  upper_hint=m.lambda_max * (1.0 + 1e-6), dirs=cache.dirs)
-    except (SolverStallError, OverflowError, FloatingPointError):
-        pass  # the bisection witness stays
-    else:
+    except (OverflowError, FloatingPointError):
+        rows = None  # no slackened problem: the bisection witness stays
+    tied = None
+    if rows is not None:
+        try:
+            tied = lmi.min_lambda_max(rows, cache.dim, opts.c_bound,
+                                      upper_hint=m.lambda_max * (1.0 + 1e-6), dirs=cache.dirs)
+        except SolverStallError:
+            pass  # the bisection witness stays
+    if tied is not None:
         tied_m = matrix_metrics(tied)
         # The slackened problem should never be worse conditioned than the
         # bisection witness; the witness stays if it somehow is.
