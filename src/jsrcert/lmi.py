@@ -37,12 +37,17 @@ The kernel also generates rows.  Only D(D+1)/2 + 1 samples can pin the
 optimum of a sampled program, so above the threshold of _ROW_BLOCK base rows
 the LPs start from the 4*(D(D+1)/2 + 1) rows most violated at P = I
 (tau = 0) and, after each solve, add up to that step of the most violated
-rows still left out.  This is sound: every LP is a relaxation of the full
-one, so its optimum bounds the full optimum (an early stop on a subset also
-holds for all rows), and an iterate violating no row solves the full LP.
-Programs with at most _ROW_BLOCK base rows keep every row from the start and
-solve exactly the LPs they did before generation existed; the threshold
-stays until the sweep's references tolerate other LPs (ROADMAP item 3).
+rows still left out.  Cuts are added the same way: `dirs` is the pool, and
+an LP carries the seed directions, the last `step` directions learned
+before the call, the cuts it learns itself and, after each solve, up to
+`step` of the most violated pool cuts left out.  This is sound: every LP is
+a relaxation of the full one, so its optimum bounds the full optimum (an
+early stop on a subset also holds for all rows and cuts), and an iterate
+violating no row and no cut, with no eigenvalue below the cut level, solves
+the full LP.  Programs with at most _ROW_BLOCK base rows keep every row and
+every cut, in `dirs` order, and solve exactly the LPs they did before
+generation existed; the threshold stays until the sweep's references
+tolerate other LPs (ROADMAP item 3).
 
 Every LP goes through `linprog`, a small adapter on the HiGHS binding that
 scipy vendors (`scipy.optimize._highspy._core`).  It gives HiGHS the model
@@ -96,9 +101,9 @@ FEASIBILITY_MARGIN = 1e-7
 _EIG_TOL = 1e-9
 _MAX_CUT_ROUNDS = 500
 # Row-generation threshold.  Programs with at most this many base rows keep
-# all of them in every LP; it exceeds the 209 base rows of the largest sweep
-# cell (N=200 samples plus 9 magnitude rows at D=3).  Larger programs
-# generate rows in steps of 4*(D(D+1)/2 + 1), see `_cut_loop`.
+# all of them and every cut in every LP; it exceeds the 209 base rows of the
+# largest sweep cell (N=200 samples plus 9 magnitude rows at D=3).  Larger
+# programs add rows and cuts in steps of 4*(D(D+1)/2 + 1), see `_cut_loop`.
 _ROW_BLOCK = 256
 # Tight tolerances first so witnesses meet the 1e-8 constraint-slack
 # contract; retried with HiGHS defaults on numerically degenerate systems.
@@ -238,11 +243,19 @@ def _clean_rows(rows: np.ndarray) -> np.ndarray:
     rows).  Rows come back in lexicographic order, the first of each equal
     group kept.  A sort on the first column alone gives that order when the
     sorted column strictly increases, and then no rows are equal; only a tie
-    there (dense grids, signed zeros) takes the full sort and merge.  A row
-    whose norm is not finite (a NaN, or an overflow) raises ValueError.
+    there (dense grids, signed zeros) takes the full sort and merge.  A
+    finite row whose squares overflow gets its norm scaled by its largest
+    entry; a row whose norm is still not finite (a NaN or an inf entry, or a
+    norm past the float range) raises ValueError.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    norms = np.linalg.norm(rows, axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(rows, axis=1)
+        big = np.flatnonzero(np.isinf(norms))
+        big = big[np.isfinite(rows[big]).all(axis=1)]
+        if big.size:
+            top = np.abs(rows[big]).max(axis=1)
+            norms[big] = top * np.linalg.norm(rows[big] / top[:, None], axis=1)
     bad = np.flatnonzero(~np.isfinite(norms))
     if bad.size:  # a NaN row would fail `keep` and drop out unseen
         raise ValueError(f"constraint row {bad[0]}: its norm is not finite")
@@ -336,6 +349,20 @@ def _trace_box(D: int, tau_box: tuple[float, float]):
     return bounds, trace_row
 
 
+def _cut_rows(V: np.ndarray, a: float) -> np.ndarray:
+    """Rows -w'Pw + a*tau <= -b of the cuts w'Pw >= a*tau + b, w the rows of V."""
+    q = quad_form_rows(V)
+    return np.hstack([-q, np.full((q.shape[0], 1), a)])
+
+
+def _turn_on(active: np.ndarray, residual: np.ndarray, step: int) -> bool:
+    """Turn on up to `step` of the rows off in `active` that `residual` finds
+    violated, most violated first; True if any row off is violated."""
+    violated = np.flatnonzero(~active & (residual > _EIG_TOL))
+    active[violated[np.argsort(-residual[violated], kind="stable")[:step]]] = True
+    return violated.size > 0
+
+
 def _cut_loop(
     sense: float,
     bounds: list,
@@ -357,10 +384,10 @@ def _cut_loop(
     has eigenvalues below that level, their eigenvectors join `dirs` (which
     the caller may keep across calls) and the LP is solved again.  With
     `ceiling`, a top eigenvector above tau adds the cut w'Pw <= tau.
-    Beyond _ROW_BLOCK base rows, each LP carries only the rows generated so
-    far, up to `step` more per round (see the module docstring).  Returns
-    (tau, P, eigvals) once no row and no cut is violated, or
-    (tau, None, None) as soon as `stop(tau)` holds.
+    Beyond _ROW_BLOCK base rows, each LP carries only the rows and cuts
+    turned on so far, up to `step` more of each per round (see the module
+    docstring).  Returns (tau, P, eigvals) once no row and no cut is
+    violated, or (tau, None, None) as soon as `stop(tau)` holds.
     """
     if not dirs:
         dirs.extend(seed_cut_directions(D))
@@ -369,6 +396,8 @@ def _cut_loop(
     c = np.zeros(K + 1)
     c[-1] = sense
     active = np.ones(base.shape[0], dtype=bool)
+    cuts = _cut_rows(np.array(dirs), a)  # the pool's rows, extended as cuts are learned
+    on = np.ones(len(dirs), dtype=bool)
     if base.shape[0] > max(_ROW_BLOCK, step):
         iu, ju = _triu(D)
         x0 = np.zeros(K + 1)
@@ -377,30 +406,29 @@ def _cut_loop(
         cut = np.partition(slack, step - 1)[step - 1]
         active = slack < cut
         active[np.flatnonzero(slack == cut)[: step - np.count_nonzero(active)]] = True
+        on[D * D : max(D * D, len(dirs) - step)] = False  # keep the seeds and last `step` cuts
     hi_dirs: list[np.ndarray] = []
     for _ in range(_MAX_CUT_ROUNDS):
-        q = quad_form_rows(np.array(dirs))
-        parts = [base[active], np.hstack([-q, np.full((q.shape[0], 1), a)])]
-        parts_rhs = [base_rhs[active], np.zeros(q.shape[0]) - b]  # 0 - b: +0.0 when b = 0
-        if hi_dirs:
-            q = quad_form_rows(np.array(hi_dirs))
-            parts.append(np.hstack([q, -np.ones((q.shape[0], 1))]))
-            parts_rhs.append(np.zeros(q.shape[0]))
+        parts = [base[active], cuts[on]]
+        parts_rhs = [base_rhs[active], np.zeros(np.count_nonzero(on)) - b]  # 0 - b: +0.0 when b = 0
+        if hi_dirs:  # w'Pw <= tau
+            parts.append(-_cut_rows(np.array(hi_dirs), 1.0))
+            parts_rhs.append(np.zeros(len(hi_dirs)))
         x = _solve_lp(c, np.vstack(parts), np.concatenate(parts_rhs), bounds, A_eq=A_eq, b_eq=b_eq)
         tau = float(x[-1])
         if stop is not None and stop(tau):
             return tau, None, None
-        added = False
-        if not active.all():
-            residual = base @ x - base_rhs
-            violated = np.flatnonzero(~active & (residual > _EIG_TOL))
-            added = violated.size > 0
-            active[violated[np.argsort(-residual[violated], kind="stable")[:step]]] = True
+        added = not active.all() and _turn_on(active, base @ x - base_rhs, step)
+        if not on.all() and _turn_on(on, cuts @ x + b, step):
+            added = True
         P = unpack_sym(x[:K], D)
         eigvals, eigvecs = np.linalg.eigh(P)
         level = a * tau + b - _EIG_TOL * max(1.0, b)
         new_dirs = [eigvecs[:, k] for k in range(D) if eigvals[k] < level]
-        dirs.extend(new_dirs)
+        if new_dirs:  # new cuts are always on
+            dirs.extend(new_dirs)
+            cuts = np.vstack([cuts, _cut_rows(np.array(new_dirs), a)])
+            on = np.append(on, np.ones(len(new_dirs), dtype=bool))
         if ceiling and eigvals[-1] > tau + _EIG_TOL * max(1.0, tau):
             hi_dirs.append(eigvecs[:, -1])
         elif not new_dirs and not added:

@@ -97,6 +97,23 @@ class TestCertifyCommand:
         tied = report["provenance"]["certified_gamma"] > report["gamma_star"]
         assert tied == (l == 10**9)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale, degree", [(1e150, 1), (1e75, 2)])
+    def test_huge_endpoints_certify(self, tmp_path, scale, degree, capsys):
+        # The lifted rows are finite (about 1e300), but squaring their
+        # entries for a norm overflows; the rows are normalized all the same.
+        rng = np.random.default_rng(0)
+        X0 = rng.standard_normal((20, 2))
+        X0 /= np.linalg.norm(X0, axis=1, keepdims=True)
+        traj, out = tmp_path / "t.csv", tmp_path / "report.json"
+        save_observations(ObservationSet(l=1, X0=X0, XL=scale * rng.standard_normal((20, 2))), traj)
+        rc = main(["certify", "--traj", str(traj), "--modes-upper", "2", "--degree", str(degree),
+                   "--out", str(out)])
+        assert rc == 0
+        assert "finite: true" in capsys.readouterr().out
+        report = json.loads(out.read_text())
+        assert scale < report["gamma_star"] < report["jsr_upper_bound"] < math.inf
+
     @pytest.mark.parametrize("degree", [1, 2])
     def test_certificate_depends_on_endpoints_only(self, tmp_path, parrilo, degree):
         # A simulated set and its trajectory file hold the same endpoints and

@@ -295,19 +295,25 @@ def test_sweep_sized_programs_keep_every_row(parrilo, monkeypatch):
     bases = []
     cut_loop, lp = lmi._cut_loop, lmi.linprog
 
-    def recording(sense, bounds, base, *args, **kwargs):
-        bases.append(base)
-        return cut_loop(sense, bounds, base, *args, **kwargs)
+    def recording(sense, bounds, base, base_rhs, dirs, a, b, D, **kwargs):
+        bases.append((base, dirs, a, b))
+        return cut_loop(sense, bounds, base, base_rhs, dirs, a, b, D, **kwargs)
 
     def checking(*args, **kwargs):
-        base = bases[-1]
-        assert np.array_equal(kwargs["A_ub"][: base.shape[0]], base)
+        base, dirs, a, b = bases[-1]
+        A, rhs = kwargs["A_ub"], kwargs["b_ub"]
+        assert np.array_equal(A[: base.shape[0]], base)
+        # Then every cut learned so far, in `dirs` order, as the pool's rows.
+        q = lmi.quad_form_rows(np.array(dirs))
+        cuts = slice(base.shape[0], base.shape[0] + len(dirs))
+        assert np.array_equal(A[cuts], np.hstack([-q, np.full((len(dirs), 1), a)]))
+        assert np.array_equal(rhs[cuts], np.full(len(dirs), 0.0 - b))
         return lp(*args, **kwargs)
 
     monkeypatch.setattr(lmi, "_cut_loop", recording)
     monkeypatch.setattr(lmi, "linprog", checking)
     solve_gamma(simulate(parrilo, 200, 1, seed=12), 2)
-    assert max(base.shape[0] for base in bases) == 200 + 9  # samples plus magnitude rows
+    assert max(base.shape[0] for base, *_ in bases) == 200 + 9  # samples plus magnitude rows
 
 
 @pytest.mark.parametrize("case, D", [("parrilo_d1", 2), ("rand_d2", 3)])
@@ -398,6 +404,95 @@ class TestFirstRowPick:
         assert first[0].shape[0] == step + len(lmi.seed_cut_directions(D))
 
 
+def pool_rows(dirs, a):
+    """The cut rows of `dirs` at cut level a*tau + b, as an LP carries them."""
+    q = lmi.quad_form_rows(np.array(dirs))
+    return np.hstack([-q, np.full((len(dirs), 1), a)])
+
+
+@pytest.fixture(scope="module")
+def pool_loops():
+    """Every cut loop of a d = 2 certificate above the threshold: its cut
+    level (a, b), its LPs as (A_ub, x, pool size when solved), what it
+    returned and the pool at exit."""
+    loops = []
+    cut_loop, solve_lp = lmi._cut_loop, lmi._solve_lp
+
+    def recording(sense, bounds, base, base_rhs, dirs, a, b, D, **kwargs):
+        loop = dict(a=a, b=b, lps=[], live=dirs)
+        loops.append(loop)
+        loop["out"] = cut_loop(sense, bounds, base, base_rhs, dirs, a, b, D, **kwargs)
+        loop["dirs"] = list(dirs)
+        return loop["out"]
+
+    def solving(c, A_ub, *args, **kwargs):
+        x = solve_lp(c, A_ub, *args, **kwargs)
+        loops[-1]["lps"].append((A_ub, x, len(loops[-1]["live"])))
+        return x
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lmi, "_cut_loop", recording)
+        patch.setattr(lmi, "_solve_lp", solving)
+        solve_gamma(simulate(RAND, 600, 1, seed=5), 2)
+    return loops
+
+
+class TestCutPool:
+    """Above the threshold an LP carries the seed cuts, the last `step`
+    learned cuts, the cuts it learned itself and those turned on after an
+    iterate violated them; at or below it, every cut."""
+
+    def test_first_lp_carries_seeds_and_last_step_cuts(self, monkeypatch):
+        D, step, N = 2, 16, 400
+        rng = np.random.default_rng(1)
+        base = rng.standard_normal((N, 4))
+        learned = rng.standard_normal((30, D))
+        dirs = lmi.seed_cut_directions(D) + list(learned / np.linalg.norm(learned, axis=1)[:, None])
+        first = []
+
+        def stop_after_first(c, **kwargs):
+            first.append(kwargs)
+            raise StopIteration
+
+        assert N > lmi._ROW_BLOCK
+        monkeypatch.setattr(lmi, "linprog", stop_after_first)
+        bounds, trace_row = lmi._trace_box(D, (-4.0, 4.0))
+        with pytest.raises(StopIteration):
+            lmi._cut_loop(-1.0, bounds, base, np.zeros(N), dirs, 0.5, 0.1, D,
+                          A_eq=trace_row, b_eq=[float(D)])
+        carried = dirs[: D * D] + dirs[-step:]
+        A, rhs = first[0]["A_ub"], first[0]["b_ub"]
+        assert A.shape[0] == step + len(carried)
+        assert np.array_equal(A[step:], pool_rows(carried, 0.5))
+        assert np.array_equal(rhs[step:], np.full(len(carried), -0.1))
+
+    def test_solutions_satisfy_every_cut(self, pool_loops):
+        returned = [loop for loop in pool_loops if loop["out"][1] is not None]
+        assert returned
+        for loop in returned:
+            tau, P, _ = loop["out"]
+            W = np.array(loop["dirs"])
+            level = loop["a"] * tau + loop["b"]
+            assert np.min(np.einsum("ij,jk,ik->i", W, P, W)) >= level - lmi._EIG_TOL
+
+    def test_left_out_cuts_reenter_once_violated(self, pool_loops):
+        # After an LP whose iterate violates pool cuts left out of it, the
+        # next LP carries the `step` most violated of them (all, if fewer).
+        step, reentered = 4 * (6 + 1), 0
+        for loop in pool_loops:
+            for (A, x, pool), (A_next, _, _) in zip(loop["lps"], loop["lps"][1:]):
+                rows = pool_rows(loop["dirs"][:pool], loop["a"])
+                have = {row.tobytes() for row in A}
+                have_next = {row.tobytes() for row in A_next}
+                residual = rows @ x + loop["b"]
+                out = [k for k in np.flatnonzero(residual > lmi._EIG_TOL)
+                       if rows[k].tobytes() not in have]
+                out.sort(key=lambda k: -residual[k])
+                assert all(rows[k].tobytes() in have_next for k in out[:step])
+                reentered += len(out[:step])
+        assert reentered > 0
+
+
 def parent_clean_rows(rows):
     """`_clean_rows` as it stood with np.unique, the reference for the sort."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
@@ -482,16 +577,37 @@ def test_clean_rows_keeps_first_of_signed_zero_ties():
         assert first.tobytes() == row.tobytes()
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1.5e308])
 def test_clean_rows_refuses_a_row_without_finite_norm(bad):
     # A NaN row used to fail the zero-row test and drop out: the oracle then
-    # called rows [nan, 1, 0] and [-1, 0, -1] feasible.
-    rows = np.array([[1.0, 0.0, 0.5], [bad, 1.0, 0.0], [np.nan, 0.0, 0.0]])
-    with np.errstate(over="ignore"):  # the norm of the 1e200 row overflows
+    # called rows [nan, 1, 0] and [-1, 0, -1] feasible.  The norm of the
+    # finite row [1.5e308, 1.5e308, 0] is past the float range.
+    rows = np.array([[1.0, 0.0, 0.5], [bad, bad, 0.0], [np.nan, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="constraint row 1: its norm is not finite"):
+        lmi._clean_rows(rows)
+    with pytest.raises(ValueError, match="constraint row 0:"):
+        lmi.max_margin_feasibility(np.array([[bad, bad, 0.0], [-1.0, 0.0, -1.0]]), 2, 100.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_clean_rows_scales_finite_rows_whose_squares_overflow():
+    # Rows near 1e300 are finite, but squaring their entries overflows; their
+    # norm comes from the row divided by its largest entry.  A power-of-two
+    # scale divides out exactly, so they give the unit rows of the small
+    # copies, up to the rounding of the two norms.
+    rng = np.random.default_rng(11)
+    small, scaled = rng.standard_normal((40, 6)), rng.standard_normal((40, 6))
+    rows = np.vstack([small, scaled * 2.0**1000])
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.linalg.norm(rows[40:], axis=1)).all()
+    ours = lmi._clean_rows(rows)
+    ref = parent_clean_rows(np.vstack([small, scaled]))
+    assert ours.shape == ref.shape and np.allclose(ours, ref, rtol=0.0, atol=1e-15)
+    # Rows whose squares do not overflow keep the plain norm, bit for bit.
+    assert lmi._clean_rows(small).tobytes() == parent_clean_rows(small).tobytes()
+    for bad in ([1e300, np.nan, 0.0], [1e300, -np.inf, 0.0], [1.5e308, -1.5e308, 0.0]):
         with pytest.raises(ValueError, match="constraint row 1: its norm is not finite"):
-            lmi._clean_rows(rows)
-        with pytest.raises(ValueError, match="constraint row 0:"):
-            lmi.max_margin_feasibility(np.array([[bad, 1.0, 0.0], [-1.0, 0.0, -1.0]]), 2, 100.0)
+            lmi._clean_rows(np.array([[1.0, 0.0, 0.0], bad]))
 
 
 def record_lps(program):
@@ -520,7 +636,8 @@ def test_adapter_matches_scipy_linprog(case, parrilo):
     obs, d = {
         "parrilo_d1": (simulate(parrilo, 60, 1, seed=2), 1),
         "parrilo_d2": (simulate(parrilo, 40, 1, seed=8), 2),
-        "rand_d2_generated": (simulate(RAND, 300, 1, seed=5), 2),
+        # Generated LPs carry few cuts; at N = 600 some still exceed the threshold.
+        "rand_d2_generated": (simulate(RAND, 600, 1, seed=5), 2),
     }[case]
     lps = record_lps(lambda: solve_gamma(obs, d))
     if case == "rand_d2_generated":

@@ -5,8 +5,8 @@ bit-identical prints the same lines.
 
     PYTHONPATH=src python tools/lp_digest.py > lp_digest.txt
 
-It wraps `jsrcert.lmi.linprog` and, for each item, prints the LP count, a
-sha256 over every LP's c, A_ub, b_ub, bounds, A_eq, b_eq, status and x in
+It wraps `jsrcert.lmi.linprog` and, for each item, prints the LP count, the
+total `A_ub` rows of those LPs, a sha256 over every LP's c, A_ub, b_ub, bounds, A_eq, b_eq, status and x in
 call order, and the item's outputs:
 
 * `certify_run` on the bench's two seed-1 samples, built by the bench's own
@@ -53,6 +53,7 @@ class LPDigest:
 
     def reset(self):
         self.count = 0
+        self.rows = 0
         self.sha = hashlib.sha256()
 
     def _add(self, value):
@@ -67,6 +68,7 @@ class LPDigest:
         res = self.linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, options=options,
                            A_eq=A_eq, b_eq=b_eq)
         self.count += 1
+        self.rows += len(b_ub)
         for value in (c, A_ub, b_ub, bounds, A_eq, b_eq):
             self._add(value)
         self.sha.update(repr(res.status).encode())
@@ -74,7 +76,7 @@ class LPDigest:
         return res
 
     def line(self, name: str, outputs: str) -> str:
-        line = f"{name} lps={self.count} sha256={self.sha.hexdigest()} {outputs}"
+        line = f"{name} lps={self.count} rows={self.rows} sha256={self.sha.hexdigest()} {outputs}"
         self.reset()
         return line
 
