@@ -45,21 +45,28 @@ a relaxation of the full one, so its optimum bounds the full optimum (an
 early stop on a subset also holds for all rows and cuts), and an iterate
 violating no row and no cut, with no eigenvalue below the cut level, solves
 the full LP.  Programs with at most _ROW_BLOCK base rows keep every row and
-every cut, in `dirs` order, and solve exactly the LPs they did before
-generation existed; the threshold stays until the sweep's references
-tolerate other LPs (ROADMAP item 3).
+every cut, in `dirs` order, solve every LP cold and solve exactly the LPs
+they did before generation existed; the threshold stays until the sweep's
+references tolerate other LPs (ROADMAP item 3).
 
-Every LP goes through `linprog`, a small adapter on the HiGHS binding that
-scipy vendors (`scipy.optimize._highspy._core`).  It gives HiGHS the model
-and options `scipy.optimize.linprog(method="highs")` would, and accepts a
-solution on the same test, so every solution is bit-identical to linprog's;
-what it drops is linprog's per-call input and option validation, which cost
+Every cold LP goes through `linprog`, a small adapter on the HiGHS binding
+that scipy vendors (`scipy.optimize._highspy._core`).  It gives HiGHS the
+model and options `scipy.optimize.linprog(method="highs")` would, and
+`_run_highs`, the one place a model is solved, accepts a solution on the
+same test, so every cold solution is bit-identical to linprog's; what the
+adapter drops is linprog's per-call input and option validation, which cost
 more than HiGHS itself on the small LPs here.  One HiGHS instance, made at
-import, solves every LP of the process, one at a time under a lock: each
-call passes it the options of its rung of _LP_OPTION_LADDER (built once, at
-import) and the model straight from arrays, and passing a model clears the
-previous one.  Like linprog, the adapter refuses an LP holding a NaN
-(HiGHS would call it optimal), and it never solves a model HiGHS refuses.
+import, solves every LP of the process, one cut loop at a time under a
+re-entrant lock: each `linprog` call passes it the options of its rung of
+_LP_OPTION_LADDER (built once, at import) and the model straight from
+arrays, and passing a model clears the previous one.  Above the threshold a
+cut loop keeps that model from round to round (`_HeldLP`): after the first
+LP, each round adds only the rows and cuts that joined it and re-solves
+from the previous basis, as in Kelley's cutting-plane method, so those
+solutions agree with linprog's within the solver tolerances rather than bit
+for bit; a round that fails is solved cold.  Like linprog, the adapter
+refuses an LP holding a NaN (HiGHS would call it optimal), and it never
+solves a model HiGHS refuses.
 `_core` and its array overload of `passModel` are private scipy API, so the
 import fails loudly if either is missing, and a test checks the adapter
 against linprog on recorded LPs.  `_core` is loaded straight from its file
@@ -162,11 +169,14 @@ _LINPROG_STATUS = {_MS.kOptimal: 0, _MS.kTimeLimit: 1, _MS.kIterationLimit: 1,
 _RESULT_TOL = 10 * np.sqrt(1e-9)
 # The one HiGHS instance behind every LP of the process.  Each `linprog`
 # call passes it options and a model afresh, and passing a model clears the
-# previous model, basis and solution.  A fresh instance logs to the console
-# until it gets options.  The lock keeps threads from interleaving LPs on it.
+# previous model, basis and solution; a cut loop above the threshold then
+# adds rows to that model.  A fresh instance logs to the console until it
+# gets options.  The lock keeps threads from interleaving LPs on it; a cut
+# loop holds it from its first LP to its last, and its calls to `linprog`
+# take it again.
 _HIGHS = _highs._Highs()
 _HIGHS.passOptions(_HIGHS_LADDER[0])
-_HIGHS_LOCK = threading.Lock()
+_HIGHS_LOCK = threading.RLock()
 
 
 def _pass_model(c, col_lower, col_upper, row_lower, row_upper, starts, index, values):
@@ -281,7 +291,7 @@ def linprog(c, *, A_ub, b_ub, bounds, options, A_eq=None, b_eq=None) -> LPResult
     """min c'x s.t. A_ub x <= b_ub, A_eq x = b_eq and column `bounds`, by HiGHS.
 
     HiGHS gets the model `scipy.optimize.linprog(method="highs")` would give
-    it, bit for bit, and a solution counts as solved on linprog's terms:
+    it, bit for bit, and `_run_highs` accepts a solution on linprog's terms:
     model status optimal, and bounds, slacks and equality residuals within
     _RESULT_TOL.  Raises ValueError, without solving, for an LP with a NaN
     or mismatched shapes, or one HiGHS refuses.
@@ -311,16 +321,28 @@ def linprog(c, *, A_ub, b_ub, bounds, options, A_eq=None, b_eq=None) -> LPResult
         if _pass_model(c, col_lower, col_upper, lower, upper, starts, rows.astype(np.int32),
                        values) == _highs.HighsStatus.kError:
             raise ValueError("HiGHS refused the LP model")
-        _HIGHS.run()
-        model_status = _HIGHS.getModelStatus()
-        message = f"HiGHS model status {_HIGHS.modelStatusToString(model_status)}"
-        solution = _HIGHS.getSolution()  # a copy
+        return _run_highs(col_lower, col_upper, lower, upper)
+
+
+def _run_highs(col_lower, col_upper, row_lower, row_upper) -> LPResult:
+    """Solve the model `_HIGHS` holds, whose column and row bounds are given.
+
+    The one place a model is solved, from `linprog` or from a cut loop's
+    added rows.  A solution counts as solved on linprog's terms: model
+    status optimal, and every column and row within its bounds up to
+    _RESULT_TOL.  The caller holds _HIGHS_LOCK.
+    """
+    _HIGHS.run()
+    model_status = _HIGHS.getModelStatus()
+    message = f"HiGHS model status {_HIGHS.modelStatusToString(model_status)}"
     if model_status != _MS.kOptimal:
         return LPResult(_LINPROG_STATUS.get(model_status, 4), None, message)
+    solution = _HIGHS.getSolution()  # a copy
     x = np.array(solution.col_value)
-    slack = upper - np.array(solution.row_value)
+    row = np.array(solution.row_value)
     if (np.all(x >= col_lower - _RESULT_TOL) and np.all(x <= col_upper + _RESULT_TOL)
-            and np.all(slack[:m] >= -_RESULT_TOL) and np.all(np.abs(slack[m:]) <= _RESULT_TOL)):
+            and np.all(row_upper - row >= -_RESULT_TOL)
+            and np.all(row - row_lower >= -_RESULT_TOL)):
         return LPResult(0, x, message)
     return LPResult(4, x, f"{message}, but a constraint is missed by more than {_RESULT_TOL:.2e}")
 
@@ -332,6 +354,66 @@ def _solve_lp(c, A_ub, b_ub, bounds, A_eq=None, b_eq=None):
         if res.status == 0:
             return res.x
     raise SolverStallError(f"LP solve failed (status {res.status}): {res.message}")
+
+
+class _HeldLP:
+    """The LP of one cut loop above the threshold, kept in `_HIGHS` between rounds.
+
+    Rows only ever join a cut loop's LP.  The first LP is solved cold, by
+    `_solve_lp`, as at or below the threshold; each later round adds only
+    the rows that joined since the last solve and re-solves from the basis
+    HiGHS kept, so dual simplex needs a few pivots and HiGHS skips presolve.
+    A round that is not optimal, or fails the solution check, is solved
+    cold on the option ladder, and the next round is back on its first
+    rung.  The loop holds _HIGHS_LOCK from its first LP to its last.
+    """
+
+    def __init__(self, c, bounds, A_eq, b_eq, lp_rows):
+        """`lp_rows(active, on, hi_from)` gives (A_ub, b_ub) of the loop's base
+        rows and pool cuts on in the masks, then of its ceiling cuts from the
+        `hi_from`-th on."""
+        self.c, self.bounds, self.A_eq, self.b_eq = c, bounds, A_eq, b_eq
+        self.lp_rows = lp_rows
+        self.col_lower, self.col_upper = np.array(bounds, dtype=float).T
+        self.eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
+        self.last = None  # (active, on, ceiling cuts) of the last LP solved
+        self.row_lower = self.row_upper = None  # of the model held, in its row order
+        self.reset_options = False  # after a cold solve, which may end on a later rung
+
+    def solve(self, active, on, n_hi) -> np.ndarray:
+        """x of the loop's LP with the base rows and pool cuts on in `active`
+        and `on`, and `n_hi` ceiling cuts."""
+        res = None
+        if self.last is not None:
+            last_active, last_on, last_hi = self.last
+            new_on = on.copy()
+            new_on[: last_on.size] &= ~last_on
+            res = self._add_and_run(*self.lp_rows(active & ~last_active, new_on, last_hi))
+        if res is not None and res.status == 0:
+            x = res.x
+        else:
+            A, rhs = self.lp_rows(active, on, 0)
+            x = _solve_lp(self.c, A, rhs, self.bounds, A_eq=self.A_eq, b_eq=self.b_eq)
+            self.row_lower = np.concatenate([np.full(len(rhs), -_highs.kHighsInf), self.eq])
+            self.row_upper = np.concatenate([rhs, self.eq])
+            self.reset_options = True
+        self.last = (active.copy(), on.copy(), n_hi)
+        return x
+
+    def _add_and_run(self, A, rhs) -> LPResult | None:
+        """Append the rows A x <= rhs to the model `_HIGHS` holds and solve it
+        on the first rung; None if HiGHS refuses the rows."""
+        if self.reset_options:
+            _HIGHS.passOptions(_HIGHS_LADDER[0])
+            self.reset_options = False
+        rows, cols = np.nonzero(A)  # row-major nonzeros
+        starts = np.searchsorted(rows, np.arange(len(rhs))).astype(np.int32)
+        if _HIGHS.addRows(len(rhs), np.full(len(rhs), -_highs.kHighsInf), rhs, len(rows), starts,
+                          cols.astype(np.int32), A[rows, cols]) == _highs.HighsStatus.kError:
+            return None
+        self.row_lower = np.concatenate([self.row_lower, np.full(len(rhs), -_highs.kHighsInf)])
+        self.row_upper = np.concatenate([self.row_upper, rhs])
+        return _run_highs(self.col_lower, self.col_upper, self.row_lower, self.row_upper)
 
 
 def _trace_box(D: int, tau_box: tuple[float, float]):
@@ -386,8 +468,9 @@ def _cut_loop(
     `ceiling`, a top eigenvector above tau adds the cut w'Pw <= tau.
     Beyond _ROW_BLOCK base rows, each LP carries only the rows and cuts
     turned on so far, up to `step` more of each per round (see the module
-    docstring).  Returns (tau, P, eigvals) once no row and no cut is
-    violated, or (tau, None, None) as soon as `stop(tau)` holds.
+    docstring), and stays in `_HIGHS` from round to round.  Returns (tau, P,
+    eigvals) once no row and no cut is violated, or (tau, None, None) as
+    soon as `stop(tau)` holds.
     """
     if not dirs:
         dirs.extend(seed_cut_directions(D))
@@ -398,7 +481,22 @@ def _cut_loop(
     active = np.ones(base.shape[0], dtype=bool)
     cuts = _cut_rows(np.array(dirs), a)  # the pool's rows, extended as cuts are learned
     on = np.ones(len(dirs), dtype=bool)
+    hi_dirs: list[np.ndarray] = []
+
+    def lp_rows(act, pool, hi_from):
+        parts = [base[act], cuts[pool]]
+        parts_rhs = [base_rhs[act], np.zeros(np.count_nonzero(pool)) - b]  # 0 - b: +0.0 when b = 0
+        if len(hi_dirs) > hi_from:  # w'Pw <= tau
+            parts.append(-_cut_rows(np.array(hi_dirs[hi_from:]), 1.0))
+            parts_rhs.append(np.zeros(len(hi_dirs) - hi_from))
+        return np.vstack(parts), np.concatenate(parts_rhs)
+
+    # At or below the threshold every LP is solved cold, so that the sweep's
+    # LPs stay bit-identical to its byte references; with those references
+    # gone (ROADMAP item 3) every loop can keep its LP in `_HIGHS`.
+    held = None
     if base.shape[0] > max(_ROW_BLOCK, step):
+        held = _HeldLP(c, bounds, A_eq, b_eq, lp_rows)
         iu, ju = _triu(D)
         x0 = np.zeros(K + 1)
         x0[:K][iu == ju] = 1.0
@@ -407,32 +505,30 @@ def _cut_loop(
         active = slack < cut
         active[np.flatnonzero(slack == cut)[: step - np.count_nonzero(active)]] = True
         on[D * D : max(D * D, len(dirs) - step)] = False  # keep the seeds and last `step` cuts
-    hi_dirs: list[np.ndarray] = []
-    for _ in range(_MAX_CUT_ROUNDS):
-        parts = [base[active], cuts[on]]
-        parts_rhs = [base_rhs[active], np.zeros(np.count_nonzero(on)) - b]  # 0 - b: +0.0 when b = 0
-        if hi_dirs:  # w'Pw <= tau
-            parts.append(-_cut_rows(np.array(hi_dirs), 1.0))
-            parts_rhs.append(np.zeros(len(hi_dirs)))
-        x = _solve_lp(c, np.vstack(parts), np.concatenate(parts_rhs), bounds, A_eq=A_eq, b_eq=b_eq)
-        tau = float(x[-1])
-        if stop is not None and stop(tau):
-            return tau, None, None
-        added = not active.all() and _turn_on(active, base @ x - base_rhs, step)
-        if not on.all() and _turn_on(on, cuts @ x + b, step):
-            added = True
-        P = unpack_sym(x[:K], D)
-        eigvals, eigvecs = np.linalg.eigh(P)
-        level = a * tau + b - _EIG_TOL * max(1.0, b)
-        new_dirs = [eigvecs[:, k] for k in range(D) if eigvals[k] < level]
-        if new_dirs:  # new cuts are always on
-            dirs.extend(new_dirs)
-            cuts = np.vstack([cuts, _cut_rows(np.array(new_dirs), a)])
-            on = np.append(on, np.ones(len(new_dirs), dtype=bool))
-        if ceiling and eigvals[-1] > tau + _EIG_TOL * max(1.0, tau):
-            hi_dirs.append(eigvecs[:, -1])
-        elif not new_dirs and not added:
-            return tau, P, eigvals
+    with _HIGHS_LOCK:
+        for _ in range(_MAX_CUT_ROUNDS):
+            if held is None:
+                x = _solve_lp(c, *lp_rows(active, on, 0), bounds, A_eq=A_eq, b_eq=b_eq)
+            else:
+                x = held.solve(active, on, len(hi_dirs))
+            tau = float(x[-1])
+            if stop is not None and stop(tau):
+                return tau, None, None
+            added = not active.all() and _turn_on(active, base @ x - base_rhs, step)
+            if not on.all() and _turn_on(on, cuts @ x + b, step):
+                added = True
+            P = unpack_sym(x[:K], D)
+            eigvals, eigvecs = np.linalg.eigh(P)
+            level = a * tau + b - _EIG_TOL * max(1.0, b)
+            new_dirs = [eigvecs[:, k] for k in range(D) if eigvals[k] < level]
+            if new_dirs:  # new cuts are always on
+                dirs.extend(new_dirs)
+                cuts = np.vstack([cuts, _cut_rows(np.array(new_dirs), a)])
+                on = np.append(on, np.ones(len(new_dirs), dtype=bool))
+            if ceiling and eigvals[-1] > tau + _EIG_TOL * max(1.0, tau):
+                hi_dirs.append(eigvecs[:, -1])
+            elif not new_dirs and not added:
+                return tau, P, eigvals
     raise SolverStallError("eigenvector-cut iteration limit reached")
 
 

@@ -4,7 +4,10 @@ The expected values below were recorded with the three cut loops as they
 stood before they were merged into one kernel; exact equality pins that the
 kernel still issues the same LPs, in the same order, with the same arrays.
 Row generation is checked against the full LP, obtained by raising
-`_ROW_BLOCK` above the row count.
+`_ROW_BLOCK` above the row count.  Above the threshold a cut loop adds rows
+to the model HiGHS holds in place of calling `linprog` again, so tests of
+those loops read each LP back from `lmi._HIGHS` at `lmi._run_highs`, the
+one place a model is solved.
 """
 
 import importlib.machinery
@@ -202,21 +205,69 @@ def test_tie_break_stall_keeps_bisection_witness(parrilo, monkeypatch):
     assert np.array_equal(cand.P.full(), witness)
 
 
+def held_lp():
+    """The LP `lmi._HIGHS` holds, as linprog's keyword arguments, rows in
+    model order: rows without a lower bound go to A_ub, the others to A_eq.
+    HiGHS drops matrix entries of magnitude at most 1e-9."""
+    lp = lmi._HIGHS.getLp()
+    matrix = lp.a_matrix_
+    start = np.asarray(matrix.start_)
+    outer = np.repeat(np.arange(start.size - 1), np.diff(start))
+    index = np.asarray(matrix.index_, dtype=int)
+    A = np.zeros((lp.num_row_, lp.num_col_))
+    if matrix.format_ == lmi._highs.MatrixFormat.kColwise:
+        A[index, outer] = matrix.value_
+    else:
+        A[outer, index] = matrix.value_
+    lower, upper = np.asarray(lp.row_lower_), np.asarray(lp.row_upper_)
+    ub = np.isneginf(lower)
+    return dict(c=np.asarray(lp.col_cost_), A_ub=A[ub], b_ub=upper[ub],
+                bounds=list(zip(lp.col_lower_, lp.col_upper_)),
+                A_eq=A[~ub] if not ub.all() else None, b_eq=upper[~ub] if not ub.all() else None)
+
+
+def record_solves(program):
+    """`program()`, and every HiGHS solve it made: the LP solved (`held_lp`),
+    the status and x, whether the solve came from a `linprog` call, and the
+    simplex iteration limit it ran under."""
+    solves, in_linprog = [], []
+    run, lp = lmi._run_highs, lmi.linprog
+
+    def cold(*args, **kwargs):
+        in_linprog.append(True)
+        try:
+            return lp(*args, **kwargs)
+        finally:
+            in_linprog.pop()
+
+    def recording(*args):
+        res = run(*args)
+        limit = lmi._HIGHS.getOptionValue("simplex_iteration_limit")[1]
+        solves.append(dict(held_lp(), status=res.status, x=res.x, cold=bool(in_linprog),
+                           iteration_limit=limit))
+        return res
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lmi, "linprog", cold)
+        patch.setattr(lmi, "_run_highs", recording)
+        out = program()
+    return out, solves
+
+
+def rows_in(rows, A, tol=1e-9):
+    """Which of `rows` the matrix A holds, up to the entries HiGHS drops."""
+    rows, A = np.atleast_2d(rows), np.atleast_2d(A)
+    if rows.shape[0] == 0 or A.shape[0] == 0:
+        return np.zeros(rows.shape[0], dtype=bool)
+    return (np.abs(rows[:, None, :] - A[None, :, :]).max(axis=2) <= tol).any(axis=1)
+
+
 def generated_and_full(program, monkeypatch):
     """`program()` with row generation, then on the full LP, plus the row
     counts of the generated run's LPs."""
-    sizes = []
-    lp = lmi.linprog
-
-    def counting(*args, **kwargs):
-        sizes.append(kwargs["A_ub"].shape[0])
-        return lp(*args, **kwargs)
-
-    monkeypatch.setattr(lmi, "linprog", counting)
-    generated = program()
-    monkeypatch.setattr(lmi, "linprog", lp)
+    generated, solves = record_solves(program)
     monkeypatch.setattr(lmi, "_ROW_BLOCK", 10**9)
-    return generated, program(), sizes
+    return generated, program(), [len(solve["b_ub"]) for solve in solves]
 
 
 @pytest.fixture(scope="module", params=["parrilo_d1", "rand_d2"])
@@ -322,25 +373,19 @@ def test_generation_step_follows_lift_dimension(case, D, parrilo, monkeypatch):
     # 4*(D(D+1)/2 + 1) base rows, and each round adds at most that many.
     step = 4 * (D * (D + 1) // 2 + 1)
     loops = []  # (base, base rows in each LP of the loop)
-    cut_loop, lp = lmi._cut_loop, lmi.linprog
+    cut_loop, run = lmi._cut_loop, lmi._run_highs
 
     def recording(sense, bounds, base, *args, **kwargs):
         loops.append((base, []))
         return cut_loop(sense, bounds, base, *args, **kwargs)
 
-    def counting(*args, **kwargs):
-        # An LP stacks the active base rows, in base order, above its cuts.
+    def counting(*args):
         base, counts = loops[-1]
-        known = {row.tobytes() for row in base}
-        A = kwargs["A_ub"]
-        k = 0
-        while k < A.shape[0] and A[k].tobytes() in known:
-            k += 1
-        counts.append(k)
-        return lp(*args, **kwargs)
+        counts.append(np.count_nonzero(rows_in(held_lp()["A_ub"], base)))
+        return run(*args)
 
     monkeypatch.setattr(lmi, "_cut_loop", recording)
-    monkeypatch.setattr(lmi, "linprog", counting)
+    monkeypatch.setattr(lmi, "_run_highs", counting)
     modes, d = (parrilo, 1) if case == "parrilo_d1" else (RAND, 2)
     solve_gamma(simulate(modes, 600, 1, seed=5), d)
     generated = [counts for base, counts in loops if base.shape[0] > lmi._ROW_BLOCK]
@@ -404,6 +449,77 @@ class TestFirstRowPick:
         assert first[0].shape[0] == step + len(lmi.seed_cut_directions(D))
 
 
+@pytest.mark.parametrize("above_block", ["rand_d2"], indirect=True)  # Parrilo: one LP a loop
+class TestHeldModel:
+    """Above the threshold a cut loop keeps its LP in `lmi._HIGHS` and adds
+    rows to it; a round that fails there is solved cold on the ladder."""
+
+    @staticmethod
+    def programs(above_block):
+        cache, (feasible, infeasible) = above_block
+        D = cache.dim
+        return {
+            "verdict_feasible": lambda: lmi.max_margin_feasibility(cache.rows(feasible), D, 100.0),
+            "verdict_infeasible": lambda: lmi.max_margin_feasibility(cache.rows(infeasible), D,
+                                                                      100.0),
+            "min_lambda_max": lambda: lmi.min_lambda_max(cache.rows(feasible), D, 100.0).tobytes(),
+        }
+
+    @pytest.fixture
+    def failing_first(self, monkeypatch):
+        # Each round on the held model adds a violated row and needs a
+        # pivot, so none passes a first rung without pivots; it is solved
+        # cold and ends on the second, the tight rung.  Both rungs keep the
+        # tight tolerances: with HiGHS defaults these loops stall.
+        tight = lmi._LP_OPTION_LADDER[0]
+        failing = lmi._highs_options({**tight, "simplex_iteration_limit": 0})
+        monkeypatch.setattr(lmi, "_HIGHS_LADDER", (failing, lmi._highs_options(tight)))
+
+    def test_failed_round_solves_cold_then_next_round_on_first_rung(
+            self, above_block, failing_first, monkeypatch):
+        warm = []
+        for name, program in self.programs(above_block).items():
+            got, solves = record_solves(program)
+            with monkeypatch.context() as patch:  # every round cold
+                patch.setattr(lmi._HeldLP, "_add_and_run", lambda self, A, rhs: None)
+                assert got == program(), name
+            warm += [solve for solve in solves if not solve["cold"]]
+        assert warm
+        assert all(solve["iteration_limit"] == 0 and solve["status"] == 1 for solve in warm)
+
+    @pytest.mark.parametrize("ladder", ["tight_first", "failing_first"])
+    def test_threads_share_the_instance_safely(self, above_block, ladder, request):
+        # More threads than cores, switching often: each loop must keep its
+        # own model from round to round, and a cold fallback, which takes
+        # the lock its loop holds, must not deadlock.
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        if ladder == "failing_first":
+            request.getfixturevalue("failing_first")
+        programs = list(self.programs(above_block).values()) * 3
+        expected = [program() for program in programs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(program) for program in programs]
+                got = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+
+
+def test_lift_dimension_six():
+    # Two random 3x3 modes, each scaled to unit spectral radius, at d = 2:
+    # D = 6.  Its gamma* was recorded with every LP solved cold, before
+    # cut loops kept their LP in HiGHS; each bisection then took 14 s.
+    A = np.random.default_rng(0).standard_normal((2, 3, 3))
+    modes = ModeSet(tuple(a / np.max(np.abs(np.linalg.eigvals(a))) for a in A))
+    gamma_star, _ = solve_gamma(simulate(modes, 400, 1, seed=0), 2)
+    assert abs(gamma_star - 0.8684605583868064) <= 1e-6
+
+
 def pool_rows(dirs, a):
     """The cut rows of `dirs` at cut level a*tau + b, as an LP carries them."""
     q = lmi.quad_form_rows(np.array(dirs))
@@ -416,7 +532,7 @@ def pool_loops():
     level (a, b), its LPs as (A_ub, x, pool size when solved), what it
     returned and the pool at exit."""
     loops = []
-    cut_loop, solve_lp = lmi._cut_loop, lmi._solve_lp
+    cut_loop, run = lmi._cut_loop, lmi._run_highs
 
     def recording(sense, bounds, base, base_rhs, dirs, a, b, D, **kwargs):
         loop = dict(a=a, b=b, lps=[], live=dirs)
@@ -425,14 +541,15 @@ def pool_loops():
         loop["dirs"] = list(dirs)
         return loop["out"]
 
-    def solving(c, A_ub, *args, **kwargs):
-        x = solve_lp(c, A_ub, *args, **kwargs)
-        loops[-1]["lps"].append((A_ub, x, len(loops[-1]["live"])))
-        return x
+    def solving(*args):
+        res = run(*args)
+        if res.status == 0:
+            loops[-1]["lps"].append((held_lp()["A_ub"], res.x, len(loops[-1]["live"])))
+        return res
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lmi, "_cut_loop", recording)
-        patch.setattr(lmi, "_solve_lp", solving)
+        patch.setattr(lmi, "_run_highs", solving)
         solve_gamma(simulate(RAND, 600, 1, seed=5), 2)
     return loops
 
@@ -482,14 +599,11 @@ class TestCutPool:
         for loop in pool_loops:
             for (A, x, pool), (A_next, _, _) in zip(loop["lps"], loop["lps"][1:]):
                 rows = pool_rows(loop["dirs"][:pool], loop["a"])
-                have = {row.tobytes() for row in A}
-                have_next = {row.tobytes() for row in A_next}
                 residual = rows @ x + loop["b"]
-                out = [k for k in np.flatnonzero(residual > lmi._EIG_TOL)
-                       if rows[k].tobytes() not in have]
-                out.sort(key=lambda k: -residual[k])
-                assert all(rows[k].tobytes() in have_next for k in out[:step])
-                reentered += len(out[:step])
+                out = np.flatnonzero((residual > lmi._EIG_TOL) & ~rows_in(rows, A))
+                out = out[np.argsort(-residual[out], kind="stable")][:step]
+                assert rows_in(rows[out], A_next).all()
+                reentered += out.size
         assert reentered > 0
 
 
@@ -640,14 +754,25 @@ def test_adapter_matches_scipy_linprog(case, parrilo):
         "rand_d2_generated": (simulate(RAND, 600, 1, seed=5), 2),
     }[case]
     lps = record_lps(lambda: solve_gamma(obs, d))
-    if case == "rand_d2_generated":
-        assert max(lp["A_ub"].shape[0] for lp in lps) > lmi._ROW_BLOCK
     for lp in lps:
         for tolerances, options in zip(lmi._LP_OPTION_LADDER, lmi._HIGHS_LADDER):
             ours = lmi.linprog(**lp, options=options)
             ref = linprog(**lp, method="highs", options=tolerances)
             assert ours.status == ref.status == 0
             assert np.array_equal(ours.x, ref.x)
+    # Rounds that add rows to the LP HiGHS holds may end on another optimal
+    # vertex: they match linprog in status and objective.
+    _, solves = record_solves(lambda: solve_gamma(obs, d))
+    if case == "rand_d2_generated":
+        assert max(len(solve["b_ub"]) for solve in solves) > lmi._ROW_BLOCK
+    warm = [solve for solve in solves if not solve["cold"]]
+    assert len(solves) - len(warm) == len(lps)
+    assert bool(warm) == (case == "rand_d2_generated")
+    for solve in warm:
+        lp = {key: solve[key] for key in ("c", "A_ub", "b_ub", "bounds", "A_eq", "b_eq")}
+        ref = linprog(**lp, method="highs", options=lmi._LP_OPTION_LADDER[0])
+        assert solve["status"] == ref.status == 0
+        assert abs(lp["c"] @ solve["x"] - ref.fun) <= 1e-9
 
 
 class TestOptionLadder:

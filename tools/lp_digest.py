@@ -5,9 +5,14 @@ bit-identical prints the same lines.
 
     PYTHONPATH=src python tools/lp_digest.py > lp_digest.txt
 
-It wraps `jsrcert.lmi.linprog` and, for each item, prints the LP count, the
-total `A_ub` rows of those LPs, a sha256 over every LP's c, A_ub, b_ub, bounds, A_eq, b_eq, status and x in
-call order, and the item's outputs:
+It wraps `jsrcert.lmi._run_highs`, through which every HiGHS solve goes,
+cold or on a cut loop's added rows (in a checkout without it, every solve
+goes through `jsrcert.lmi.linprog`, which it wraps instead).  After each
+solve it reads back the model `jsrcert.lmi._HIGHS` holds.  For each item it
+prints the solve count, the total `A_ub` rows (rows without a lower bound)
+of those solves, a sha256 over every solve's costs, column bounds, row
+bounds, constraint matrix, status and x in call order, and the item's
+outputs:
 
 * `certify_run` on the bench's two seed-1 samples, built by the bench's own
   workload classes (simulate, save, load), with a sha256 over the loaded
@@ -21,7 +26,7 @@ call order, and the item's outputs:
   pair, N = 10, d = 1), with the support sets and gammas.
 
 Inputs come from ``bench/data``; everything written goes to a temporary
-directory.  Takes about a minute on a 2-core box.
+directory.  Takes about 15 s on a 2-core box.
 """
 
 from __future__ import annotations
@@ -45,11 +50,15 @@ from workloads import DATA, WORKLOADS  # noqa: E402
 
 
 class LPDigest:
-    """Counts and hashes the LPs passed to `jsrcert.lmi.linprog`."""
+    """Counts and hashes every HiGHS solve, with the model solved."""
 
     def __init__(self):
-        self.linprog = jsrcert.lmi.linprog
+        self.name = "_run_highs" if hasattr(jsrcert.lmi, "_run_highs") else "linprog"
+        self.solve = getattr(jsrcert.lmi, self.name)
         self.reset()
+
+    def install(self):
+        setattr(jsrcert.lmi, self.name, self)
 
     def reset(self):
         self.count = 0
@@ -64,12 +73,22 @@ class LPDigest:
             self.sha.update(repr(a.shape).encode())
             self.sha.update(a.tobytes())
 
-    def __call__(self, c, *, A_ub, b_ub, bounds, options, A_eq=None, b_eq=None):
-        res = self.linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, options=options,
-                           A_eq=A_eq, b_eq=b_eq)
+    def __call__(self, *args, **kwargs):
+        res = self.solve(*args, **kwargs)
+        lp = jsrcert.lmi._HIGHS.getLp()
+        matrix = lp.a_matrix_
+        start = np.asarray(matrix.start_)
+        outer = np.repeat(np.arange(start.size - 1), np.diff(start))
+        index = np.asarray(matrix.index_, dtype=int)
+        A = np.zeros((lp.num_row_, lp.num_col_))
+        if matrix.format_ == jsrcert.lmi._highs.MatrixFormat.kColwise:
+            A[index, outer] = matrix.value_
+        else:
+            A[outer, index] = matrix.value_
+        row_lower = np.asarray(lp.row_lower_)
         self.count += 1
-        self.rows += len(b_ub)
-        for value in (c, A_ub, b_ub, bounds, A_eq, b_eq):
+        self.rows += int(np.count_nonzero(np.isneginf(row_lower)))
+        for value in (lp.col_cost_, lp.col_lower_, lp.col_upper_, row_lower, lp.row_upper_, A):
             self._add(value)
         self.sha.update(repr(res.status).encode())
         self._add(res.x)
@@ -83,7 +102,7 @@ class LPDigest:
 
 def main() -> None:
     digest = LPDigest()
-    jsrcert.lmi.linprog = digest
+    digest.install()
     candidates = []
     solve_gamma = jsrcert.cli.solve_gamma
 
