@@ -163,7 +163,7 @@ def _bisect_gamma(cache: _PairCache, opts: SolveOptions) -> tuple[float, np.ndar
             rows = cache.rows(mid)
             result = lmi.max_margin_feasibility(rows, D, opts.c_bound, cache.dirs)
             if result.feasible:
-                P = lmi.feasibility_witness(rows, D, result.margin, cache.dirs)
+                P = lmi.feasibility_witness(rows, D, result, cache.dirs)
         except SolverStallError as exc:
             warnings.warn(f"feasibility oracle undecided at gamma={mid:.6g}: {exc}",
                           RuntimeWarning, stacklevel=2)

@@ -25,13 +25,15 @@ All three programs run through one cutting-plane loop, `_cut_loop`, over
 x = (vech P, tau); they differ only in objective, boxes, base rows and the
 cut level w^T P w >= a*tau + b.  `max_margin_feasibility`, the oracle of
 the gamma bisection and of the support search, maximizes the margin and
-returns a verdict only.  `feasibility_witness` builds a shape matrix on
-request: `_balanced_witness` maximizes its eigenvalue floor at the required
-margin, since the margin-maximal vertex is typically near-singular and
-would amplify LP noise when rescaled.  `min_lambda_max` is the
-condition-number tie-break.  The entry points accept a mutable list of
-probe directions so the cuts learned in one call warm-start the next: a
-cut w'Pw >= r depends only on the lift dimension D, not on gamma or rows.
+returns a verdict with the margin-optimal P it ended on.  From that result
+`feasibility_witness` builds a shape matrix on request: above the
+row-generation threshold the oracle's P itself, whose eigenvalue floor D/C
+bounds the LP noise that rescaling amplifies; at or below it,
+`_balanced_witness` maximizes the floor at the required margin in a second
+cut loop, kept only for the sweep's byte references (ROADMAP item 3).
+`min_lambda_max` is the condition-number tie-break.  The entry points accept
+a mutable list of probe directions so the cuts learned in one call
+warm-start the next: a cut w'Pw >= r depends only on D, not on gamma or rows.
 
 The kernel also generates rows.  Only D(D+1)/2 + 1 samples can pin the
 optimum of a sampled program, so above the threshold of _ROW_BLOCK base rows
@@ -80,7 +82,7 @@ import importlib.machinery
 import importlib.util
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -215,6 +217,8 @@ class SolverStallError(RuntimeError):
 class MarginResult:
     feasible: bool
     margin: float
+    # The margin-optimal P (trace D) the oracle ended on; not part of the verdict.
+    P: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def quad_form_rows(V: np.ndarray) -> np.ndarray:
@@ -445,6 +449,11 @@ def _turn_on(active: np.ndarray, residual: np.ndarray, step: int) -> bool:
     return violated.size > 0
 
 
+def _generates_rows(n_rows: int, K: int) -> bool:
+    """Whether `n_rows` base rows on K = D(D+1)/2 unknowns lie above the threshold."""
+    return n_rows > max(_ROW_BLOCK, 4 * (K + 1))
+
+
 def _cut_loop(
     sense: float,
     bounds: list,
@@ -495,7 +504,7 @@ def _cut_loop(
     # LPs stay bit-identical to its byte references; with those references
     # gone (ROADMAP item 3) every loop can keep its LP in `_HIGHS`.
     held = None
-    if base.shape[0] > max(_ROW_BLOCK, step):
+    if _generates_rows(base.shape[0], K):
         held = _HeldLP(c, bounds, A_eq, b_eq, lp_rows)
         iu, ju = _triu(D)
         x0 = np.zeros(K + 1)
@@ -573,12 +582,12 @@ def max_margin_feasibility(
     t, P, _ = _cut_loop(-1.0, bounds, base, np.zeros(base.shape[0]), [] if dirs is None else dirs,
                         0.0, floor, D, A_eq=trace_row, b_eq=[float(D)],
                         stop=lambda tau: tau < -FEASIBILITY_MARGIN)
-    return MarginResult(feasible=P is not None and t >= FEASIBILITY_MARGIN, margin=t)
+    return MarginResult(feasible=P is not None and t >= FEASIBILITY_MARGIN, margin=t, P=P)
 
 
-def feasibility_witness(rows: np.ndarray, D: int, margin: float,
+def feasibility_witness(rows: np.ndarray, D: int, result: MarginResult,
                         dirs: list[np.ndarray]) -> np.ndarray | None:
-    """Balanced P >= I for rows `max_margin_feasibility` found feasible at `margin`.
+    """P >= I for rows `max_margin_feasibility` found feasible, from its `result`.
 
     Checked again on every row; None when rescaling amplified LP noise past
     the 1e-9 contract.
@@ -586,7 +595,12 @@ def feasibility_witness(rows: np.ndarray, D: int, margin: float,
     rows = _clean_rows(rows)
     if rows.shape[0] == 0:
         return np.eye(D)
-    P = _balanced_witness(rows, D, min(margin, max(FEASIBILITY_MARGIN, 1e-6)), dirs)
+    P = result.P
+    if not _generates_rows(rows.shape[0], D * (D + 1) // 2):
+        # Balanced by a second cut loop only so that the sweep's LPs stay
+        # bit-identical to its byte references; with those references gone
+        # (ROADMAP item 3) every witness can be the oracle's own P.
+        P = _balanced_witness(rows, D, min(result.margin, max(FEASIBILITY_MARGIN, 1e-6)), dirs)
     lmin = float(np.linalg.eigvalsh(P)[0])
     if lmin <= 0:
         return None

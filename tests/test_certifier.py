@@ -38,7 +38,7 @@ def witness(obs, d, gamma, opts=None):
     rows = cache.rows(gamma)
     result = lmi.max_margin_feasibility(rows, cache.dim, opts.c_bound, cache.dirs)
     assert result.feasible
-    return lmi.feasibility_witness(rows, cache.dim, result.margin, cache.dirs)
+    return lmi.feasibility_witness(rows, cache.dim, result, cache.dirs)
 
 
 class TestSolveOptions:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jsrcert import lmi
+from jsrcert import certifier, lmi
 from jsrcert.certifier import (
     SolveOptions,
     _bisect_gamma,
@@ -86,7 +86,7 @@ def verdict_and_witness(rows, D):
     """The oracle's verdict, then its witness on the same cuts, as the bisection asks."""
     dirs = []
     result = lmi.max_margin_feasibility(rows, D, 100.0, dirs)
-    return result, lmi.feasibility_witness(rows, D, result.margin, dirs)
+    return result, lmi.feasibility_witness(rows, D, result, dirs)
 
 
 class TestMaxMarginFeasibility:
@@ -135,14 +135,36 @@ class TestFeasibilityWitness:
         assert np.array_equal(P, expected)
 
     def test_no_rows_gives_identity(self):
-        assert np.array_equal(lmi.feasibility_witness(np.zeros((2, 3)), 2, 1.0, []), np.eye(2))
+        P = lmi.feasibility_witness(np.zeros((2, 3)), 2, lmi.MarginResult(True, 1.0), [])
+        assert np.array_equal(P, np.eye(2))
 
     def test_failed_recheck_gives_none(self, rand_d1, monkeypatch):
         # A balanced P that misses a row by more than the contract is refused.
         rows, D = rand_d1
         assert np.max(lmi._clean_rows(rows) @ np.eye(D)[np.triu_indices(D)]) > 1e-9
         monkeypatch.setattr(lmi, "_balanced_witness", lambda *args: np.eye(D))
-        assert lmi.feasibility_witness(rows, D, 1e-3, []) is None
+        assert lmi.feasibility_witness(rows, D, lmi.MarginResult(True, 1e-3), []) is None
+
+    def test_above_threshold_takes_the_oracles_P(self, above_block, monkeypatch):
+        # Above the threshold the witness solves no LP: it is the verdict's
+        # margin-optimal P, rescaled so P >= I and checked on every row.
+        cache, (gamma, _) = above_block
+        rows, D = cache.rows(gamma), cache.dim
+        dirs = []
+        result = lmi.max_margin_feasibility(rows, D, 100.0, dirs)
+        assert result.feasible
+        assert result == lmi.MarginResult(result.feasible, result.margin)
+        assert "P=" not in repr(result)
+
+        def unused(*args, **kwargs):
+            raise AssertionError("the witness must solve no LP")
+
+        monkeypatch.setattr(lmi, "_balanced_witness", unused)
+        monkeypatch.setattr(lmi, "_solve_lp", unused)
+        P = lmi.feasibility_witness(rows, D, result, dirs)
+        assert np.array_equal(P, result.P / np.linalg.eigvalsh(result.P)[0])
+        assert np.max(lmi._clean_rows(rows) @ P[np.triu_indices(D)]) <= 1e-9
+        assert np.linalg.eigvalsh(P)[0] >= 1.0 - 1e-12
 
 
 class TestBalancedWitness:
@@ -203,6 +225,41 @@ def test_tie_break_stall_keeps_bisection_witness(parrilo, monkeypatch):
     cand = _tie_break_cache(cache, gamma_star, witness, opts)
     assert cand.gamma == gamma_star
     assert np.array_equal(cand.P.full(), witness)
+
+
+@pytest.mark.parametrize("case", ["parrilo_d1", "rand_d2"])
+def test_tie_break_stall_above_threshold_keeps_bisection_witness(case, parrilo, monkeypatch):
+    # Above the threshold the bisection witness is the oracle's
+    # margin-optimal P, so after a stall it is the candidate itself: it must
+    # still decrease on every sample at rate gamma*, within the box.
+    modes, N, d, seed = (parrilo, 1000, 1, 3) if case == "parrilo_d1" else (RAND, 600, 2, 5)
+    assert N > lmi._ROW_BLOCK
+    witnesses, stalls = [], []
+    bisect = certifier._bisect_gamma
+
+    def recording(*args):
+        out = bisect(*args)
+        witnesses.append(out[1])
+        return out
+
+    def stall(*args, **kwargs):
+        stalls.append(args)
+        raise lmi.SolverStallError("stalled for the test")
+
+    monkeypatch.setattr(certifier, "_bisect_gamma", recording)
+    monkeypatch.setattr(lmi, "min_lambda_max", stall)
+    obs = simulate(modes, N, 1, seed=seed)
+    opts = SolveOptions()
+    gamma_star, cand = solve_gamma(obs, d, opts)
+    assert stalls and len(witnesses) == 1
+    assert cand.gamma == gamma_star
+    P = cand.P.full()
+    assert np.array_equal(P, witnesses[0])
+    cache = _PairCache(obs, d)
+    p = P[np.triu_indices(cache.dim)]
+    rate = float(np.max((cache.Wv @ p) / (cache.Wu @ p))) ** (1.0 / (2 * d * obs.l))
+    assert rate <= gamma_star * (1.0 + 1e-6)
+    assert cand.kappa <= opts.c_bound
 
 
 def held_lp():
@@ -750,8 +807,9 @@ def test_adapter_matches_scipy_linprog(case, parrilo):
     obs, d = {
         "parrilo_d1": (simulate(parrilo, 60, 1, seed=2), 1),
         "parrilo_d2": (simulate(parrilo, 40, 1, seed=8), 2),
-        # Generated LPs carry few cuts; at N = 600 some still exceed the threshold.
-        "rand_d2_generated": (simulate(RAND, 600, 1, seed=5), 2),
+        # Generated LPs carry few rows and cuts; at N = 1500 some margin and
+        # tie-break LPs still exceed the threshold.
+        "rand_d2_generated": (simulate(RAND, 1500, 1, seed=5), 2),
     }[case]
     lps = record_lps(lambda: solve_gamma(obs, d))
     for lp in lps:

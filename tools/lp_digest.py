@@ -10,9 +10,10 @@ cold or on a cut loop's added rows (in a checkout without it, every solve
 goes through `jsrcert.lmi.linprog`, which it wraps instead).  After each
 solve it reads back the model `jsrcert.lmi._HIGHS` holds.  For each item it
 prints the solve count, the total `A_ub` rows (rows without a lower bound)
-of those solves, a sha256 over every solve's costs, column bounds, row
-bounds, constraint matrix, status and x in call order, and the item's
-outputs:
+of those solves, how many of the solves were made inside
+`jsrcert.lmi._balanced_witness` (`witness=`), a sha256 over every solve's
+costs, column bounds, row bounds, constraint matrix, status and x in call
+order, and the item's outputs:
 
 * `certify_run` on the bench's two seed-1 samples, built by the bench's own
   workload classes (simulate, save, load), with a sha256 over the loaded
@@ -55,14 +56,26 @@ class LPDigest:
     def __init__(self):
         self.name = "_run_highs" if hasattr(jsrcert.lmi, "_run_highs") else "linprog"
         self.solve = getattr(jsrcert.lmi, self.name)
+        self.balancing = 0  # depth of `_balanced_witness` calls under way
         self.reset()
 
     def install(self):
         setattr(jsrcert.lmi, self.name, self)
+        balanced = jsrcert.lmi._balanced_witness
+
+        def balancing(*args, **kwargs):
+            self.balancing += 1
+            try:
+                return balanced(*args, **kwargs)
+            finally:
+                self.balancing -= 1
+
+        jsrcert.lmi._balanced_witness = balancing
 
     def reset(self):
         self.count = 0
         self.rows = 0
+        self.witness = 0
         self.sha = hashlib.sha256()
 
     def _add(self, value):
@@ -87,6 +100,7 @@ class LPDigest:
             A[outer, index] = matrix.value_
         row_lower = np.asarray(lp.row_lower_)
         self.count += 1
+        self.witness += self.balancing > 0
         self.rows += int(np.count_nonzero(np.isneginf(row_lower)))
         for value in (lp.col_cost_, lp.col_lower_, lp.col_upper_, row_lower, lp.row_upper_, A):
             self._add(value)
@@ -95,7 +109,8 @@ class LPDigest:
         return res
 
     def line(self, name: str, outputs: str) -> str:
-        line = f"{name} lps={self.count} rows={self.rows} sha256={self.sha.hexdigest()} {outputs}"
+        line = (f"{name} lps={self.count} rows={self.rows} witness={self.witness} "
+                f"sha256={self.sha.hexdigest()} {outputs}")
         self.reset()
         return line
 
