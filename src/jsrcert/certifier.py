@@ -153,6 +153,7 @@ def _bisect_gamma(cache: _PairCache, opts: SolveOptions) -> tuple[float, np.ndar
     hi = lam ** (1.0 / cache.l)
     lo = 0.0
     witness = np.eye(D)  # feasible at hi: ||xl||^2d <= lambda*^2d for all rows
+    start = None  # the P of the latest oracle result with one, where row generation starts
     for _ in range(300):
         mid = 0.5 * (lo + hi)
         # At double resolution mid equals an end; solving it again moves nothing.
@@ -161,7 +162,9 @@ def _bisect_gamma(cache: _PairCache, opts: SolveOptions) -> tuple[float, np.ndar
         P = None  # undecided or no witness: not proven feasible, the stored witness stays
         try:
             rows = cache.rows(mid)
-            result = lmi.max_margin_feasibility(rows, D, opts.c_bound, cache.dirs)
+            result = lmi.max_margin_feasibility(rows, D, opts.c_bound, cache.dirs, start)
+            if result.P is not None:  # None when the oracle stopped early
+                start = result.P
             if result.feasible:
                 P = lmi.feasibility_witness(rows, D, result, cache.dirs)
         except SolverStallError as exc:

@@ -37,16 +37,19 @@ warm-start the next: a cut w'Pw >= r depends only on D, not on gamma or rows.
 
 The kernel also generates rows.  Only D(D+1)/2 + 1 samples can pin the
 optimum of a sampled program, so above the threshold of _ROW_BLOCK base rows
-the LPs start from the 4*(D(D+1)/2 + 1) rows most violated at P = I
+the LPs start from the 4*(D(D+1)/2 + 1) rows most violated at a start point
 (tau = 0) and, after each solve, add up to that step of the most violated
-rows still left out.  Cuts are added the same way: `dirs` is the pool, and
-an LP carries the seed directions, the last `step` directions learned
-before the call, the cuts it learns itself and, after each solve, up to
-`step` of the most violated pool cuts left out.  This is sound: every LP is
-a relaxation of the full one, so its optimum bounds the full optimum (an
-early stop on a subset also holds for all rows and cuts), and an iterate
-violating no row and no cut, with no eigenvalue below the cut level, solves
-the full LP.  Programs with at most _ROW_BLOCK base rows keep every row and
+rows still left out.  The start point is P = I, or for the oracle the
+optimum of the caller's previous call: between bisection steps gamma moves
+little, and so do the rows that pin the optimum.  Cuts are added the same
+way: `dirs` is the pool, and an LP carries the seed directions, the last
+`step` directions learned before the call, the cuts it learns itself and,
+after each solve, up to `step` of the most violated pool cuts left out.
+This is sound: every LP is a relaxation of the full one, so its optimum
+bounds the full optimum (an early stop on a subset also holds for all rows
+and cuts), and an iterate violating no row and no cut, with no eigenvalue
+below the cut level, solves the full LP, wherever the rows were picked
+from.  Programs with at most _ROW_BLOCK base rows keep every row and
 every cut, in `dirs` order, solve every LP cold and solve exactly the LPs
 they did before generation existed; the threshold stays until the sweep's
 references tolerate other LPs (ROADMAP item 3).
@@ -467,6 +470,7 @@ def _cut_loop(
     b_eq=None,
     ceiling: bool = False,
     stop=None,
+    start: np.ndarray | None = None,
 ):
     """Optimize tau over x = (vech P, tau) under eigenvector cuts.
 
@@ -477,7 +481,9 @@ def _cut_loop(
     `ceiling`, a top eigenvector above tau adds the cut w'Pw <= tau.
     Beyond _ROW_BLOCK base rows, each LP carries only the rows and cuts
     turned on so far, up to `step` more of each per round (see the module
-    docstring), and stays in `_HIGHS` from round to round.  Returns (tau, P,
+    docstring), and stays in `_HIGHS` from round to round; its first rows
+    are the `step` most violated at (vech `start`, tau = 0), `start` being
+    P = I unless the caller passes an earlier optimum.  Returns (tau, P,
     eigvals) once no row and no cut is violated, or (tau, None, None) as
     soon as `stop(tau)` holds.
     """
@@ -506,9 +512,7 @@ def _cut_loop(
     held = None
     if _generates_rows(base.shape[0], K):
         held = _HeldLP(c, bounds, A_eq, b_eq, lp_rows)
-        iu, ju = _triu(D)
-        x0 = np.zeros(K + 1)
-        x0[:K][iu == ju] = 1.0
+        x0 = np.append((np.eye(D) if start is None else start)[_triu(D)], 0.0)
         slack = base_rhs - base @ x0  # the `step` rows most violated at x0, ties in row order
         cut = np.partition(slack, step - 1)[step - 1]
         active = slack < cut
@@ -562,13 +566,17 @@ def max_margin_feasibility(
     D: int,
     c_bound: float,
     dirs: list[np.ndarray] | None = None,
+    start: np.ndarray | None = None,
 ) -> MarginResult:
     """Decide whether some P with I <= P <= c_bound*I satisfies all rows.
 
     `rows` hold the packed coefficients of <G_i, P> <= 0.  Feasible when the
     trace-normalized relaxation (eigenvalue floor D/c_bound) reaches
     FEASIBILITY_MARGIN; a verdict only (see `feasibility_witness`).  `dirs`
-    accumulates semidefiniteness probe directions across calls.
+    accumulates semidefiniteness probe directions across calls.  `start`,
+    the `P` of an earlier result on the same lift, is where row generation
+    picks its first rows (P = I when None); at or below the threshold it is
+    not used.
     """
     rows = _clean_rows(rows)
     if rows.shape[0] == 0:
@@ -581,7 +589,7 @@ def max_margin_feasibility(
     base = np.hstack([rows, np.ones((rows.shape[0], 1))])
     t, P, _ = _cut_loop(-1.0, bounds, base, np.zeros(base.shape[0]), [] if dirs is None else dirs,
                         0.0, floor, D, A_eq=trace_row, b_eq=[float(D)],
-                        stop=lambda tau: tau < -FEASIBILITY_MARGIN)
+                        stop=lambda tau: tau < -FEASIBILITY_MARGIN, start=start)
     return MarginResult(feasible=P is not None and t >= FEASIBILITY_MARGIN, margin=t, P=P)
 
 

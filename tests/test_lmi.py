@@ -456,7 +456,8 @@ def test_generation_step_follows_lift_dimension(case, D, parrilo, monkeypatch):
 
 class TestFirstRowPick:
     """The rows of a generated loop's first LP: the `step` most violated at
-    P = I (tau = 0), ties at the cut-off taken in row order."""
+    (vech P, tau = 0), P the start point passed in (P = I when none is), ties
+    at the cut-off taken in row order."""
 
     def test_block_at_most_step_keeps_every_row(self, parrilo, monkeypatch):
         # 10 base rows lie above a block of 5 but within D = 2's step of 16;
@@ -476,18 +477,28 @@ class TestFirstRowPick:
                 for key in ours:
                     assert np.array_equal(ours[key], ref[key])
 
-    @pytest.mark.parametrize("seed", [0, 2, 4])
-    def test_ties_at_the_cut_off_go_in_row_order(self, seed, monkeypatch):
-        # Integer rows give exact slacks with many ties; the first LP must
-        # hold the rows a stable argsort of the slacks puts first.
+    @pytest.mark.parametrize("seed, start", [
+        pytest.param(seed, start, id=f"{seed}-random" if start else f"{seed}")
+        for seed in (0, 2, 4) for start in (None, "random")])  # None: P = I
+    def test_ties_at_the_cut_off_go_in_row_order(self, seed, start, monkeypatch):
+        # Integer rows and a start point in halves give exact slacks with
+        # many ties; the first LP must hold the rows a stable argsort of the
+        # slacks at (vech P, 0) puts first.
         D, step, N = 2, 16, 400
         rng = np.random.default_rng(seed)
         base = rng.integers(-3, 4, (N, 4)).astype(float)
         base_rhs = rng.integers(-3, 4, N).astype(float)
+        P = None
         x0 = np.array([1.0, 0.0, 1.0, 0.0])
+        if start == "random":  # P > 0 with trace D, P != I: det >= 3/4 - 1/4
+            p00, p01 = rng.choice([0.5, 1.5]), rng.choice([-0.5, 0.0, 0.5])
+            P = np.array([[p00, p01], [p01, 2 - p00]])
+            x0 = np.array([p00, p01, 2 - p00, 0.0])
         slack = base_rhs - base @ x0
         expected = np.zeros(N, dtype=bool)
         expected[np.argsort(slack, kind="stable")[:step]] = True
+        at_identity = np.argsort(base_rhs - base @ [1.0, 0.0, 1.0, 0.0], kind="stable")[:step]
+        assert (start == "random") == (set(at_identity) != set(np.flatnonzero(expected)))
         cut = np.sort(slack)[step - 1]
         assert 0 < np.count_nonzero(expected & (slack == cut)) < np.count_nonzero(slack == cut)
         first = []
@@ -501,9 +512,29 @@ class TestFirstRowPick:
         bounds, trace_row = lmi._trace_box(D, (-4.0, 4.0))
         with pytest.raises(StopIteration):
             lmi._cut_loop(-1.0, bounds, base, base_rhs, [], 0.0, 0.1, D,
-                          A_eq=trace_row, b_eq=[float(D)])
+                          A_eq=trace_row, b_eq=[float(D)], start=P)
         assert np.array_equal(first[0][:step], base[expected])
         assert first[0].shape[0] == step + len(lmi.seed_cut_directions(D))
+
+
+def test_bisection_starts_each_oracle_call_from_the_last_optimum(monkeypatch):
+    # Each call gets the P of the latest result that has one; infeasible
+    # verdicts cut short have none, and the start stays as it was.
+    calls = []
+    oracle = lmi.max_margin_feasibility
+
+    def recording(rows, D, c_bound, dirs=None, start=None):
+        result = oracle(rows, D, c_bound, dirs, start)
+        calls.append((start, result.P))
+        return result
+
+    monkeypatch.setattr(lmi, "max_margin_feasibility", recording)
+    solve_gamma(simulate(RAND, 600, 1, seed=5), 2)
+    last = None
+    for start, P in calls:
+        assert start is last
+        last = last if P is None else P
+    assert any(P is None for _, P in calls[1:])
 
 
 @pytest.mark.parametrize("above_block", ["rand_d2"], indirect=True)  # Parrilo: one LP a loop
@@ -807,9 +838,10 @@ def test_adapter_matches_scipy_linprog(case, parrilo):
     obs, d = {
         "parrilo_d1": (simulate(parrilo, 60, 1, seed=2), 1),
         "parrilo_d2": (simulate(parrilo, 40, 1, seed=8), 2),
-        # Generated LPs carry few rows and cuts; at N = 1500 some margin and
-        # tie-break LPs still exceed the threshold.
-        "rand_d2_generated": (simulate(RAND, 1500, 1, seed=5), 2),
+        # Generated LPs carry few rows and cuts, the more so as each oracle
+        # call starts from the last one's optimum; at N = 2000 some margin
+        # and tie-break LPs still exceed the threshold.
+        "rand_d2_generated": (simulate(RAND, 2000, 1, seed=5), 2),
     }[case]
     lps = record_lps(lambda: solve_gamma(obs, d))
     for lp in lps:

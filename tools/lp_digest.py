@@ -9,9 +9,11 @@ It wraps `jsrcert.lmi._run_highs`, through which every HiGHS solve goes,
 cold or on a cut loop's added rows (in a checkout without it, every solve
 goes through `jsrcert.lmi.linprog`, which it wraps instead).  After each
 solve it reads back the model `jsrcert.lmi._HIGHS` holds.  For each item it
-prints the solve count, the total `A_ub` rows (rows without a lower bound)
-of those solves, how many of the solves were made inside
-`jsrcert.lmi._balanced_witness` (`witness=`), a sha256 over every solve's
+prints the solve count, the most solves made in one `jsrcert.lmi._cut_loop`
+call (`max_loop=`, to read against `_MAX_CUT_ROUNDS`), the total `A_ub`
+rows (rows without a lower bound) of those solves, how many of the solves
+were made inside `jsrcert.lmi._balanced_witness` (`witness=`), a sha256 over
+every solve's
 costs, column bounds, row bounds, constraint matrix, status and x in call
 order, and the item's outputs:
 
@@ -19,6 +21,8 @@ order, and the item's outputs:
   workload classes (simulate, save, load), with a sha256 over the loaded
   `X0` and `XL` bytes and one over the returned shape's packed `P`, taken
   from a pass-through around `jsrcert.cli.solve_gamma`;
+* `certify_run` on the `rand2x2m3-d2-n1000` sample drawn from trajectory
+  seeds 2-6 (the bench fixes it at seed 1), with gamma*;
 * the three sweeps of `sweep-parrilo-small` at seed 1 (master seeds 3, 4,
   5), with each CSV's sha256 and a sha256 over every cell's `X0` and `XL`
   bytes in call order, taken from a pass-through around
@@ -61,6 +65,16 @@ class LPDigest:
 
     def install(self):
         setattr(jsrcert.lmi, self.name, self)
+        cut_loop = jsrcert.lmi._cut_loop
+
+        def counting(*args, **kwargs):  # cut loops never nest
+            first = self.count
+            try:
+                return cut_loop(*args, **kwargs)
+            finally:
+                self.max_loop = max(self.max_loop, self.count - first)
+
+        jsrcert.lmi._cut_loop = counting
         balanced = jsrcert.lmi._balanced_witness
 
         def balancing(*args, **kwargs):
@@ -74,6 +88,7 @@ class LPDigest:
 
     def reset(self):
         self.count = 0
+        self.max_loop = 0
         self.rows = 0
         self.witness = 0
         self.sha = hashlib.sha256()
@@ -109,7 +124,8 @@ class LPDigest:
         return res
 
     def line(self, name: str, outputs: str) -> str:
-        line = (f"{name} lps={self.count} rows={self.rows} witness={self.witness} "
+        line = (f"{name} lps={self.count} max_loop={self.max_loop} rows={self.rows} "
+                f"witness={self.witness} "
                 f"sha256={self.sha.hexdigest()} {outputs}")
         self.reset()
         return line
@@ -149,6 +165,14 @@ def main() -> None:
             print(digest.line(name, f"bound={report.jsr_upper_bound!r} "
                               f"gamma_star={report.gamma_star!r} kappa={report.kappa!r} "
                               f"sample_sha256={sample} P_sha256={shape}"), flush=True)
+        work = WORKLOADS["rand2x2m3-d2-n1000"]
+        for seed in range(2, 7):
+            work.trajectory_seed = seed
+            work.setup(Path(tmp), seed=1, tiny=False)
+            report, _ = work.op(0)
+            print(digest.line(f"rand2x2m3-traj{seed}", f"gamma_star={report.gamma_star!r}"),
+                  flush=True)
+        work.trajectory_seed = 1
         sweep = WORKLOADS["sweep-parrilo-small"]
         sweep.setup(Path(tmp), seed=1, tiny=False)
         for i, config in enumerate(sweep.configs):
