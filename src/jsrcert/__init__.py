@@ -9,7 +9,6 @@ from .bounds import CertificateReport, bound_B, combine_bound, f_correction, jsr
 from .caps import (
     CapParams,
     ConfidenceBudget,
-    beta_from_eps,
     cap_params,
     delta_cap,
     eps_cover,
@@ -32,7 +31,6 @@ from .lift import (
     SymMatrix,
     d_lift_matrix,
     d_lift_vector,
-    ellipsoidal_norm,
     kron_power,
     lift_coefficient_matrix,
     lift_dimension,
@@ -41,9 +39,7 @@ from .lift import (
 )
 from .oracles import (
     ProductEnumeration,
-    cap_measure_mc,
     enumerate_products,
-    exact_B,
     jsr_lower_bound,
     support_constraints,
     whitebox_gamma,
@@ -52,7 +48,6 @@ from .sampling import (
     ModeSet,
     ObservationSet,
     TrajectoryFormatError,
-    cap_membership,
     load_modes,
     load_observations,
     sample_mode_sequence,

@@ -4,12 +4,11 @@ A spherical cap of uniform measure eps on the unit sphere in R^n has the form
 {x : c.x > delta(eps)} where delta is expressed through the inverse of the
 regularized incomplete beta function.  This module implements that special
 function pair from scratch (continued fraction forward, bracketed Newton
-inverse), the cap threshold delta(eps), and the conversions between
-confidence levels and cap measures used by the certification bounds.
+inverse), the cap threshold delta(eps), and the cap measures that the
+certification bounds draw from their confidence levels.
 
-Conventions: delta(eps) = 0 for eps >= 1/2 (the cap is at least a
-hemisphere), and confidence values that would come out negative are clamped
-to 0 and flagged as vacuous.
+Convention: delta(eps) = 0 for eps >= 1/2 (the cap is at least a
+hemisphere).
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ __all__ = [
     "delta_cap",
     "cap_params",
     "eps_cover",
-    "beta_from_eps",
     "eps_one",
     "min_samples_finite",
 ]
@@ -258,25 +256,19 @@ def _ml_float(m: int, l: int) -> float:
 def eps_cover(beta: float, ml: float, d1: int, N: int) -> float:
     """Cap measure for which the covering event has probability >= beta.
 
-    Inverts beta_from_eps: eps = m^l (1 - ((1-beta)/(d1+1))^(1/N)) where d1
-    is the number of free variables of the shape matrix (n(n+1)/2 in the
-    quadratic case, D(D+1)/2 in the lifted case).
+    The covering event: the sampled optimum violates its constraint on a
+    set of (initial state, length-l product) pairs of measure at most eps,
+    each product carrying the uniform sphere measure.  Its probability is
+    at least 1 - (d1+1)(1 - eps/m^l)^N; setting that to beta gives
+    eps = m^l (1 - ((1-beta)/(d1+1))^(1/N)), where d1 is the number of free
+    variables of the shape matrix (n(n+1)/2 in the quadratic case,
+    D(D+1)/2 in the lifted case).
     """
     if d1 < 1:
         raise ValueError(f"d1 must be >= 1, got {d1}")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     return ml * (1.0 - ((1.0 - beta) / (d1 + 1)) ** (1.0 / N))
-
-
-def beta_from_eps(eps: float, ml: float, d1: int, N: int) -> float:
-    """Confidence of the covering event for cap measure eps.
-
-    1 - (d1+1)(1 - eps/m^l)^N, clamped below at 0 where the bound is vacuous.
-    """
-    if eps > ml:
-        raise ValueError(f"eps must not exceed m^l = {ml}, got {eps}")
-    return max(0.0, 1.0 - (d1 + 1) * (1.0 - eps / ml) ** N)
 
 
 def eps_one(beta1: float, m: int, l: int, N: int) -> float:

@@ -33,7 +33,6 @@ __all__ = [
     "lift_coefficient_matrix",
     "kron_power",
     "matrix_metrics",
-    "ellipsoidal_norm",
 ]
 
 
@@ -248,32 +247,14 @@ class MatrixMetrics:
     lambda_min: float
     lambda_max: float
     kappa: float
-    spectral_norm: float
 
 
 def matrix_metrics(P) -> MatrixMetrics:
-    """Eigenvalue extremes, condition number sqrt(lmax/lmin), spectral norm.
+    """Eigenvalue extremes and condition number sqrt(lmax/lmin).
 
     kappa is reported as +inf when the matrix is not positive definite.
     """
     eigs = np.linalg.eigvalsh(_checked_symmetric(P, "matrix_metrics"))
     lmin, lmax = float(eigs[0]), float(eigs[-1])
     kappa = math.sqrt(lmax / lmin) if lmin > 0 else math.inf
-    return MatrixMetrics(
-        lambda_min=lmin,
-        lambda_max=lmax,
-        kappa=kappa,
-        spectral_norm=float(np.abs(eigs).max()),
-    )
-
-
-def ellipsoidal_norm(P, x) -> float:
-    """sqrt(x^T P x) for positive semidefinite P."""
-    M = P.full() if isinstance(P, SymMatrix) else np.asarray(P, dtype=float)
-    x = np.asarray(x, dtype=float)
-    q = float(x @ M @ x)
-    if q < 0.0:
-        if q < -1e-12:
-            raise ValueError(f"quadratic form is negative ({q:.3e}); P is not PSD")
-        q = 0.0
-    return math.sqrt(q)
+    return MatrixMetrics(lambda_min=lmin, lambda_max=lmax, kappa=kappa)

@@ -100,7 +100,6 @@ __all__ = [
     "SolverStallError",
     "MarginResult",
     "quad_form_rows",
-    "unpack_sym",
     "seed_cut_directions",
     "max_margin_feasibility",
     "feasibility_witness",

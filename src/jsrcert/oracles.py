@@ -1,12 +1,12 @@
 """White-box ground-truth computations for validation and experiments.
 
 Everything here assumes full knowledge of the mode matrices and exists to
-check the black-box certifier from the outside: exact worst product norms,
+check the black-box certifier from the outside: mode products,
 spectral-radius lower bounds on the joint spectral radius, a dense-grid
-version of the decrease-rate program, greedy extraction of an irreducible
-support set (at most D(D+1)/2 + 1 observations, by Helly's theorem), and a
-Monte-Carlo check of the cap measure.  The decrease rates here come from the
-certifier's bisection alone: they need gamma*, not a tie-broken shape.
+version of the decrease-rate program, and greedy extraction of an
+irreducible support set (at most D(D+1)/2 + 1 observations, by Helly's
+theorem).  The decrease rates here come from the certifier's bisection
+alone: they need gamma*, not a tie-broken shape.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caps import delta_cap
 from .certifier import SolveOptions, _bisect_gamma, _PairCache
 from .lmi import max_margin_feasibility
 from .sampling import ModeSet, ObservationSet
@@ -26,11 +25,9 @@ __all__ = [
     "WhiteboxResult",
     "SupportResult",
     "enumerate_products",
-    "exact_B",
     "jsr_lower_bound",
     "whitebox_gamma",
     "support_constraints",
-    "cap_measure_mc",
 ]
 
 _ENUMERATION_CAP = 10**6
@@ -59,12 +56,6 @@ def enumerate_products(modes: ModeSet, l: int) -> ProductEnumeration:
         sequences.append(seq)
         matrices.append(prod)
     return ProductEnumeration(l=l, sequences=tuple(sequences), matrices=tuple(matrices))
-
-
-def exact_B(modes: ModeSet, l: int) -> float:
-    """Largest spectral norm over all length-l mode products."""
-    products = enumerate_products(modes, l)
-    return max(float(np.linalg.norm(A, 2)) for A in products.matrices)
 
 
 def jsr_lower_bound(modes: ModeSet, k_max: int) -> float:
@@ -168,14 +159,3 @@ def support_constraints(
             keep = trial
     gamma, _ = _bisect_gamma(_PairCache(obs.subset(keep), d), opts)
     return SupportResult(indices=tuple(keep), gamma=gamma)
-
-
-def cap_measure_mc(c, eps: float, samples: int, rng: np.random.Generator) -> float:
-    """Monte-Carlo estimate of the uniform measure of the cap C(c, eps)."""
-    c = np.asarray(c, dtype=float)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    threshold = delta_cap(eps, c.size)
-    G = rng.standard_normal((samples, c.size))
-    X = G / np.linalg.norm(G, axis=1, keepdims=True)
-    return float(np.count_nonzero(X @ c > threshold)) / samples

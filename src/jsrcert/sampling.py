@@ -20,8 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .caps import delta_cap
-
 __all__ = [
     "ModeSet",
     "ObservationSet",
@@ -34,7 +32,6 @@ __all__ = [
     "simulate",
     "save_observations",
     "load_observations",
-    "cap_membership",
 ]
 
 # Counter-based generator: trajectory i draws from the Philox stream with
@@ -296,10 +293,3 @@ def load_observations(path) -> ObservationSet:
     X0[off] /= norms[off, None]
     XL[off] /= norms[off, None]
     return ObservationSet(l, X0, XL, provenance={"source": str(path)})
-
-
-def cap_membership(c, eps: float, x) -> bool:
-    """Whether x lies in the spherical cap of direction c and measure eps."""
-    c = np.asarray(c, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return float(c @ x) > delta_cap(eps, c.size)

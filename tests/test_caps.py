@@ -5,7 +5,6 @@ import pytest
 
 from jsrcert.caps import (
     ConfidenceBudget,
-    beta_from_eps,
     cap_params,
     delta_cap,
     eps_cover,
@@ -14,6 +13,7 @@ from jsrcert.caps import (
     min_samples_finite,
     reg_inc_beta,
 )
+from jsrcert.sampling import sample_unit_sphere
 
 
 class TestRegIncBeta:
@@ -114,6 +114,20 @@ class TestDeltaCap:
         assert not q.delta_zero
         assert q.Delta == pytest.approx(math.sqrt(2 - 2 * 0.8), abs=1e-10)
 
+    def test_monte_carlo_measure(self):
+        # The fraction of uniform samples inside C(c, eps) estimates eps; a
+        # cap of measure eps >= 1/2 is the open hemisphere, of measure 1/2.
+        rng = np.random.default_rng(2024)
+        total = 100_000
+        cases = [(n, eps) for n in (2, 3, 4) for eps in (0.05, 0.1, 0.25)]
+        for n, eps in cases + [(4, 0.01), (3, 0.7)]:
+            c = sample_unit_sphere(n, rng)
+            G = rng.standard_normal((total, n))
+            X = G / np.linalg.norm(G, axis=1, keepdims=True)
+            frac = np.mean(X @ c > delta_cap(eps, n))
+            p = min(eps, 0.5)
+            assert abs(frac - p) <= 4.0 * math.sqrt(p * (1 - p) / total)
+
 
 class TestEpsCover:
     def test_reference_value(self):
@@ -141,25 +155,6 @@ class TestEpsCover:
         assert all(a > b for a, b in zip(vals_N, vals_N[1:]))
         vals_ml = [eps_cover(0.95, ml, 3, 100) for ml in (1.0, 2.0, 8.0, 125.0)]
         assert all(a < b for a, b in zip(vals_ml, vals_ml[1:]))
-
-
-class TestBetaFromEps:
-    def test_full_measure_gives_certainty(self):
-        assert beta_from_eps(2.0, 2.0, 3, 10) == 1.0
-
-    def test_reference_value(self):
-        assert beta_from_eps(0.5, 2.0, 3, 10) == pytest.approx(0.7747459411621094, rel=1e-12)
-
-    def test_roundtrip_with_eps_cover(self):
-        eps = eps_cover(0.95, 2.0, 3, 1000)
-        assert beta_from_eps(eps, 2.0, 3, 1000) == pytest.approx(0.95, abs=1e-9)
-
-    def test_clamped_at_zero(self):
-        assert beta_from_eps(1e-6, 2.0, 3, 1) == 0.0
-
-    def test_rejects_eps_above_ml(self):
-        with pytest.raises(ValueError):
-            beta_from_eps(2.5, 2.0, 3, 10)
 
 
 class TestEpsOne:

@@ -7,7 +7,6 @@ from jsrcert.lift import (
     SymMatrix,
     d_lift_matrix,
     d_lift_vector,
-    ellipsoidal_norm,
     kron_power,
     lift_batch,
     lift_coefficient_matrix,
@@ -178,34 +177,10 @@ class TestMatrixMetrics:
     def test_indefinite_reports_infinite_kappa(self):
         m = matrix_metrics(np.diag([-1.0, 2.0]))
         assert math.isinf(m.kappa)
-        assert m.spectral_norm == pytest.approx(2.0)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             matrix_metrics(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-class TestEllipsoidalNorm:
-    def test_euclidean(self):
-        assert ellipsoidal_norm(np.eye(2), [3.0, 4.0]) == pytest.approx(5.0)
-
-    def test_diagonal_weights(self):
-        assert ellipsoidal_norm(np.diag([4.0, 1.0]), [1.0, 1.0]) == pytest.approx(math.sqrt(5.0))
-
-    def test_zero_vector(self):
-        assert ellipsoidal_norm(np.diag([4.0, 1.0]), [0.0, 0.0]) == 0.0
-
-    def test_matches_cholesky_factor(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            L = rng.standard_normal((3, 3)) + 3 * np.eye(3)
-            P = L.T @ L
-            x = rng.standard_normal(3)
-            assert ellipsoidal_norm(P, x) == pytest.approx(np.linalg.norm(L @ x), rel=1e-9)
-
-    def test_negative_form_rejected(self):
-        with pytest.raises(ValueError):
-            ellipsoidal_norm(np.diag([-1.0, 1.0]), [1.0, 0.0])
 
 
 class TestSymMatrix:
