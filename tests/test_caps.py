@@ -13,7 +13,6 @@ from jsrcert.caps import (
     min_samples_finite,
     reg_inc_beta,
 )
-from jsrcert.sampling import sample_unit_sphere
 
 
 class TestRegIncBeta:
@@ -113,20 +112,6 @@ class TestDeltaCap:
         q = cap_params(0.1, 3)
         assert not q.delta_zero
         assert q.Delta == pytest.approx(math.sqrt(2 - 2 * 0.8), abs=1e-10)
-
-    def test_monte_carlo_measure(self):
-        # The fraction of uniform samples inside C(c, eps) estimates eps; a
-        # cap of measure eps >= 1/2 is the open hemisphere, of measure 1/2.
-        rng = np.random.default_rng(2024)
-        total = 100_000
-        cases = [(n, eps) for n in (2, 3, 4) for eps in (0.05, 0.1, 0.25)]
-        for n, eps in cases + [(4, 0.01), (3, 0.7)]:
-            c = sample_unit_sphere(n, rng)
-            G = rng.standard_normal((total, n))
-            X = G / np.linalg.norm(G, axis=1, keepdims=True)
-            frac = np.mean(X @ c > delta_cap(eps, n))
-            p = min(eps, 0.5)
-            assert abs(frac - p) <= 4.0 * math.sqrt(p * (1 - p) / total)
 
 
 class TestEpsCover:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jsrcert import oracles
+from jsrcert.caps import delta_cap
 from jsrcert.certifier import SolveOptions, _bisect_gamma, _PairCache, solve_gamma
 from jsrcert.lmi import max_margin_feasibility
 from jsrcert.oracles import (
@@ -20,6 +21,15 @@ SQRT2 = math.sqrt(2.0)
 def exact_B(modes: ModeSet, l: int) -> float:
     """Largest spectral norm over all length-l mode products."""
     return max(float(np.linalg.norm(A, 2)) for A in enumerate_products(modes, l).matrices)
+
+
+def cap_measure_mc(c, eps: float, samples: int, rng: np.random.Generator) -> float:
+    """Monte-Carlo estimate of the uniform measure of the cap C(c, eps)."""
+    c = np.asarray(c, dtype=float)
+    threshold = delta_cap(eps, c.size)
+    G = rng.standard_normal((samples, c.size))
+    X = G / np.linalg.norm(G, axis=1, keepdims=True)
+    return float(np.count_nonzero(X @ c > threshold)) / samples
 
 
 class TestProductEnumeration:
@@ -172,3 +182,20 @@ class TestSupportConstraints:
         for i in res.indices:
             rest = [j for j in res.indices if j != i]
             assert max_margin_feasibility(rows[rest], D, opts.c_bound, cache.dirs).feasible
+
+
+class TestCapMeasureMC:
+    def test_quarter_cap(self):
+        rng = np.random.default_rng(55)
+        frac = cap_measure_mc(np.array([1.0, 0.0]), 0.25, 100_000, rng)
+        assert abs(frac - 0.25) <= 0.006
+
+    def test_hemisphere_regime(self):
+        rng = np.random.default_rng(56)
+        frac = cap_measure_mc(np.array([0.0, 1.0, 0.0]), 0.7, 100_000, rng)
+        assert abs(frac - 0.5) <= 0.007
+
+    def test_small_cap_small_measure(self):
+        rng = np.random.default_rng(57)
+        frac = cap_measure_mc(np.array([1.0, 0.0, 0.0, 0.0]), 0.01, 100_000, rng)
+        assert frac <= 0.015

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from jsrcert.caps import delta_cap
 from jsrcert.sampling import (
     ModeSet,
     ObservationSet,
@@ -486,3 +487,17 @@ class TestModeSetIO:
             ModeSet((np.array([[1.0, 2.0]]),))
         with pytest.raises(ValueError):
             ModeSet((np.array([[np.nan, 0.0], [0.0, 1.0]]),))
+
+
+class TestCapMembership:
+    def test_monte_carlo_measure(self):
+        # The fraction of uniform samples inside C(c, eps) estimates eps.
+        rng = np.random.default_rng(2024)
+        total = 100_000
+        for n in (2, 3, 4):
+            for eps in (0.05, 0.1, 0.25):
+                c = sample_unit_sphere(n, rng)
+                G = rng.standard_normal((total, n))
+                X = G / np.linalg.norm(G, axis=1, keepdims=True)
+                frac = np.mean(X @ c > delta_cap(eps, n))
+                assert abs(frac - eps) <= 4.0 * math.sqrt(eps * (1 - eps) / total)
