@@ -16,7 +16,8 @@ Given observed endpoint pairs (x0, xl), three quantities are computed:
   overflow at huge l, the bisection witness at gamma* is kept.
 
 `solve_gamma` always applies the tie-break; the white-box oracles, which
-need only gamma*, run `_bisect_gamma` on a `_PairCache` of their own.  The
+need only gamma*, run `_bisect_gamma` on a `_PairCache` of their own and
+on the verdicts alone, with no witness.  The
 bisection and the tie-break of one certificate share a `_PairCache`: the
 lifted rows and the semidefiniteness cuts learned so far, which stay valid
 for every gamma.  Degree d = 1 is the common-quadratic case; higher d
@@ -145,36 +146,45 @@ def solve_lambda(obs: ObservationSet) -> float:
     return float(np.max(np.linalg.norm(XL, axis=1)))
 
 
-def _bisect_gamma(cache: _PairCache, opts: SolveOptions) -> tuple[float, np.ndarray]:
+def _bisect_gamma(
+    cache: _PairCache, opts: SolveOptions, witness: bool = True
+) -> tuple[float, np.ndarray | None]:
+    """gamma* and a witness P there, by bisection on the oracle's verdicts.
+
+    A feasible step counts only once `lmi.feasibility_witness` has built its
+    P.  With `witness=False`, for callers that keep only gamma*, the verdict
+    alone counts, no witness is built and None comes back in its place.
+    """
     lam = cache.lambda_star
     D = cache.dim
     if lam == 0.0:
-        return 0.0, np.eye(D)
+        return 0.0, np.eye(D) if witness else None
     hi = lam ** (1.0 / cache.l)
     lo = 0.0
-    witness = np.eye(D)  # feasible at hi: ||xl||^2d <= lambda*^2d for all rows
+    best = np.eye(D) if witness else None  # feasible at hi: ||xl||^2d <= lambda*^2d
     start = None  # the P of the latest oracle result with one, where row generation starts
     for _ in range(300):
         mid = 0.5 * (lo + hi)
         # At double resolution mid equals an end; solving it again moves nothing.
         if hi - lo <= opts.bisection_rel_tol * max(hi, 1e-12) or not lo < mid < hi:
             break
-        P = None  # undecided or no witness: not proven feasible, the stored witness stays
+        feasible, P = False, None  # undecided or no witness: not proven feasible
         try:
             rows = cache.rows(mid)
             result = lmi.max_margin_feasibility(rows, D, opts.c_bound, cache.dirs, start)
             if result.P is not None:  # None when the oracle stopped early
                 start = result.P
-            if result.feasible:
+            if result.feasible and witness:
                 P = lmi.feasibility_witness(rows, D, result, cache.dirs)
+            feasible = result.feasible and (P is not None or not witness)
         except SolverStallError as exc:
             warnings.warn(f"feasibility oracle undecided at gamma={mid:.6g}: {exc}",
                           RuntimeWarning, stacklevel=2)
-        if P is None:
-            lo = mid
+        if feasible:
+            hi, best = mid, P
         else:
-            hi, witness = mid, P
-    return hi, witness
+            lo = mid
+    return hi, best
 
 
 def _tie_break_cache(

@@ -115,7 +115,7 @@ def whitebox_gamma(
     X0 = np.vstack([X] * len(products.matrices))
     XL = np.vstack([X @ A.T for A in products.matrices])
     obs = ObservationSet(l, X0, XL)
-    gamma, _ = _bisect_gamma(_PairCache(obs, d), opts)
+    gamma, _ = _bisect_gamma(_PairCache(obs, d), opts, witness=False)
     return WhiteboxResult(gamma=gamma, grid_points=grid, surrogate=modes.n != 2)
 
 
@@ -143,7 +143,7 @@ def support_constraints(
     """
     opts = opts or SolveOptions()
     cache = _PairCache(obs, d)
-    gamma_full, _ = _bisect_gamma(cache, opts)
+    gamma_full, _ = _bisect_gamma(cache, opts, witness=False)
     tol = 10.0 * opts.bisection_rel_tol * max(gamma_full, 1e-12)
     if gamma_full <= 1e-12:
         return SupportResult(indices=(), gamma=0.0)
@@ -157,5 +157,5 @@ def support_constraints(
         # i.e. their own optimum cannot sit below it.
         if trial and not max_margin_feasibility(rows[trial], D, opts.c_bound, cache.dirs).feasible:
             keep = trial
-    gamma, _ = _bisect_gamma(_PairCache(obs.subset(keep), d), opts)
+    gamma, _ = _bisect_gamma(_PairCache(obs.subset(keep), d), opts, witness=False)
     return SupportResult(indices=tuple(keep), gamma=gamma)

@@ -178,39 +178,55 @@ def sample_mode_sequence(m: int, l: int, rng: np.random.Generator) -> np.ndarray
     return rng.integers(0, m, size=l)
 
 
-def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed, counter=index << 128))
-
-
 def simulate(modes: ModeSet, N: int, l: int, seed: int) -> ObservationSet:
     """Sample N length-l trajectories under uniform switching.
 
     Each trajectory starts at a uniform point of the unit sphere and applies
     l modes drawn uniformly at random; only the endpoints are kept.
-    Deterministic given (seed, modes, N, l).
+    Deterministic given (seed, modes, N, l): trajectory i draws from
+    ``Philox(key=seed, counter=i << 128)``.
     """
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or not 0 <= seed < 1 << 128):
+        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+    seed = int(seed)
     if N < 1 or l < 1:
         raise ValueError(f"need N >= 1 and l >= 1, got N={N}, l={l}")
     X0 = np.empty((N, modes.n))
     XL = np.empty((N, modes.n))
+    # A counter-based stream is its key and counter: one generator, moved to
+    # counter block i with an empty buffer, draws trajectory i's bits.
+    bits = np.random.Philox(key=seed)
+    rng = np.random.Generator(bits)
+    fresh = bits.state
     for i in range(N):
-        rng = _trajectory_rng(seed, i)
+        fresh["state"]["counter"][2] = i
+        bits.state = fresh
         x0 = x = sample_unit_sphere(modes.n, rng)
         for j in sample_mode_sequence(modes.m, l, rng):
             x = modes.matrices[j] @ x
         X0[i], XL[i] = x0, x
-    provenance = {"source": "simulate", "seed": int(seed), "rng": RNG_NAME, "N": N, "l": l}
+    provenance = {"source": "simulate", "seed": seed, "rng": RNG_NAME, "N": N, "l": l}
     return ObservationSet(l, X0, XL, provenance=provenance)
 
 
+_WRITE_BLOCK = 4096  # trajectories per write: bounded memory at any N
+
+
 def save_observations(obs: ObservationSet, path) -> None:
-    """Write endpoints as trajectory CSV (steps 0 and l, 17+ digit decimals)."""
+    """Write endpoints as trajectory CSV (steps 0 and l, 17+ digit decimals).
+
+    The bytes are those of `csv.writer`: CRLF line ends and the repr of
+    each float.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["traj_id", "step"] + [f"x{i+1}" for i in range(obs.n)])
-        for tid, (x0, xl) in enumerate(zip(obs.X0, obs.XL)):
-            writer.writerow([tid, 0] + [repr(float(v)) for v in x0])
-            writer.writerow([tid, obs.l] + [repr(float(v)) for v in xl])
+        fh.write(",".join(["traj_id", "step"] + [f"x{i+1}" for i in range(obs.n)]) + "\r\n")
+        for lo in range(0, obs.N, _WRITE_BLOCK):
+            X0 = obs.X0[lo:lo + _WRITE_BLOCK].tolist()
+            XL = obs.XL[lo:lo + _WRITE_BLOCK].tolist()
+            fh.write("".join(
+                f"{tid},0,{','.join(map(repr, x0))}\r\n{tid},{obs.l},{','.join(map(repr, xl))}\r\n"
+                for tid, (x0, xl) in enumerate(zip(X0, XL), lo)))
 
 
 def _int_column(fields) -> np.ndarray:

@@ -442,6 +442,16 @@ class TestSimulateCommand:
         assert lines[0] == "traj_id,step,x1,x2"
         assert len(lines) == 1 + 25 * 2
 
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 128)])
+    def test_seed_outside_philox_keys_exits_2(self, tmp_path, modes_file, capsys, seed):
+        traj = tmp_path / "out.csv"
+        rc = main(["simulate", "--modes", modes_file, "--n-traj", "5", "--seed", seed,
+                   "--out", str(traj)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: seed must be an integer in [0, 2**128), got {seed}\n")
+        assert not traj.exists()
+
 
 def test_module_entry_point_warns_nothing():
     # `python -m jsrcert.cli` warns when importing the package already imported jsrcert.cli.

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jsrcert import oracles
+from jsrcert import lmi, oracles
 from jsrcert.caps import delta_cap
 from jsrcert.certifier import SolveOptions, _bisect_gamma, _PairCache, solve_gamma
 from jsrcert.lmi import max_margin_feasibility
@@ -159,6 +159,20 @@ class TestSupportConstraints:
         assert n_first > 0
         assert all(dirs is first for dirs, _ in seen)
 
+    def test_bisects_on_verdicts_alone(self, parrilo, monkeypatch):
+        # The white-box oracles keep only gamma, so they build no witness; on
+        # this sample the verdicts alone stop where certify's bisection does.
+        obs = simulate(parrilo, 10, 1, seed=0)
+        gamma_star, _ = solve_gamma(obs, 1)
+
+        def refuse(*args):
+            raise AssertionError("a witness was built")
+
+        monkeypatch.setattr(lmi, "feasibility_witness", refuse)
+        support_constraints(obs, 1)
+        whitebox_gamma(parrilo, 1, 1, grid=90)
+        assert _bisect_gamma(_PairCache(obs, 1), SolveOptions(), witness=False) == (gamma_star, None)
+
     def test_greedy_mode_matches(self, parrilo):
         opts = SolveOptions()
         obs = simulate(parrilo, 30, 1, seed=9)
@@ -174,7 +188,7 @@ class TestSupportConstraints:
         obs = simulate(parrilo, N, 1, seed=4)
         res = support_constraints(obs, d, opts)
         cache = _PairCache(obs, d)
-        gamma_full, _ = _bisect_gamma(cache, opts)
+        gamma_full, _ = _bisect_gamma(cache, opts, witness=False)
         tol = 10.0 * opts.bisection_rel_tol * max(gamma_full, 1e-12)
         D = cache.dim
         assert 1 <= len(res.indices) <= D * (D + 1) // 2 + 1

@@ -1,8 +1,11 @@
+import csv
 import dataclasses
+import io
 import math
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from jsrcert import sampling
 from jsrcert.caps import delta_cap
 from jsrcert.sampling import (
     ModeSet,
@@ -23,7 +27,6 @@ from jsrcert.sampling import (
     save_observations,
     simulate,
 )
-from jsrcert.sampling import _trajectory_rng
 
 
 class TestSphereSampling:
@@ -77,16 +80,19 @@ class TestSimulate:
         assert np.allclose(A1 @ np.array([1.0, 0.0]), [1.0, 1.0])
 
     def test_endpoints_consistent_with_hidden_modes(self, parrilo):
-        # Trajectory i draws x0, then its switching, from its own stream:
-        # redrawing them replays the simulator bit for bit.
-        obs = simulate(parrilo, 40, 3, seed=9)
-        for i, (x0, xl) in enumerate(zip(obs.X0, obs.XL)):
-            rng = _trajectory_rng(9, i)
-            x = sample_unit_sphere(parrilo.n, rng)
-            assert x.tobytes() == x0.tobytes()
-            for j in sample_mode_sequence(parrilo.m, 3, rng):
-                x = parrilo.matrices[j] @ x
-            assert x.tobytes() == xl.tobytes()
+        # The stream definition, built independently for every trajectory:
+        # i draws x0, then its switching, from Philox(key=seed, counter=i << 128).
+        for modes, N, l, seed in [(parrilo, 3000, 1, 1), (THREE_MODES, 500, 4, (1 << 70) + 11)]:
+            obs = simulate(modes, N, l, seed)
+            X0, XL = np.empty((N, modes.n)), np.empty((N, modes.n))
+            for i in range(N):
+                rng = np.random.Generator(np.random.Philox(key=seed, counter=i << 128))
+                x = X0[i] = sample_unit_sphere(modes.n, rng)
+                for j in sample_mode_sequence(modes.m, l, rng):
+                    x = modes.matrices[j] @ x
+                XL[i] = x
+            assert obs.X0.tobytes() == X0.tobytes()
+            assert obs.XL.tobytes() == XL.tobytes()
 
     def test_deterministic_given_seed(self, parrilo):
         a = simulate(parrilo, 25, 2, seed=77)
@@ -108,6 +114,22 @@ class TestSimulate:
         assert obs.provenance["seed"] == 11
         assert obs.provenance["rng"] == "philox-counter"
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 128, 1.5, 1.0, True, "1", None, np.float64(2.0)])
+    def test_rejects_seed_outside_philox_keys(self, parrilo, seed):
+        with pytest.raises(ValueError, match=re.escape(
+                f"seed must be an integer in [0, 2**128), got {seed!r}")):
+            simulate(parrilo, 3, 1, seed)
+
+    @pytest.mark.parametrize("seed", [np.uint64(7), np.int32(7)])
+    def test_numpy_integer_seed_is_its_value(self, parrilo, seed):
+        obs, ref = simulate(parrilo, 4, 2, seed), simulate(parrilo, 4, 2, 7)
+        assert obs.X0.tobytes() == ref.X0.tobytes() and obs.XL.tobytes() == ref.XL.tobytes()
+        assert type(obs.provenance["seed"]) is int
+
+    def test_largest_seed_accepted(self, parrilo):
+        obs = simulate(parrilo, 2, 1, (1 << 128) - 1)
+        assert obs.provenance["seed"] == (1 << 128) - 1
+
     def test_arrays_read_only(self, parrilo):
         obs = simulate(parrilo, 4, 1, seed=2)
         X0, XL = obs.endpoints()
@@ -115,6 +137,9 @@ class TestSimulate:
             X0[0, 0] = 0.0
         with pytest.raises(ValueError):
             XL[0, 0] = 0.0
+
+
+THREE_MODES = ModeSet(tuple(np.random.default_rng(5).standard_normal((3, 3, 3))))
 
 
 def unit_rows(N: int) -> np.ndarray:
@@ -444,6 +469,60 @@ class TestTrajectoryFileProperties:
             named = "|".join(re.escape(f"{path}:{k}: ") for k in (upper, lower))
             with pytest.raises(TrajectoryFormatError, match=named):
                 load_observations(path)
+
+
+def csv_writer_bytes(obs: ObservationSet) -> bytes:
+    """The trajectory file as `csv.writer` writes it: the reference spelling."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["traj_id", "step"] + [f"x{i+1}" for i in range(obs.n)])
+    for tid, (x0, xl) in enumerate(zip(obs.X0, obs.XL)):
+        writer.writerow([tid, 0] + [repr(float(v)) for v in x0])
+        writer.writerow([tid, obs.l] + [repr(float(v)) for v in xl])
+    return buf.getvalue().encode()
+
+
+edge_floats = st.one_of(
+    finite_floats,
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                     1e300, -1e300, 1.7976931348623157e308, 1e-300]),
+    st.floats(1e299, 1e301) | st.floats(-1e301, -1e299),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+)
+
+
+@st.composite
+def edge_sets(draw):
+    n = draw(st.integers(1, 3))
+    N = draw(st.integers(1, 9))
+    X0 = np.zeros((N, n))
+    X0[np.arange(N), draw(arrays(np.intp, N, elements=st.integers(0, n - 1)))] = draw(
+        arrays(float, N, elements=st.sampled_from([1.0, -1.0])))
+    XL = draw(arrays(float, (N, n), elements=edge_floats))
+    return ObservationSet(draw(st.integers(1, 5)), X0, XL)
+
+
+class TestWriterBytes:
+    @settings(max_examples=80, deadline=None)
+    @given(obs=st.one_of(unit_norm_sets(), edge_sets()), block=st.integers(1, 4))
+    def test_matches_csv_writer(self, obs, block):
+        # A small write block makes every N past it span several blocks.
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(sampling, "_WRITE_BLOCK", block):
+            path = Path(tmp) / "t.csv"
+            save_observations(obs, path)
+            assert path.read_bytes() == csv_writer_bytes(obs)
+
+    def test_matches_csv_writer_across_real_blocks(self):
+        N = 2 * sampling._WRITE_BLOCK + 3
+        rng = np.random.default_rng(8)
+        G = rng.standard_normal((N, 2))
+        XL = rng.standard_normal((N, 2)) * np.exp(rng.uniform(-700, 700, (N, 2)))
+        XL[:4] = [[-0.0, 5e-324], [1e300, -1e-310], [0.0, -1e300], [1.5, -0.0]]
+        obs = ObservationSet(3, G / np.linalg.norm(G, axis=1, keepdims=True), XL)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            save_observations(obs, path)
+            assert path.read_bytes() == csv_writer_bytes(obs)
 
 
 class TestModeSetIO:

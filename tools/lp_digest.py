@@ -19,8 +19,10 @@ order, and the item's outputs:
 
 * `certify_run` on the bench's two seed-1 samples, built by the bench's own
   workload classes (simulate, save, load), with a sha256 over the loaded
-  `X0` and `XL` bytes and one over the returned shape's packed `P`, taken
-  from a pass-through around `jsrcert.cli.solve_gamma`;
+  `X0` and `XL` bytes, one over the bytes of the trajectory file the
+  workload wrote (a change in how a number is spelled shows there even when
+  it parses to the same double), and one over the returned shape's packed
+  `P`, taken from a pass-through around `jsrcert.cli.solve_gamma`;
 * `certify_run` on the `rand2x2m3-d2-n1000` sample drawn from trajectory
   seeds 2-6 (the bench fixes it at seed 1), with gamma*;
 * the three sweeps of `sweep-parrilo-small` at seed 1 (master seeds 3, 4,
@@ -160,11 +162,13 @@ def main() -> None:
             report, _ = work.op(0)
             obs = load_observations(work.path)
             sample = hashlib.sha256(obs.X0.tobytes() + obs.XL.tobytes()).hexdigest()
+            written = hashlib.sha256(work.path.read_bytes()).hexdigest()
             (cand,) = candidates
             shape = hashlib.sha256(cand.P.packed.tobytes()).hexdigest()
             print(digest.line(name, f"bound={report.jsr_upper_bound!r} "
                               f"gamma_star={report.gamma_star!r} kappa={report.kappa!r} "
-                              f"sample_sha256={sample} P_sha256={shape}"), flush=True)
+                              f"sample_sha256={sample} file_sha256={written} "
+                              f"P_sha256={shape}"), flush=True)
         work = WORKLOADS["rand2x2m3-d2-n1000"]
         for seed in range(2, 7):
             work.trajectory_seed = seed
