@@ -102,6 +102,9 @@ class SweepConfig:
             raise ValueError("degrees must be >= 1 and distinct")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def _cell_seed(master: int, N: int, run: int, degree: int) -> int:

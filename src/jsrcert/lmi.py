@@ -276,7 +276,9 @@ def _clean_rows(rows: np.ndarray) -> np.ndarray:
     if bad.size:  # a NaN row would fail `keep` and drop out unseen
         raise ValueError(f"constraint row {bad[0]}: its norm is not finite")
     keep = norms > 1e-300
-    rows = rows[keep] / norms[keep, None]
+    if not keep.all():  # no gather when no row is zero: the same divisions
+        rows, norms = rows[keep], norms[keep]
+    rows = rows / norms[:, None]
     if rows.shape[0] > 1:
         rows = np.round(rows, 12)
         lead = rows[np.argsort(rows[:, 0])]

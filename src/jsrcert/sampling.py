@@ -14,6 +14,7 @@ File formats:
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -238,26 +239,10 @@ def _int_column(fields) -> np.ndarray:
         return np.array(ints, dtype=object)
 
 
-def load_observations(path) -> ObservationSet:
-    """Read a trajectory CSV and reduce each trajectory to (x0, xl).
-
-    Initial states off the unit sphere are rescaled together with their
-    endpoint (the dynamics are homogeneous, so the rescaled pair is a valid
-    trajectory).  Intermediate steps are checked for finiteness and ignored.
-    All trajectories must share the same final step; zero initial states,
-    ragged rows and repeated (traj_id, step) rows are rejected with the
-    offending row identified.
-    """
-    path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 3 or header[:2] != ["traj_id", "step"]:
-            raise TrajectoryFormatError(f"{path}: expected header 'traj_id,step,x1,...,xn'")
-        n = len(header) - 2
-        if [h.strip() for h in header[2:]] != [f"x{i+1}" for i in range(n)]:
-            raise TrajectoryFormatError(f"{path}: state columns must be named x1..x{n}")
-        records = list(reader)
+def _csv_rows(text: str, path, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(tid, step, X) as csv, int and float parse the rows, for files numpy's reader
+    refuses (ids past int64, Python-only spellings, bad records: the first is named)."""
+    records = list(csv.reader(io.StringIO(text, newline="")))
     sizes = np.fromiter(map(len, records), dtype=np.intp, count=len(records))
     line = np.flatnonzero(sizes) + 2  # blank records hold no row but count as lines
     if not line.size:
@@ -277,17 +262,55 @@ def load_observations(path) -> ObservationSet:
                 list(map(int, row[:2])), list(map(float, row[2:]))
             except ValueError as exc:
                 raise TrajectoryFormatError(f"{path}:{lineno}: {exc}") from None
+    return tid, step, X
+
+
+def _record_lines(text: str) -> np.ndarray:
+    """The file line of each data row: blank records hold no row but count as lines."""
+    return np.flatnonzero([len(r) for r in csv.reader(io.StringIO(text, newline=""))]) + 2
+
+
+def load_observations(path) -> ObservationSet:
+    """Read a trajectory CSV and reduce each trajectory to (x0, xl).
+
+    Initial states off the unit sphere are rescaled together with their
+    endpoint (the dynamics are homogeneous, so the rescaled pair is a valid
+    trajectory).  Intermediate steps are checked for finiteness and ignored.
+    All trajectories must share the same final step; zero initial states,
+    ragged rows and repeated (traj_id, step) rows are rejected with the
+    offending row identified.
+    """
+    path = Path(path)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or len(header) < 3 or header[:2] != ["traj_id", "step"]:
+            raise TrajectoryFormatError(f"{path}: expected header 'traj_id,step,x1,...,xn'")
+        n = len(header) - 2
+        if [h.strip() for h in header[2:]] != [f"x{i+1}" for i in range(n)]:
+            raise TrajectoryFormatError(f"{path}: state columns must be named x1..x{n}")
+        text = fh.read()  # the data rows
+    try:  # numpy's C reader; it refuses every file that needs the csv path
+        if not text.strip():  # no rows, where numpy would only warn
+            raise ValueError
+        rows = np.loadtxt(io.StringIO(text), delimiter=",", quotechar='"', comments=None, ndmin=1,
+                          dtype=[("tid", np.int64), ("step", np.int64), ("x", float, (n,))])
+        tid, step, X = rows["tid"], rows["step"], rows["x"]
+    except ValueError:
+        tid, step, X = _csv_rows(text, path, n)
+    row = np.arange(tid.size)  # data row of each entry; its line is counted only to name it
 
     def reject(mask, message):
         bad = np.flatnonzero(mask)
         if bad.size:
             i = bad[0]
-            raise TrajectoryFormatError(message.format(path=path, tid=tid[i], step=step[i], line=line[i]))
+            line = _record_lines(text)[row[i]] if "{line}" in message else None
+            raise TrajectoryFormatError(message.format(path=path, tid=tid[i], step=step[i], line=line))
 
     reject(step < 0, "{path}:{line}: negative step {step}")
     reject(~np.isfinite(X).all(axis=1), "{path}:{line}: non-finite state")
     order = np.lexsort((step, tid))
-    tid, step, line, X = tid[order], step[order], line[order], X[order]
+    tid, step, row, X = tid[order], step[order], row[order], X[order]
     same = tid[1:] == tid[:-1]
     dup = np.r_[False, same & (step[1:] == step[:-1])]
     reject(dup, "{path}:{line}: duplicate row for trajectory {tid} step {step}")

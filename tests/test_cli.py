@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -367,6 +368,26 @@ class TestSweep:
         ])
         assert rc == 2
         assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-7), True, 2.0, "3"])
+    def test_seed_outside_non_negative_integers_rejected(self, modes_file, seed):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be a non-negative integer, got {seed!r}")):
+            self.make_config(modes_file, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, np.uint64(2**64 - 1), 2**200])
+    def test_seed_accepts_any_non_negative_integer(self, modes_file, seed):
+        assert self.make_config(modes_file, seed=seed).seed == seed
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_negative_seed_exits_2_naming_it(self, modes_file, tmp_path, capsys, jobs):
+        rc = main([
+            "sweep", "--modes", modes_file, "--n-traj", "30", "--runs", "1",
+            "--degree", "1", "--modes-upper", "2", "--seed", "-1", "--jobs", jobs,
+            "--out", str(tmp_path / "sweep.csv"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
         assert not (tmp_path / "sweep.csv").exists()
 
 

@@ -4,6 +4,7 @@ import io
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -469,6 +470,159 @@ class TestTrajectoryFileProperties:
             named = "|".join(re.escape(f"{path}:{k}: ") for k in (upper, lower))
             with pytest.raises(TrajectoryFormatError, match=named):
                 load_observations(path)
+
+
+def reference_int_column(fields) -> np.ndarray:
+    ints = list(map(int, fields))
+    try:
+        return np.array(ints, dtype=np.int64)
+    except OverflowError:
+        return np.array(ints, dtype=object)
+
+
+def reference_load_observations(path) -> ObservationSet:
+    """The trajectory reader on csv, `int` and `float` alone: the reference
+    for every array and message of `load_observations`."""
+    path = Path(path)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or len(header) < 3 or header[:2] != ["traj_id", "step"]:
+            raise TrajectoryFormatError(f"{path}: expected header 'traj_id,step,x1,...,xn'")
+        n = len(header) - 2
+        if [h.strip() for h in header[2:]] != [f"x{i+1}" for i in range(n)]:
+            raise TrajectoryFormatError(f"{path}: state columns must be named x1..x{n}")
+        records = list(reader)
+    sizes = np.fromiter(map(len, records), dtype=np.intp, count=len(records))
+    line = np.flatnonzero(sizes) + 2
+    if not line.size:
+        raise TrajectoryFormatError(f"{path}: no trajectory rows")
+    try:
+        if np.any(sizes[line - 2] != n + 2):
+            raise ValueError
+        cols = list(zip(*filter(None, records)))
+        tid, step = reference_int_column(cols[0]), reference_int_column(cols[1])
+        X = np.column_stack([np.fromiter(map(float, c), float, line.size) for c in cols[2:]])
+    except ValueError:
+        for lineno, row in enumerate(records, start=2):
+            if row and len(row) != n + 2:
+                raise TrajectoryFormatError(
+                    f"{path}:{lineno}: expected {n + 2} fields, got {len(row)}") from None
+            try:
+                list(map(int, row[:2])), list(map(float, row[2:]))
+            except ValueError as exc:
+                raise TrajectoryFormatError(f"{path}:{lineno}: {exc}") from None
+
+    def reject(mask, message):
+        bad = np.flatnonzero(mask)
+        if bad.size:
+            i = bad[0]
+            raise TrajectoryFormatError(message.format(path=path, tid=tid[i], step=step[i], line=line[i]))
+
+    reject(step < 0, "{path}:{line}: negative step {step}")
+    reject(~np.isfinite(X).all(axis=1), "{path}:{line}: non-finite state")
+    order = np.lexsort((step, tid))
+    tid, step, line, X = tid[order], step[order], line[order], X[order]
+    same = tid[1:] == tid[:-1]
+    dup = np.r_[False, same & (step[1:] == step[:-1])]
+    reject(dup, "{path}:{line}: duplicate row for trajectory {tid} step {step}")
+    first, last = np.r_[True, ~same], np.r_[~same, True]
+    lengths = sorted(set(step[last].tolist()))
+    if len(lengths) != 1:
+        raise TrajectoryFormatError(
+            f"{path}: trajectories have mixed lengths {lengths}; a single l is required"
+        )
+    l = lengths[0]
+    if l < 1:
+        raise TrajectoryFormatError(f"{path}: trajectories must have at least one step")
+    tid, step, X0, XL = tid[first], step[first], X[first], X[last]
+    reject(step != 0, "{path}: trajectory {tid} has no step-0 state")
+    norms = np.sqrt(np.vecdot(X0, X0))
+    reject(norms < 1e-12, "{path}: trajectory {tid} starts at the origin and cannot be normalized")
+    off = np.abs(norms - 1.0) > sampling._UNIT_NORM_TOL
+    X0[off] /= norms[off, None]
+    XL[off] /= norms[off, None]
+    return ObservationSet(l, X0, XL, provenance={"source": str(path)})
+
+
+def loaded(load, path):
+    """What a loader makes of a file: the sample's l, shapes and bytes, or its error message."""
+    try:
+        obs = load(path)
+    except TrajectoryFormatError as exc:
+        return str(exc)
+    return obs.l, obs.X0.shape, obs.X0.tobytes(), obs.XL.tobytes()
+
+
+# Field spellings csv and Python's int and float accept; numpy's reader takes
+# the first three, and "1_0", a "#" line, a whitespace-only line, a lone "\r"
+# line end and ids past int64 only through the csv path.
+FIELD_SPELLINGS = ["{}", " {} ", '"{}"', '" {}\t"']
+
+
+@st.composite
+def trajectory_files(draw):
+    """Bytes of a trajectory file in any spelling, with up to two corrupted rows."""
+    obs = draw(unit_norm_sets())
+    top = draw(st.sampled_from([2**63 - 1, 2**63 + 2, 2**70]))  # past int64 in most files
+    ids = draw(st.lists(st.integers(-2**63 - 1, top), min_size=obs.N, max_size=obs.N, unique=True))
+    lines = draw(st.permutations([
+        f"{tid},{step}," + ",".join(map(repr, x.tolist()))
+        for tid, x0, xl in zip(ids, obs.X0, obs.XL) for step, x in ((0, x0), (obs.l, xl))
+    ]))
+    kinds = ["short", "long", "nan", "negative step", "duplicate", "1_0"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=2)):
+        lines, _ = corrupt(lines, kind, draw(st.integers(0, len(lines) - 1)))
+    lines = [",".join(draw(st.sampled_from(FIELD_SPELLINGS)).format(f) for f in line.split(","))
+             for line in lines]
+    for extra in draw(st.lists(st.sampled_from(["", "", "#x", " \t "]), max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    end = newline if draw(st.booleans()) else ""
+    header = ",".join(["traj_id", "step"] + [f"x{i+1}" for i in range(obs.n)])
+    return (newline.join([header, *lines]) + end).encode()
+
+
+class TestLoaderMatchesCsvReference:
+    @settings(max_examples=200, deadline=None)
+    @given(text=trajectory_files())
+    def test_same_sample_or_same_message(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            path.write_bytes(text)
+            assert loaded(load_observations, path) == loaded(reference_load_observations, path)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("spelling", FIELD_SPELLINGS)
+    def test_plain_spellings_skip_the_csv_path(self, tmp_path, monkeypatch, newline, spelling):
+        rows = ["", *(",".join(spelling.format(f) for f in r.split(",")) for r in PLAIN_ROWS), ""]
+        path = write_trajectories(tmp_path, rows, newline)
+        monkeypatch.setattr(sampling, "_csv_rows", mock.Mock(side_effect=AssertionError))
+        assert loaded(load_observations, path) == loaded(reference_load_observations, path)
+
+    @pytest.mark.parametrize("body", ["", "\n", "\n\n", "\r\n\r\n", "\n \n"],
+                             ids=["no_newline", "lf", "blank_lf", "blank_crlf", "space_line"])
+    def test_file_without_rows_warns_nothing(self, tmp_path, body):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"traj_id,step,x1,x2" + body.encode())
+        message = f"{path}:2: expected 4 fields, got 1" if body == "\n \n" else "no trajectory rows"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrajectoryFormatError, match=re.escape(message)):
+                load_observations(path)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_one_trajectory_loads_as_one_row(self, tmp_path, n):
+        path = tmp_path / "t.csv"
+        header = ",".join(["traj_id", "step"] + [f"x{i+1}" for i in range(n)])
+        path.write_text(f"{header}\n5,0{',0.0' * (n - 1)},-1.0\n5,2{',2.5' * n}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            obs = load_observations(path)
+            assert obs.l == 2 and obs.X0.shape == obs.XL.shape == (1, n)
+            assert obs.X0.tobytes() == np.array([[0.0] * (n - 1) + [-1.0]]).tobytes()
+            with pytest.raises(TrajectoryFormatError, match="must have at least one step"):
+                load_observations(write_trajectories(tmp_path, [PLAIN_ROWS[0]]))
 
 
 def csv_writer_bytes(obs: ObservationSet) -> bytes:
