@@ -239,23 +239,29 @@ def _int_column(fields) -> np.ndarray:
         return np.array(ints, dtype=object)
 
 
+def _records(text: str) -> tuple[list[list[str]], np.ndarray]:
+    """The csv records of the data rows and the file line of each non-blank
+    one: blank records hold no row but count as lines."""
+    records = list(csv.reader(io.StringIO(text, newline="")))
+    return records, np.flatnonzero([len(r) for r in records]) + 2
+
+
 def _csv_rows(text: str, path, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(tid, step, X) as csv, int and float parse the rows, for files numpy's reader
     refuses (ids past int64, Python-only spellings, bad records: the first is named)."""
-    records = list(csv.reader(io.StringIO(text, newline="")))
-    sizes = np.fromiter(map(len, records), dtype=np.intp, count=len(records))
-    line = np.flatnonzero(sizes) + 2  # blank records hold no row but count as lines
+    records, line = _records(text)
     if not line.size:
         raise TrajectoryFormatError(f"{path}: no trajectory rows")
+    rows = [records[i - 2] for i in line.tolist()]
     try:  # column by column; a ragged row or a non-number goes to the row scan below
-        if np.any(sizes[line - 2] != n + 2):
+        if any(len(row) != n + 2 for row in rows):
             raise ValueError
-        cols = list(zip(*filter(None, records)))
+        cols = list(zip(*rows))
         tid, step = _int_column(cols[0]), _int_column(cols[1])
-        X = np.column_stack([np.fromiter(map(float, c), float, line.size) for c in cols[2:]])
+        X = np.column_stack([np.fromiter(map(float, c), float, len(rows)) for c in cols[2:]])
     except ValueError:  # name the first ragged or non-numeric record
-        for lineno, row in enumerate(records, start=2):
-            if row and len(row) != n + 2:
+        for lineno, row in zip(line.tolist(), rows):
+            if len(row) != n + 2:
                 raise TrajectoryFormatError(
                     f"{path}:{lineno}: expected {n + 2} fields, got {len(row)}") from None
             try:
@@ -263,11 +269,6 @@ def _csv_rows(text: str, path, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
             except ValueError as exc:
                 raise TrajectoryFormatError(f"{path}:{lineno}: {exc}") from None
     return tid, step, X
-
-
-def _record_lines(text: str) -> np.ndarray:
-    """The file line of each data row: blank records hold no row but count as lines."""
-    return np.flatnonzero([len(r) for r in csv.reader(io.StringIO(text, newline=""))]) + 2
 
 
 def load_observations(path) -> ObservationSet:
@@ -293,7 +294,10 @@ def load_observations(path) -> ObservationSet:
     try:  # numpy's C reader; it refuses every file that needs the csv path
         if not text.strip():  # no rows, where numpy would only warn
             raise ValueError
+        # Python's int reads the ids and steps: in some numpy releases the
+        # integer parser reads a float spelling such as "7.5" and truncates it.
         rows = np.loadtxt(io.StringIO(text), delimiter=",", quotechar='"', comments=None, ndmin=1,
+                          converters={0: int, 1: int},
                           dtype=[("tid", np.int64), ("step", np.int64), ("x", float, (n,))])
         tid, step, X = rows["tid"], rows["step"], rows["x"]
     except ValueError:
@@ -304,7 +308,7 @@ def load_observations(path) -> ObservationSet:
         bad = np.flatnonzero(mask)
         if bad.size:
             i = bad[0]
-            line = _record_lines(text)[row[i]] if "{line}" in message else None
+            line = _records(text)[1][row[i]] if "{line}" in message else None
             raise TrajectoryFormatError(message.format(path=path, tid=tid[i], step=step[i], line=line))
 
     reject(step < 0, "{path}:{line}: negative step {step}")

@@ -397,9 +397,10 @@ def unit_norm_sets(draw):
     return ObservationSet(draw(st.integers(1, 3)), G / np.linalg.norm(G, axis=1, keepdims=True), XL)
 
 
-def corrupt(lines: list[str], kind: str, row: int) -> tuple[list[str], int]:
-    """Break data row `row` of a valid trajectory file; returns the new
-    lines and the 1-based line number the loader must name."""
+def corrupt(lines: list[str], kind: str, row: int, column: int = -1) -> tuple[list[str], int]:
+    """Break data row `row` of a valid trajectory file, writing any other
+    `kind` into field `column`; returns the new lines and the 1-based line
+    number the loader must name."""
     fields = lines[row].split(",")
     if kind == "duplicate":
         return lines[: row + 1] + [lines[row]] + lines[row + 1 :], row + 2
@@ -410,7 +411,7 @@ def corrupt(lines: list[str], kind: str, row: int) -> tuple[list[str], int]:
     elif kind == "negative step":
         fields[1] = str(-1 - int(fields[1]))
     else:
-        fields[-1] = kind
+        fields[column] = kind
     return lines[:row] + [",".join(fields)] + lines[row + 1 :], row + 1
 
 
@@ -555,8 +556,8 @@ def loaded(load, path):
 
 
 # Field spellings csv and Python's int and float accept; numpy's reader takes
-# the first three, and "1_0", a "#" line, a whitespace-only line, a lone "\r"
-# line end and ids past int64 only through the csv path.
+# the first three, and a state "1_0", a "#" line, a whitespace-only line, a
+# lone "\r" line end and ids past int64 only through the csv path.
 FIELD_SPELLINGS = ["{}", " {} ", '"{}"', '" {}\t"']
 
 
@@ -570,9 +571,11 @@ def trajectory_files(draw):
         f"{tid},{step}," + ",".join(map(repr, x.tolist()))
         for tid, x0, xl in zip(ids, obs.X0, obs.XL) for step, x in ((0, x0), (obs.l, xl))
     ]))
-    kinds = ["short", "long", "nan", "negative step", "duplicate", "1_0"]
+    # Written into traj_id, step or the last state field; Python's int refuses the float spellings.
+    kinds = ["short", "long", "negative step", "duplicate", "nan", "1_0", "1.0", "7.5", "1e3"]
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=2)):
-        lines, _ = corrupt(lines, kind, draw(st.integers(0, len(lines) - 1)))
+        row, column = draw(st.integers(0, len(lines) - 1)), draw(st.sampled_from([0, 1, -1]))
+        lines, _ = corrupt(lines, kind, row, column)
     lines = [",".join(draw(st.sampled_from(FIELD_SPELLINGS)).format(f) for f in line.split(","))
              for line in lines]
     for extra in draw(st.lists(st.sampled_from(["", "", "#x", " \t "]), max_size=3)):
@@ -599,6 +602,21 @@ class TestLoaderMatchesCsvReference:
         path = write_trajectories(tmp_path, rows, newline)
         monkeypatch.setattr(sampling, "_csv_rows", mock.Mock(side_effect=AssertionError))
         assert loaded(load_observations, path) == loaded(reference_load_observations, path)
+
+    @pytest.mark.parametrize("spelling", ["1.0", "7.5", "7.9", "1e3", "nan", "inf"])
+    @pytest.mark.parametrize("column", [0, 1], ids=["traj_id", "step"])
+    def test_float_spelled_ids_and_steps_are_refused(self, tmp_path, column, spelling):
+        rows = [PLAIN_ROWS[0], "", *corrupt(PLAIN_ROWS[1:], spelling, 0, column)[0]]
+        path = write_trajectories(tmp_path, rows)
+        message = f"{path}:4: invalid literal for int() with base 10: '{spelling}'"
+        assert loaded(load_observations, path) == loaded(reference_load_observations, path) == message
+
+    @pytest.mark.parametrize("ten, one", [("1_0", "0_1"), ("\u0661\u0660", "\u0661"), (" 10\t", "+1")])
+    def test_ids_and_steps_are_read_by_pythons_int(self, tmp_path, monkeypatch, ten, one):
+        path = write_trajectories(tmp_path, [f"{ten},0,1.0,0.0", f"{ten},{one},0.5,-2.0", *PLAIN_ROWS[2:]])
+        monkeypatch.setattr(sampling, "_csv_rows", mock.Mock(side_effect=AssertionError))
+        assert loaded(load_observations, path) == loaded(reference_load_observations, path)
+        assert load_observations(path).X0.tobytes() == np.array(PLAIN_X0).tobytes()
 
     @pytest.mark.parametrize("body", ["", "\n", "\n\n", "\r\n\r\n", "\n \n"],
                              ids=["no_newline", "lf", "blank_lf", "blank_crlf", "space_line"])
