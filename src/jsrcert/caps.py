@@ -204,8 +204,8 @@ class ConfidenceBudget:
 
     beta covers the constraint-covering event, beta1 the growth-rate bound;
     m is the user-supplied upper bound on the number of modes.  The cap
-    formulas need n >= 2, and N must be at least D(D+1)/2 + 1, D being the
-    lift dimension of (n, d).
+    formulas need n >= 2 and a growth-rate cap eps_one > 0, and N must be at
+    least D(D+1)/2 + 1, D being the lift dimension of (n, d).
     """
 
     beta: float
@@ -228,6 +228,9 @@ class ConfidenceBudget:
                 f"N={self.N} is below the minimum sample count {self.free_vars + 1} "
                 f"required for degree d={self.d} (D(D+1)/2 + 1 with D={self.lift_dim})"
             )
+        if eps_one(self.beta1, self.m, self.l, self.N) == 0.0:  # delta_cap refuses eps = 0
+            raise ValueError(f"beta1={self.beta1!r} leaves no growth-rate cap at N={self.N}: "
+                             f"(1 - beta1)^(1/N) rounds to 1")
 
     @property
     def ml(self) -> float:

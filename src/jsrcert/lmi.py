@@ -61,15 +61,15 @@ model and options `scipy.optimize.linprog(method="highs")` would, and
 same test, so every cold solution is bit-identical to linprog's; what the
 adapter drops is linprog's per-call input and option validation, which cost
 more than HiGHS itself on the small LPs here.  One HiGHS instance, made at
-import, solves every LP of the process, one cut loop at a time under a
-re-entrant lock: each `linprog` call passes it the options of its rung of
-_LP_OPTION_LADDER (built once, at import) and the model straight from
-arrays, and passing a model clears the previous one.  Above the threshold a
-cut loop keeps that model from round to round (`_HeldLP`): after the first
-LP, each round adds only the rows and cuts that joined it and re-solves
-from the previous basis, as in Kelley's cutting-plane method, so those
-solutions agree with linprog's within the solver tolerances rather than bit
-for bit; a round that fails is solved cold.  Like linprog, the adapter
+import with its options (_HIGHS_OPTIONS), solves every LP of the process,
+one cut loop at a time under a re-entrant lock: each `linprog` call passes
+it the model straight from arrays, passing a model clears the previous one,
+and an LP that fails raises SolverStallError.  Above the threshold a cut
+loop keeps that model from round to round (`_HeldLP`): after the first LP,
+each round adds only the rows and cuts that joined it and re-solves from
+the previous basis, as in Kelley's cutting-plane method, so those solutions
+agree with linprog's within the solver tolerances rather than bit for bit;
+a round that fails is solved cold.  Like linprog, the adapter
 refuses an LP holding a NaN (HiGHS would call it optimal), and it never
 solves a model HiGHS refuses.
 `_core` and its array overload of `passModel` are private scipy API, so the
@@ -116,12 +116,10 @@ _MAX_CUT_ROUNDS = 500
 # largest sweep cell (N=200 samples plus 9 magnitude rows at D=3).  Larger
 # programs add rows and cuts in steps of 4*(D(D+1)/2 + 1), see `_cut_loop`.
 _ROW_BLOCK = 256
-# Tight tolerances first so witnesses meet the 1e-8 constraint-slack
-# contract; retried with HiGHS defaults on numerically degenerate systems.
-_LP_OPTION_LADDER = (
-    {"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9},
-    {},
-)
+# Tight enough that witnesses meet the 1e-8 constraint-slack contract and
+# that each LP verdict resolves FEASIBILITY_MARGIN; HiGHS's defaults (1e-7)
+# are the size of the margin itself.
+_LP_TOLERANCES = {"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9}
 _HIGHS_MODULE = "scipy.optimize._highspy._core"
 
 
@@ -160,7 +158,7 @@ def _highs_options(tolerances: dict) -> _highs.HighsOptions:
     return options
 
 
-_HIGHS_LADDER = tuple(map(_highs_options, _LP_OPTION_LADDER))
+_HIGHS_OPTIONS = _highs_options(_LP_TOLERANCES)
 # The HiGHS build behind every solution; reports carry it.
 HIGHS_VERSION = "{}.{}.{}".format(
     _highs.HIGHS_VERSION_MAJOR, _highs.HIGHS_VERSION_MINOR, _highs.HIGHS_VERSION_PATCH
@@ -171,15 +169,14 @@ _LINPROG_STATUS = {_MS.kOptimal: 0, _MS.kTimeLimit: 1, _MS.kIterationLimit: 1,
                    _MS.kInfeasible: 2, _MS.kModelError: 2, _MS.kUnbounded: 3}
 # Slack allowed on a solution HiGHS calls optimal, as in linprog.
 _RESULT_TOL = 10 * np.sqrt(1e-9)
-# The one HiGHS instance behind every LP of the process.  Each `linprog`
-# call passes it options and a model afresh, and passing a model clears the
-# previous model, basis and solution; a cut loop above the threshold then
-# adds rows to that model.  A fresh instance logs to the console until it
-# gets options.  The lock keeps threads from interleaving LPs on it; a cut
-# loop holds it from its first LP to its last, and its calls to `linprog`
-# take it again.
+# The one HiGHS instance behind every LP of the process; a fresh instance
+# logs to the console until it gets its options, here, once.  Each `linprog`
+# call passes it a model, which clears the previous model, basis and
+# solution; a cut loop above the threshold then adds rows to that model.  The
+# lock keeps threads from interleaving LPs on it; a cut loop holds it from its
+# first LP to its last, and its calls to `linprog` take it again.
 _HIGHS = _highs._Highs()
-_HIGHS.passOptions(_HIGHS_LADDER[0])
+_HIGHS.passOptions(_HIGHS_OPTIONS)
 _HIGHS_LOCK = threading.RLock()
 
 
@@ -295,7 +292,7 @@ class LPResult(NamedTuple):
     message: str
 
 
-def linprog(c, *, A_ub, b_ub, bounds, options, A_eq=None, b_eq=None) -> LPResult:
+def linprog(c, *, A_ub, b_ub, bounds, A_eq=None, b_eq=None) -> LPResult:
     """min c'x s.t. A_ub x <= b_ub, A_eq x = b_eq and column `bounds`, by HiGHS.
 
     HiGHS gets the model `scipy.optimize.linprog(method="highs")` would give
@@ -325,7 +322,6 @@ def linprog(c, *, A_ub, b_ub, bounds, options, A_eq=None, b_eq=None) -> LPResult
     col_lower, col_upper = np.ascontiguousarray(col_bounds.T)
     starts = np.searchsorted(cols, np.arange(num_col + 1)).astype(np.int32)
     with _HIGHS_LOCK:
-        _HIGHS.passOptions(options)
         if _pass_model(c, col_lower, col_upper, lower, upper, starts, rows.astype(np.int32),
                        values) == _highs.HighsStatus.kError:
             raise ValueError("HiGHS refused the LP model")
@@ -356,12 +352,10 @@ def _run_highs(col_lower, col_upper, row_lower, row_upper) -> LPResult:
 
 
 def _solve_lp(c, A_ub, b_ub, bounds, A_eq=None, b_eq=None):
-    res = None
-    for options in _HIGHS_LADDER:
-        res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, options=options)
-        if res.status == 0:
-            return res.x
-    raise SolverStallError(f"LP solve failed (status {res.status}): {res.message}")
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
+    if res.status != 0:
+        raise SolverStallError(f"LP solve failed (status {res.status}): {res.message}")
+    return res.x
 
 
 class _HeldLP:
@@ -372,8 +366,7 @@ class _HeldLP:
     the rows that joined since the last solve and re-solves from the basis
     HiGHS kept, so dual simplex needs a few pivots and HiGHS skips presolve.
     A round that is not optimal, or fails the solution check, is solved
-    cold on the option ladder, and the next round is back on its first
-    rung.  The loop holds _HIGHS_LOCK from its first LP to its last.
+    cold, once.  The loop holds _HIGHS_LOCK from its first LP to its last.
     """
 
     def __init__(self, c, bounds, A_eq, b_eq, lp_rows):
@@ -386,7 +379,6 @@ class _HeldLP:
         self.eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
         self.last = None  # (active, on, ceiling cuts) of the last LP solved
         self.row_lower = self.row_upper = None  # of the model held, in its row order
-        self.reset_options = False  # after a cold solve, which may end on a later rung
 
     def solve(self, active, on, n_hi) -> np.ndarray:
         """x of the loop's LP with the base rows and pool cuts on in `active`
@@ -404,16 +396,12 @@ class _HeldLP:
             x = _solve_lp(self.c, A, rhs, self.bounds, A_eq=self.A_eq, b_eq=self.b_eq)
             self.row_lower = np.concatenate([np.full(len(rhs), -_highs.kHighsInf), self.eq])
             self.row_upper = np.concatenate([rhs, self.eq])
-            self.reset_options = True
         self.last = (active.copy(), on.copy(), n_hi)
         return x
 
     def _add_and_run(self, A, rhs) -> LPResult | None:
-        """Append the rows A x <= rhs to the model `_HIGHS` holds and solve it
-        on the first rung; None if HiGHS refuses the rows."""
-        if self.reset_options:
-            _HIGHS.passOptions(_HIGHS_LADDER[0])
-            self.reset_options = False
+        """Append the rows A x <= rhs to the model `_HIGHS` holds and solve it;
+        None if HiGHS refuses the rows."""
         rows, cols = np.nonzero(A)  # row-major nonzeros
         starts = np.searchsorted(rows, np.arange(len(rhs))).astype(np.int32)
         if _HIGHS.addRows(len(rhs), np.full(len(rhs), -_highs.kHighsInf), rhs, len(rows), starts,

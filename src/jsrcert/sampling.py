@@ -80,8 +80,11 @@ class ModeSet:
 
 
 def load_modes(path) -> ModeSet:
-    with open(path) as fh:
-        payload = json.load(fh)
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: cannot decode the file as {exc.encoding}: {exc.reason}") from None
     if not isinstance(payload, dict) or not isinstance(payload.get("matrices"), list):
         raise ValueError(f"{path}: expected a JSON object with a 'matrices' list")
     n = payload.get("dim")
@@ -239,17 +242,21 @@ def _int_column(fields) -> np.ndarray:
         return np.array(ints, dtype=object)
 
 
-def _records(text: str) -> tuple[list[list[str]], np.ndarray]:
+def _records(text: str, path) -> tuple[list[list[str]], np.ndarray]:
     """The csv records of the data rows and the file line of each non-blank
     one: blank records hold no row but count as lines."""
-    records = list(csv.reader(io.StringIO(text, newline="")))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        records = list(reader)
+    except csv.Error as exc:  # such as a field past csv's size limit; the header is line 1
+        raise TrajectoryFormatError(f"{path}:{reader.line_num + 1}: {exc}") from None
     return records, np.flatnonzero([len(r) for r in records]) + 2
 
 
 def _csv_rows(text: str, path, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(tid, step, X) as csv, int and float parse the rows, for files numpy's reader
     refuses (ids past int64, Python-only spellings, bad records: the first is named)."""
-    records, line = _records(text)
+    records, line = _records(text, path)
     if not line.size:
         raise TrajectoryFormatError(f"{path}: no trajectory rows")
     rows = [records[i - 2] for i in line.tolist()]
@@ -282,15 +289,22 @@ def load_observations(path) -> ObservationSet:
     offending row identified.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 3 or header[:2] != ["traj_id", "step"]:
-            raise TrajectoryFormatError(f"{path}: expected header 'traj_id,step,x1,...,xn'")
-        n = len(header) - 2
-        if [h.strip() for h in header[2:]] != [f"x{i+1}" for i in range(n)]:
-            raise TrajectoryFormatError(f"{path}: state columns must be named x1..x{n}")
-        text = fh.read()  # the data rows
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader, None)
+            except csv.Error as exc:
+                raise TrajectoryFormatError(f"{path}:{reader.line_num}: {exc}") from None
+            if header is None or len(header) < 3 or header[:2] != ["traj_id", "step"]:
+                raise TrajectoryFormatError(f"{path}: expected header 'traj_id,step,x1,...,xn'")
+            n = len(header) - 2
+            if [h.strip() for h in header[2:]] != [f"x{i+1}" for i in range(n)]:
+                raise TrajectoryFormatError(f"{path}: state columns must be named x1..x{n}")
+            text = fh.read()  # the data rows
+    except UnicodeDecodeError as exc:  # its position counts within a decoded chunk, not the file
+        raise TrajectoryFormatError(
+            f"{path}: cannot decode the file as {exc.encoding}: {exc.reason}") from None
     try:  # numpy's C reader; it refuses every file that needs the csv path
         if not text.strip():  # no rows, where numpy would only warn
             raise ValueError
@@ -308,7 +322,7 @@ def load_observations(path) -> ObservationSet:
         bad = np.flatnonzero(mask)
         if bad.size:
             i = bad[0]
-            line = _records(text)[1][row[i]] if "{line}" in message else None
+            line = _records(text, path)[1][row[i]] if "{line}" in message else None
             raise TrajectoryFormatError(message.format(path=path, tid=tid[i], step=step[i], line=line))
 
     reject(step < 0, "{path}:{line}: negative step {step}")

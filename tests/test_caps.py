@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -207,6 +208,16 @@ class TestConfidenceBudget:
         assert b.ml == 2.0
         assert b.lift_dim == 3
         assert b.free_vars == 6
+
+    def test_budget_without_growth_rate_cap_rejected(self):
+        # eps_one is 0 when (1 - beta1)^(1/N) rounds to 1, and delta_cap refuses 0.
+        for beta1, N in ((0.0, 10), (1e-15, 50)):
+            assert eps_one(beta1, 2, 1, N) == 0.0
+            with pytest.raises(ValueError, match=re.escape(
+                    f"beta1={beta1!r} leaves no growth-rate cap at N={N}")):
+                ConfidenceBudget(beta=0.95, beta1=beta1, m=2, l=1, N=N, n=2, d=1)
+        assert eps_one(1e-15, 2, 1, 10) > 0.0
+        ConfidenceBudget(beta=0.95, beta1=1e-15, m=2, l=1, N=10, n=2, d=1)
 
     def test_validation(self):
         with pytest.raises(ValueError):

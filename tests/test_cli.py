@@ -198,6 +198,29 @@ class TestCertifyCommand:
         assert rc == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["csv_path", "header", "numpy_path"])
+    def test_field_past_csv_limit_exits_2(self, oversized_field_files, capsys, name):
+        path, line = oversized_field_files[name]
+        rc = main(["certify", "--traj", str(path), "--modes-upper", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}:{line}: field larger than field limit (131072)\n")
+
+    @pytest.mark.parametrize("name, argv, text", [
+        ("t.csv", ["certify", "--modes-upper", "2", "--traj"],
+         b"traj_id,step,x1,x2\n7,0,1.0\xff,0.0\n7,1,0.5,-2.0\n"),
+        ("modes.json", ["simulate", "--n-traj", "4", "--modes"],
+         b'{"dim": 1, "matrices": [[[0.5\xff]]]}'),
+    ], ids=["certify_traj", "simulate_modes"])
+    def test_file_not_utf8_exits_2_naming_it(self, tmp_path, capsys, name, argv, text):
+        path, out = tmp_path / name, tmp_path / "out"
+        path.write_bytes(text)
+        rc = main([*argv, str(path), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: cannot decode the file as utf-8: invalid start byte\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--C-bound", "--bisect-tol"])
     def test_non_finite_solver_option_exits_2(self, double_identity_file, capsys, flag):
         rc = main([
@@ -449,6 +472,22 @@ class TestSweep:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command, n_traj, N", [("certify", "50", 50), ("sweep", "20,50", 20)])
+def test_beta1_without_growth_rate_cap_exits_2_before_any_lp(
+        modes_file, tmp_path, capsys, monkeypatch, command, n_traj, N):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(jsrcert.lmi, "linprog", no_lp)
+    out = tmp_path / "out"
+    rc = main([command, "--modes", modes_file, "--n-traj", n_traj, "--beta1", "0",
+               "--modes-upper", "2", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: beta1=0.0 leaves no growth-rate cap at N={N}: (1 - beta1)^(1/N) rounds to 1\n")
+    assert not out.exists()
 
 
 class TestSimulateCommand:

@@ -262,6 +262,10 @@ def test_tie_break_stall_above_threshold_keeps_bisection_witness(case, parrilo, 
     assert cand.kappa <= opts.c_bound
 
 
+# HiGHS stops at once under an iteration limit of 0.
+FAILING = lmi._highs_options({**lmi._LP_TOLERANCES, "simplex_iteration_limit": 0})
+
+
 def held_lp():
     """The LP `lmi._HIGHS` holds, as linprog's keyword arguments, rows in
     model order: rows without a lower bound go to A_ub, the others to A_eq.
@@ -540,7 +544,7 @@ def test_bisection_starts_each_oracle_call_from_the_last_optimum(monkeypatch):
 @pytest.mark.parametrize("above_block", ["rand_d2"], indirect=True)  # Parrilo: one LP a loop
 class TestHeldModel:
     """Above the threshold a cut loop keeps its LP in `lmi._HIGHS` and adds
-    rows to it; a round that fails there is solved cold on the ladder."""
+    rows to it; a round that fails there is solved cold."""
 
     @staticmethod
     def programs(above_block):
@@ -556,15 +560,20 @@ class TestHeldModel:
     @pytest.fixture
     def failing_first(self, monkeypatch):
         # Each round on the held model adds a violated row and needs a
-        # pivot, so none passes a first rung without pivots; it is solved
-        # cold and ends on the second, the tight rung.  Both rungs keep the
-        # tight tolerances: with HiGHS defaults these loops stall.
-        tight = lmi._LP_OPTION_LADDER[0]
-        failing = lmi._highs_options({**tight, "simplex_iteration_limit": 0})
-        monkeypatch.setattr(lmi, "_HIGHS_LADDER", (failing, lmi._highs_options(tight)))
+        # pivot, so none passes under an iteration limit of 0: every round
+        # fails first, then is solved cold under `lmi._HIGHS_OPTIONS` again.
+        add_and_run = lmi._HeldLP._add_and_run
 
-    def test_failed_round_solves_cold_then_next_round_on_first_rung(
-            self, above_block, failing_first, monkeypatch):
+        def failing(held, A, rhs):
+            lmi._HIGHS.passOptions(FAILING)
+            try:
+                return add_and_run(held, A, rhs)
+            finally:
+                lmi._HIGHS.passOptions(lmi._HIGHS_OPTIONS)
+
+        monkeypatch.setattr(lmi._HeldLP, "_add_and_run", failing)
+
+    def test_failed_round_solves_cold(self, above_block, failing_first, monkeypatch):
         warm = []
         for name, program in self.programs(above_block).items():
             got, solves = record_solves(program)
@@ -572,18 +581,22 @@ class TestHeldModel:
                 patch.setattr(lmi._HeldLP, "_add_and_run", lambda self, A, rhs: None)
                 assert got == program(), name
             warm += [solve for solve in solves if not solve["cold"]]
+            assert all(after["cold"] for before, after in zip(solves, solves[1:])
+                       if not before["cold"]), name
+            assert all(solve["iteration_limit"] == lmi._HIGHS_OPTIONS.simplex_iteration_limit
+                       for solve in solves if solve["cold"]), name
         assert warm
         assert all(solve["iteration_limit"] == 0 and solve["status"] == 1 for solve in warm)
 
-    @pytest.mark.parametrize("ladder", ["tight_first", "failing_first"])
-    def test_threads_share_the_instance_safely(self, above_block, ladder, request):
+    @pytest.mark.parametrize("warm", ["tight_first", "failing_first"])
+    def test_threads_share_the_instance_safely(self, above_block, warm, request):
         # More threads than cores, switching often: each loop must keep its
         # own model from round to round, and a cold fallback, which takes
         # the lock its loop holds, must not deadlock.
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
-        if ladder == "failing_first":
+        if warm == "failing_first":
             request.getfixturevalue("failing_first")
         programs = list(self.programs(above_block).values()) * 3
         expected = [program() for program in programs]
@@ -813,7 +826,7 @@ def test_clean_rows_scales_finite_rows_whose_squares_overflow():
 
 
 def record_lps(program):
-    """The keyword arguments, options left out, of every LP `program()` issues."""
+    """The keyword arguments of every LP `program()` issues."""
     lps = []
     lp = lmi.linprog
 
@@ -824,15 +837,13 @@ def record_lps(program):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lmi, "linprog", recording)
         program()
-    for args in lps:
-        del args["options"]
     return lps
 
 
 @pytest.mark.parametrize("case", ["parrilo_d1", "parrilo_d2", "rand_d2_generated"])
 def test_adapter_matches_scipy_linprog(case, parrilo):
     # `lmi.linprog` builds on scipy's private HiGHS binding; it must stay the
-    # LP that scipy.optimize.linprog(method="highs") solves, on every rung.
+    # LP that scipy.optimize.linprog(method="highs") solves at its tolerances.
     from scipy.optimize import linprog
 
     obs, d = {
@@ -845,11 +856,10 @@ def test_adapter_matches_scipy_linprog(case, parrilo):
     }[case]
     lps = record_lps(lambda: solve_gamma(obs, d))
     for lp in lps:
-        for tolerances, options in zip(lmi._LP_OPTION_LADDER, lmi._HIGHS_LADDER):
-            ours = lmi.linprog(**lp, options=options)
-            ref = linprog(**lp, method="highs", options=tolerances)
-            assert ours.status == ref.status == 0
-            assert np.array_equal(ours.x, ref.x)
+        ours = lmi.linprog(**lp)
+        ref = linprog(**lp, method="highs", options=lmi._LP_TOLERANCES)
+        assert ours.status == ref.status == 0
+        assert np.array_equal(ours.x, ref.x)
     # Rounds that add rows to the LP HiGHS holds may end on another optimal
     # vertex: they match linprog in status and objective.
     _, solves = record_solves(lambda: solve_gamma(obs, d))
@@ -860,44 +870,32 @@ def test_adapter_matches_scipy_linprog(case, parrilo):
     assert bool(warm) == (case == "rand_d2_generated")
     for solve in warm:
         lp = {key: solve[key] for key in ("c", "A_ub", "b_ub", "bounds", "A_eq", "b_eq")}
-        ref = linprog(**lp, method="highs", options=lmi._LP_OPTION_LADDER[0])
+        ref = linprog(**lp, method="highs", options=lmi._LP_TOLERANCES)
         assert solve["status"] == ref.status == 0
         assert abs(lp["c"] @ solve["x"] - ref.fun) <= 1e-9
 
 
-class TestOptionLadder:
-    # HiGHS stops at once under an iteration limit of 0.
-    FAILING = lmi._highs_options({"simplex_iteration_limit": 0})
+@pytest.fixture
+def failing_highs():
+    """`lmi._HIGHS` under FAILING options, given `lmi._HIGHS_OPTIONS` back after."""
+    lmi._HIGHS.passOptions(FAILING)
+    yield
+    lmi._HIGHS.passOptions(lmi._HIGHS_OPTIONS)
 
+
+class TestFailedLP:
     @pytest.fixture(scope="class")
     def first_lp(self, rand_d1):
         return record_lps(lambda: lmi.max_margin_feasibility(*rand_d1, 100.0))[0]
 
-    def test_next_rung_solves_after_failure(self, first_lp, monkeypatch):
-        second = lmi._HIGHS_LADDER[1]
-        calls = []
-        lp = lmi.linprog
-
-        def recording(*args, **kwargs):
-            res = lp(*args, **kwargs)
-            calls.append((kwargs["options"], res.status))
-            return res
-
-        monkeypatch.setattr(lmi, "_HIGHS_LADDER", (self.FAILING, second))
-        monkeypatch.setattr(lmi, "linprog", recording)
-        x = lmi._solve_lp(**first_lp)
-        assert calls == [(self.FAILING, 1), (second, 0)]
-        assert np.array_equal(x, lp(**first_lp, options=second).x)
-
-    def test_stall_names_the_model_status(self, first_lp, monkeypatch):
-        monkeypatch.setattr(lmi, "_HIGHS_LADDER", (self.FAILING, self.FAILING))
+    def test_stall_names_the_model_status(self, first_lp, failing_highs):
         with pytest.raises(lmi.SolverStallError, match="Iteration limit reached"):
             lmi._solve_lp(**first_lp)
 
     def test_solution_checked_like_linprog(self, first_lp, monkeypatch):
         # A negative tolerance rejects every solution HiGHS calls optimal.
         monkeypatch.setattr(lmi, "_RESULT_TOL", -1.0)
-        res = lmi.linprog(**first_lp, options=lmi._HIGHS_LADDER[0])
+        res = lmi.linprog(**first_lp)
         assert res.status == 4
         assert "Optimal" in res.message and "missed" in res.message
 
@@ -933,52 +931,44 @@ def first_lps(parrilo_d2, rand_d1):
 
 
 class TestReusedInstance:
-    """One HiGHS instance solves every LP; none may see another's model or options."""
+    """One HiGHS instance solves every LP; none may see another's model."""
 
     def test_no_state_between_lps(self, first_lps):
         from scipy.optimize import linprog
 
         seven, four = first_lps
-        options = lmi._HIGHS_LADDER[0]
-        refs = [linprog(**lp, method="highs", options=lmi._LP_OPTION_LADDER[0]) for lp in first_lps]
-        steps = [
-            (seven, options, 0),
-            (four, options, 0),
-            (four, TestOptionLadder.FAILING, 1),
-            (INFEASIBLE_LP, options, 2),
-            (with_nan(seven, "c", 0), options, ValueError),
-        ]
+        refs = [linprog(**lp, method="highs", options=lmi._LP_TOLERANCES) for lp in first_lps]
+        steps = [(seven, 0), (four, 0), (INFEASIBLE_LP, 2), (with_nan(seven, "c", 0), ValueError)]
         for lp, ref in zip(first_lps, refs):
-            for step, step_options, status in steps:
+            for step, status in steps:
                 if status is ValueError:
                     with pytest.raises(ValueError, match="NaN"):
-                        lmi.linprog(**step, options=step_options)
+                        lmi.linprog(**step)
                 else:
-                    assert lmi.linprog(**step, options=step_options).status == status
-                ours = lmi.linprog(**lp, options=options)
+                    assert lmi.linprog(**step).status == status
+                ours = lmi.linprog(**lp)
                 assert ours.status == ref.status == 0
                 assert ours.x.tobytes() == ref.x.tobytes()
 
     def test_same_lp_twice(self, first_lps):
         for lp in first_lps:
-            first, second = (lmi.linprog(**lp, options=lmi._HIGHS_LADDER[0]) for _ in range(2))
+            first, second = (lmi.linprog(**lp) for _ in range(2))
             assert first.status == second.status == 0
             assert first.x.tobytes() == second.x.tobytes()
 
     def test_threads_share_the_instance_safely(self, first_lps):
         # More threads than cores, switching often: each LP must still get
-        # its own model and options.
+        # its own model.
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
-        jobs = [(lp, options) for lp in first_lps for options in lmi._HIGHS_LADDER] * 8
-        expected = [lmi.linprog(**lp, options=options).x.tobytes() for lp, options in jobs]
+        jobs = list(first_lps) * 16
+        expected = [lmi.linprog(**lp).x.tobytes() for lp in jobs]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=6) as pool:
-                futures = [pool.submit(lambda job: lmi.linprog(**job[0], options=job[1]), job)
-                           for job in jobs]
+                futures = [pool.submit(lambda lp: lmi.linprog(**lp), lp) for lp in jobs]
                 got = [future.result(timeout=60).x.tobytes() for future in futures]
         finally:
             sys.setswitchinterval(interval)
@@ -1006,27 +996,27 @@ class TestMalformedLP:
         spy = HighsSpy(lmi._HIGHS)
         monkeypatch.setattr(lmi, "_HIGHS", spy)
         with pytest.raises(ValueError, match="NaN"):
-            lmi.linprog(**bad, options=lmi._HIGHS_LADDER[0])
+            lmi.linprog(**bad)
         assert spy.calls == []
 
     def test_refused_model_is_not_solved(self, lp, monkeypatch):
         # An infinite matrix entry gets kError from passModel; the model left
         # in the instance must not be solved in its place.
-        lmi.linprog(**lp, options=lmi._HIGHS_LADDER[0])
+        lmi.linprog(**lp)
         A_ub = lp["A_ub"].copy()
         A_ub[0, 0] = np.inf
         spy = HighsSpy(lmi._HIGHS)
         monkeypatch.setattr(lmi, "_HIGHS", spy)
         with pytest.raises(ValueError, match="refused"):
-            lmi.linprog(**dict(lp, A_ub=A_ub), options=lmi._HIGHS_LADDER[0])
+            lmi.linprog(**dict(lp, A_ub=A_ub))
         assert "passModel" in spy.calls and "run" not in spy.calls
 
     def test_infinite_bounds_accepted(self, lp):
         from scipy.optimize import linprog
 
         free = dict(lp, bounds=lp["bounds"][:-1] + [(-np.inf, np.inf)])
-        ours = lmi.linprog(**free, options=lmi._HIGHS_LADDER[0])
-        ref = linprog(**free, method="highs", options=lmi._LP_OPTION_LADDER[0])
+        ours = lmi.linprog(**free)
+        ref = linprog(**free, method="highs", options=lmi._LP_TOLERANCES)
         assert ours.status == ref.status == 0
         assert ours.x.tobytes() == ref.x.tobytes()
 
@@ -1036,7 +1026,7 @@ class TestMalformedLP:
         for bad in (dict(lp, c=lp["c"][:-1]), dict(lp, b_ub=lp["b_ub"][:-1]),
                     dict(lp, bounds=lp["bounds"][:-1])):
             with pytest.raises(ValueError, match="shapes"):
-                lmi.linprog(**bad, options=lmi._HIGHS_LADDER[0])
+                lmi.linprog(**bad)
         assert spy.calls == []
 
 

@@ -381,6 +381,17 @@ def test_bad_rows_are_named_by_record_number(tmp_path, rows, message):
         load_observations(path)
 
 
+@pytest.mark.parametrize("name", ["csv_path", "header", "numpy_path"])
+def test_field_past_csv_limit_names_its_line(oversized_field_files, monkeypatch, name):
+    path, line = oversized_field_files[name]
+    if name == "numpy_path":
+        monkeypatch.setattr(sampling, "_csv_rows", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(TrajectoryFormatError,
+                       match=re.escape(f"{path}:{line}: field larger than field limit (131072)")):
+        load_observations(path)
+    assert csv.field_size_limit() == 131072  # the process-wide limit is left as it was
+
+
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -408,8 +419,8 @@ def corrupt(lines: list[str], kind: str, row: int, column: int = -1) -> tuple[li
         fields = fields[:-1]
     elif kind == "long":
         fields = fields + ["0.0"]
-    elif kind == "negative step":
-        fields[1] = str(-1 - int(fields[1]))
+    elif kind == "negative step":  # -1 where an earlier corruption left no plain step
+        fields[1] = str(-1 - int(fields[1])) if re.fullmatch(r"\d+", fields[1]) else "-1"
     else:
         fields[column] = kind
     return lines[:row] + [",".join(fields)] + lines[row + 1 :], row + 1
