@@ -155,11 +155,8 @@ def _bisect_gamma(
     P.  With `witness=False`, for callers that keep only gamma*, the verdict
     alone counts, no witness is built and None comes back in its place.
     """
-    lam = cache.lambda_star
     D = cache.dim
-    if lam == 0.0:
-        return 0.0, np.eye(D) if witness else None
-    hi = lam ** (1.0 / cache.l)
+    hi = cache.lambda_star ** (1.0 / cache.l)
     lo = 0.0
     best = np.eye(D) if witness else None  # feasible at hi: ||xl||^2d <= lambda*^2d
     start = None  # the P of the latest oracle result with one, where row generation starts
@@ -200,16 +197,11 @@ def _tie_break_cache(
         # at huge l, where the bisection's own factors (<= lambda*^(2d)) do not.
         with np.errstate(over="raise"):
             rows = cache.rows(gamma_tb)
-    except (OverflowError, FloatingPointError):
-        rows = None  # no slackened problem: the bisection witness stays
-    tied = None
-    if rows is not None:
-        try:
-            tied = lmi.min_lambda_max(rows, cache.dim, opts.c_bound,
-                                      upper_hint=m.lambda_max * (1.0 + 1e-6), dirs=cache.dirs)
-        except SolverStallError:
-            pass  # the bisection witness stays
-    if tied is not None:
+        tied = lmi.min_lambda_max(rows, cache.dim, opts.c_bound,
+                                  upper_hint=m.lambda_max * (1.0 + 1e-6), dirs=cache.dirs)
+    except (OverflowError, FloatingPointError, SolverStallError):
+        pass  # no slackened problem or a stalled solve: the bisection witness stays
+    else:
         tied_m = matrix_metrics(tied)
         # The slackened problem should never be worse conditioned than the
         # bisection witness; the witness stays if it somehow is.

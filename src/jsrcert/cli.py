@@ -30,7 +30,6 @@ from .oracles import whitebox_gamma
 from .sampling import (
     ModeSet,
     ObservationSet,
-    TrajectoryFormatError,
     load_modes,
     load_observations,
     save_observations,
@@ -420,7 +419,7 @@ def main(argv=None) -> int:
     except SolverStallError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, TrajectoryFormatError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

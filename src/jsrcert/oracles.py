@@ -42,20 +42,23 @@ class ProductEnumeration:
     matrices: tuple[np.ndarray, ...]
 
 
+def _product_levels(modes: ModeSet, k_max: int):
+    """Per k = 1..k_max, the products A_{j_k} @ (...) @ A_{j_1}, lexicographic in (j_1, ..., j_k)."""
+    level = [np.eye(modes.n)]
+    for _ in range(k_max):
+        level = [A @ p for p in level for A in modes.matrices]
+        yield level
+
+
 def enumerate_products(modes: ModeSet, l: int) -> ProductEnumeration:
     if l < 1:
         raise ValueError(f"product length must be >= 1, got {l}")
     if modes.m**l > _ENUMERATION_CAP:
         raise ValueError(f"m^l = {modes.m}^{l} exceeds the enumeration cap {_ENUMERATION_CAP}")
-    sequences = []
-    matrices = []
-    for seq in itertools.product(range(modes.m), repeat=l):
-        prod = np.eye(modes.n)
-        for j in seq:  # sequence applied first-to-last: A_{j_l} ... A_{j_1}
-            prod = modes.matrices[j] @ prod
-        sequences.append(seq)
-        matrices.append(prod)
-    return ProductEnumeration(l=l, sequences=tuple(sequences), matrices=tuple(matrices))
+    for matrices in _product_levels(modes, l):  # the last list, of length-l products
+        pass
+    sequences = tuple(itertools.product(range(modes.m), repeat=l))
+    return ProductEnumeration(l=l, sequences=sequences, matrices=tuple(matrices))
 
 
 def jsr_lower_bound(modes: ModeSet, k_max: int) -> float:
@@ -68,9 +71,7 @@ def jsr_lower_bound(modes: ModeSet, k_max: int) -> float:
     if modes.m**k_max > _ENUMERATION_CAP:
         raise ValueError(f"m^k_max exceeds the enumeration cap {_ENUMERATION_CAP}")
     best = 0.0
-    level = [np.eye(modes.n)]
-    for k in range(1, k_max + 1):
-        level = [A @ p for A in modes.matrices for p in level]
+    for k, level in enumerate(_product_levels(modes, k_max), 1):
         rho_k = max(float(np.abs(np.linalg.eigvals(p)).max()) for p in level)
         best = max(best, rho_k ** (1.0 / k))
     return best
@@ -109,6 +110,8 @@ def whitebox_gamma(
     machinery as the sampled problem, so the value approaches the true
     optimum from below as the grid refines.
     """
+    if grid < 1:
+        raise ValueError(f"grid must be >= 1, got {grid}")
     opts = opts or SolveOptions()
     X = _sphere_grid(modes.n, grid, seed)
     products = enumerate_products(modes, l)

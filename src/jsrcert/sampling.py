@@ -83,16 +83,18 @@ def load_modes(path) -> ModeSet:
     try:
         with open(path) as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict) or not isinstance(payload.get("matrices"), list):
+            raise ValueError("expected a JSON object with a 'matrices' list")
+        n = payload.get("dim")
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError("expected an integer 'dim'")
+        modes = ModeSet(tuple(payload["matrices"]))
+        if modes.n != n:
+            raise ValueError(f"mode-set file declares dim {n} but matrices are {modes.n}x{modes.n}")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: cannot decode the file as {exc.encoding}: {exc.reason}") from None
-    if not isinstance(payload, dict) or not isinstance(payload.get("matrices"), list):
-        raise ValueError(f"{path}: expected a JSON object with a 'matrices' list")
-    n = payload.get("dim")
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"{path}: expected an integer 'dim'")
-    modes = ModeSet(tuple(payload["matrices"]))
-    if modes.n != n:
-        raise ValueError(f"mode-set file declares dim {n} but matrices are {modes.n}x{modes.n}")
+    except ValueError as exc:  # JSONDecodeError too: every error names the file
+        raise ValueError(f"{path}: {exc}") from None
     return modes
 
 
@@ -233,9 +235,8 @@ def save_observations(obs: ObservationSet, path) -> None:
                 for tid, (x0, xl) in enumerate(zip(X0, XL), lo)))
 
 
-def _int_column(fields) -> np.ndarray:
-    """Fields parsed by Python's int: int64 when every value fits, else exact Python ints."""
-    ints = list(map(int, fields))
+def _int_column(ints) -> np.ndarray:
+    """Python ints as int64 when every value fits, else as exact Python ints."""
     try:
         return np.array(ints, dtype=np.int64)
     except OverflowError:
@@ -259,23 +260,18 @@ def _csv_rows(text: str, path, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     records, line = _records(text, path)
     if not line.size:
         raise TrajectoryFormatError(f"{path}: no trajectory rows")
-    rows = [records[i - 2] for i in line.tolist()]
-    try:  # column by column; a ragged row or a non-number goes to the row scan below
-        if any(len(row) != n + 2 for row in rows):
-            raise ValueError
-        cols = list(zip(*rows))
-        tid, step = _int_column(cols[0]), _int_column(cols[1])
-        X = np.column_stack([np.fromiter(map(float, c), float, len(rows)) for c in cols[2:]])
-    except ValueError:  # name the first ragged or non-numeric record
-        for lineno, row in zip(line.tolist(), rows):
+    tid, step, X = [], [], []
+    for lineno in line.tolist():
+        row = records[lineno - 2]
+        try:
             if len(row) != n + 2:
-                raise TrajectoryFormatError(
-                    f"{path}:{lineno}: expected {n + 2} fields, got {len(row)}") from None
-            try:
-                list(map(int, row[:2])), list(map(float, row[2:]))
-            except ValueError as exc:
-                raise TrajectoryFormatError(f"{path}:{lineno}: {exc}") from None
-    return tid, step, X
+                raise ValueError(f"expected {n + 2} fields, got {len(row)}")
+            tid.append(int(row[0]))
+            step.append(int(row[1]))
+            X.append(list(map(float, row[2:])))
+        except ValueError as exc:
+            raise TrajectoryFormatError(f"{path}:{lineno}: {exc}") from None
+    return _int_column(tid), _int_column(step), np.array(X, dtype=float)
 
 
 def load_observations(path) -> ObservationSet:

@@ -149,6 +149,22 @@ class TestSolveGamma:
         assert gamma == 0.0
         assert cand.kappa == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_zero_growth_sample(self, d, monkeypatch):
+        # All-zero XL: lambda* = 0 closes the bracket [0, 0] before any oracle call.
+        G = np.random.default_rng(3).standard_normal((20, 2))
+        obs = ObservationSet(2, G / np.linalg.norm(G, axis=1, keepdims=True), np.zeros((20, 2)))
+        cache = _PairCache(obs, d)
+        D = cache.dim
+        with monkeypatch.context() as patch:
+            patch.setattr(lmi, "max_margin_feasibility", None)
+            assert _bisect_gamma(cache, SolveOptions(), witness=False) == (0.0, None)
+            gamma, P = _bisect_gamma(cache, SolveOptions())
+            assert gamma == 0.0 and np.array_equal(P, np.eye(D))
+        gamma, cand = solve_gamma(obs, d)
+        assert gamma == 0.0 and cand.gamma == 0.0
+        assert np.array_equal(cand.P.full(), np.eye(D))
+
     def test_double_identity(self, double_identity):
         obs = simulate(double_identity, 10, 1, seed=7)
         gamma, cand = solve_gamma(obs, 1)

@@ -189,6 +189,15 @@ class TestCertifyCommand:
             ('{"dim": true, "matrices": [[[1.0]]]}', "expected an integer 'dim'"),
             ('{"dim": 2.7, "matrices": [[[1.0, 0.0], [0.0, 1.0]]]}', "expected an integer 'dim'"),
             ('{"dim": "2", "matrices": [[[1.0, 0.0], [0.0, 1.0]]]}', "expected an integer 'dim'"),
+            ('{"dim": 2, "matrices": [', "Expecting value: line 1 column 25 (char 24)"),
+            ('{"dim": 2, "matrices": [[[1.0, 0.0], [0.0]]]}',
+             "setting an array element with a sequence"),
+            ('{"dim": 2, "matrices": [[[1.0, 0.0]]]}',
+             "all modes must be square matrices of the same size"),
+            ('{"dim": 1, "matrices": [[["a"]]]}', "could not convert string to float: 'a'"),
+            ('{"dim": 1, "matrices": []}', "a mode set needs at least one matrix"),
+            ('{"dim": 3, "matrices": [[[1.0, 0.0], [0.0, 1.0]]]}',
+             "mode-set file declares dim 3 but matrices are 2x2"),
         ],
     )
     def test_malformed_mode_file_exits_2(self, tmp_path, capsys, text, message):
@@ -196,7 +205,8 @@ class TestCertifyCommand:
         path.write_text(text)
         rc = main(["certify", "--modes", str(path), "--n-traj", "30", "--modes-upper", "2"])
         assert rc == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err
 
     @pytest.mark.parametrize("name", ["csv_path", "header", "numpy_path"])
     def test_field_past_csv_limit_exits_2(self, oversized_field_files, capsys, name):
@@ -294,6 +304,12 @@ class TestWhiteboxCommand:
         assert "whitebox_gamma:" in out
         value = float(out.split("whitebox_gamma:")[1].split()[0])
         assert abs(value - math.sqrt(2.0)) < 0.02
+
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_empty_grid_exits_2_naming_it(self, modes_file, capsys, grid):
+        rc = main(["whitebox", "--modes", modes_file, "--degree", "1", "--grid", grid])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: grid must be >= 1, got {grid}\n"
 
 
 class TestSweep:

@@ -734,13 +734,23 @@ class TestModeSetIO:
             ('{"dim": true, "matrices": [[[1.0]]]}', "expected an integer 'dim'"),
             ('{"dim": 2.7, "matrices": [[[1.0, 0.0], [0.0, 1.0]]]}', "expected an integer 'dim'"),
             ('{"dim": "2", "matrices": [[[1.0, 0.0], [0.0, 1.0]]]}', "expected an integer 'dim'"),
+            ('{"dim": 2, "matrices": [', "Expecting value: line 1 column 25 (char 24)"),
+            ('{"dim": 2, "matrices": [[[1.0, 0.0], [0.0]]]}',
+             "setting an array element with a sequence"),
+            ('{"dim": 2, "matrices": [[[1.0, 0.0]]]}',
+             "all modes must be square matrices of the same size"),
+            ('{"dim": 1, "matrices": [[["a"]]]}', "could not convert string to float: 'a'"),
+            ('{"dim": 1, "matrices": []}', "a mode set needs at least one matrix"),
+            ('{"dim": 3, "matrices": [[[1.0, 0.0], [0.0, 1.0]]]}',
+             "mode-set file declares dim 3 but matrices are 2x2"),
         ],
     )
     def test_malformed_file_rejected(self, tmp_path, text, message):
         path = tmp_path / "modes.json"
         path.write_text(text)
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(ValueError, match=re.escape(message)) as info:
             load_modes(path)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -6,9 +6,8 @@ bit-identical prints the same lines.
     PYTHONPATH=src python tools/lp_digest.py > lp_digest.txt
 
 It wraps `jsrcert.lmi._run_highs`, through which every HiGHS solve goes,
-cold or on a cut loop's added rows (in a checkout without it, every solve
-goes through `jsrcert.lmi.linprog`, which it wraps instead).  After each
-solve it reads back the model `jsrcert.lmi._HIGHS` holds.  For each item it
+cold or on a cut loop's added rows.  After each solve it reads back the
+model `jsrcert.lmi._HIGHS` holds.  For each item it
 prints the solve count, the most solves made in one `jsrcert.lmi._cut_loop`
 call (`max_loop=`, to read against `_MAX_CUT_ROUNDS`), the total `A_ub`
 rows (rows without a lower bound) of those solves, how many of the solves
@@ -32,6 +31,18 @@ order, and the item's outputs:
 * `support_constraints` on the 20 seeds of acceptance criterion 9 (Parrilo
   pair, N = 10, d = 1), with the support sets and gammas.
 
+Three more lines cover steps that issue no LP:
+
+* `load_observations` on the bench's seed-1 Parrilo file with every id
+  raised by 2^63, which only the csv path reads, with the number of
+  `jsrcert.sampling._csv_rows` calls and a sha256 over the loaded `X0` and
+  `XL` bytes (the same sample as the first line's);
+* per bench mode set, a sha256 over the sequences and bytes of
+  `enumerate_products` at l = 1, 2, 3 and 5, and `jsr_lower_bound` at
+  k = 1, 4 and 8;
+* a sha256 over `delta_cap` on a grid of (eps, n) that reaches both of its
+  incomplete-beta branches and its eps >= 1/2 branch.
+
 Inputs come from ``bench/data``; everything written goes to a temporary
 directory.  Takes about 15 s on a 2-core box.
 """
@@ -51,7 +62,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import jsrcert.cli  # noqa: E402
 import jsrcert.lmi  # noqa: E402
-from jsrcert.oracles import support_constraints  # noqa: E402
+import jsrcert.sampling  # noqa: E402
+from jsrcert.caps import delta_cap  # noqa: E402
+from jsrcert.oracles import enumerate_products, jsr_lower_bound, support_constraints  # noqa: E402
 from jsrcert.sampling import load_modes, load_observations, simulate  # noqa: E402
 from workloads import DATA, WORKLOADS  # noqa: E402
 
@@ -60,13 +73,12 @@ class LPDigest:
     """Counts and hashes every HiGHS solve, with the model solved."""
 
     def __init__(self):
-        self.name = "_run_highs" if hasattr(jsrcert.lmi, "_run_highs") else "linprog"
-        self.solve = getattr(jsrcert.lmi, self.name)
+        self.solve = jsrcert.lmi._run_highs
         self.balancing = 0  # depth of `_balanced_witness` calls under way
         self.reset()
 
     def install(self):
-        setattr(jsrcert.lmi, self.name, self)
+        jsrcert.lmi._run_highs = self
         cut_loop = jsrcert.lmi._cut_loop
 
         def counting(*args, **kwargs):  # cut loops never nest
@@ -133,6 +145,53 @@ class LPDigest:
         return line
 
 
+def csv_path_line(workdir: Path) -> str:
+    work = WORKLOADS["parrilo-d1-n3000"]
+    work.setup(workdir, seed=1, tiny=False)
+    with open(work.path, newline="") as fh:
+        header, *rows = fh.readlines()
+    path = workdir / "traj-big-ids.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(header)
+        for row in rows:
+            tid, rest = row.split(",", 1)
+            fh.write(f"{int(tid) + 2**63},{rest}")
+    calls = []
+    csv_rows = jsrcert.sampling._csv_rows
+
+    def counting(*args):
+        calls.append(None)
+        return csv_rows(*args)
+
+    jsrcert.sampling._csv_rows = counting
+    try:
+        obs = load_observations(path)
+    finally:
+        jsrcert.sampling._csv_rows = csv_rows
+    sample = hashlib.sha256(obs.X0.tobytes() + obs.XL.tobytes()).hexdigest()
+    return f"parrilo-big-ids csv_rows={len(calls)} N={obs.N} l={obs.l} sample_sha256={sample}"
+
+
+def product_line(name: str) -> str:
+    modes = load_modes(DATA / f"{name}.json")
+    sha = hashlib.sha256()
+    for l in (1, 2, 3, 5):
+        products = enumerate_products(modes, l)
+        sha.update(repr(products.sequences).encode())
+        for A in products.matrices:
+            sha.update(A.tobytes())
+    lower = [jsr_lower_bound(modes, k) for k in (1, 4, 8)]
+    return f"products-{name} products_sha256={sha.hexdigest()} jsr_lower_bound={lower!r}"
+
+
+def delta_cap_line() -> str:
+    # eps <= 1/4 and 1/4 < eps < 1/2 take the two incomplete-beta branches.
+    grid = [(eps, n) for eps in (1e-9, 1e-4, 0.01, 0.1, 0.25, 0.3, 0.4, 0.499, 0.5)
+            for n in (2, 3, 4, 7, 10, 21)]
+    values = np.array([delta_cap(eps, n) for eps, n in grid])
+    return f"delta_cap points={len(grid)} sha256={hashlib.sha256(values.tobytes()).hexdigest()}"
+
+
 def main() -> None:
     digest = LPDigest()
     digest.install()
@@ -194,6 +253,11 @@ def main() -> None:
         print(digest.line(f"support-seed{seed}",
                           f"indices={list(res.indices)} gamma={res.gamma!r}"), flush=True)
     print(f"support total lps={total}")
+    with tempfile.TemporaryDirectory() as tmp:
+        print(csv_path_line(Path(tmp)), flush=True)
+    for name in ("parrilo", "rand2x2m3"):
+        print(product_line(name), flush=True)
+    print(delta_cap_line())
 
 
 if __name__ == "__main__":
