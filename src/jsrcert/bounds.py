@@ -58,22 +58,18 @@ class CertificateReport:
     flags: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(asdict(self), indent=2)
 
 
-def bound_B(lambda_star: float, eps1: float, l: int, n: int) -> float:
-    """Probabilistic bound on the worst product norm: lambda*/delta(eps1)^(1/l).
+def bound_B(lambda_star: float, delta: float, l: int) -> float:
+    """Probabilistic bound on the worst product norm: lambda*/delta^(1/l).
 
-    +inf when delta(eps1) = 0, i.e. when eps1 >= 1/2 and the sample is too
-    small to localize the growth rate.
+    `delta` is the cap threshold delta(eps1); +inf when it is 0, i.e. when
+    eps1 >= 1/2 and the sample is too small to localize the growth rate.
     """
     if lambda_star < 0:
         raise ValueError(f"lambda_star must be non-negative, got {lambda_star}")
-    delta = delta_cap(eps1, n)
     if delta == 0.0:
         return math.inf
     return lambda_star / delta ** (1.0 / l)
@@ -125,7 +121,7 @@ def jsr_upper_bound(
     cover = cap_params(eps, budget.n)
     eps1 = eps_one(budget.beta1, budget.m, budget.l, budget.N)
     delta_eps1 = delta_cap(eps1, budget.n)
-    A_value = bound_B(lambda_star, eps1, budget.l, budget.n)
+    A_value = bound_B(lambda_star, delta_eps1, budget.l)
     f_value = f_correction(budget.d, cover.Delta, budget.lift_dim)
     bound = combine_bound(gamma_star, A_value, f_value, kappa, budget.d, budget.l)
     raw_confidence = budget.beta + budget.beta1 - 1.0

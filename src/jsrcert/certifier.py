@@ -167,12 +167,11 @@ def _bisect_gamma(
             break
         feasible, P = False, None  # undecided or no witness: not proven feasible
         try:
-            rows = cache.rows(mid)
-            result = lmi.max_margin_feasibility(rows, D, opts.c_bound, cache.dirs, start)
+            result = lmi.max_margin_feasibility(cache.rows(mid), D, opts.c_bound, cache.dirs, start)
             if result.P is not None:  # None when the oracle stopped early
                 start = result.P
             if result.feasible and witness:
-                P = lmi.feasibility_witness(rows, D, result, cache.dirs)
+                P = lmi.feasibility_witness(result, D, cache.dirs)
             feasible = result.feasible and (P is not None or not witness)
         except SolverStallError as exc:
             warnings.warn(f"feasibility oracle undecided at gamma={mid:.6g}: {exc}",

@@ -143,19 +143,13 @@ def run_sweep(config: SweepConfig) -> list[dict]:
     return [cell(*args) for args in cells]
 
 
-def _fmt(value: float) -> str:
-    if math.isinf(value):
-        return "inf"
-    return repr(float(value))
-
-
 def write_sweep_csv(rows: list[dict], path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("N,run,degree,gamma_star,bound,finite\n")
         for r in rows:
             finite = "true" if r["finite"] else "false"
             fh.write(
-                f"{r['N']},{r['run']},{r['degree']},{_fmt(r['gamma_star'])},{_fmt(r['bound'])},{finite}\n"
+                f"{r['N']},{r['run']},{r['degree']},{float(r['gamma_star'])!r},{float(r['bound'])!r},{finite}\n"
             )
 
 
@@ -303,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--traj", help="trajectory CSV file (black-box observations)")
     p_cert.add_argument("--modes", help="mode-set JSON file (simulate internally instead)")
     p_cert.add_argument("--n-traj", type=int, help="number of trajectories when simulating")
-    p_cert.add_argument("--len", dest="length", type=int, default=1, help="trace length l")
-    p_cert.add_argument("--seed", type=int, default=0)
+    p_cert.add_argument("--len", dest="length", type=int, help="simulated trace length l (default 1)")
+    p_cert.add_argument("--seed", type=int, help="simulation seed (default 0)")
     p_cert.add_argument("--degree", type=int, default=1, help="half-degree d of the certificate")
     p_cert.add_argument("--beta", type=float, default=0.95)
     p_cert.add_argument("--beta1", type=float, default=0.95)
@@ -354,12 +348,17 @@ def _load_certify_observations(args) -> ObservationSet:
     if args.traj and args.modes:
         raise ValueError("--traj and --modes are mutually exclusive")
     if args.traj:
+        simulation = {"--n-traj": args.n_traj, "--len": args.length, "--seed": args.seed}
+        for flag, value in simulation.items():
+            if value is not None:
+                raise ValueError(f"{flag} applies only when simulating from --modes, not to --traj")
         return load_observations(args.traj)
     if args.modes:
         if args.n_traj is None:
             raise ValueError("--n-traj is required when simulating from --modes")
         modes = load_modes(args.modes)
-        return simulate(modes, args.n_traj, args.length, args.seed)
+        length = 1 if args.length is None else args.length
+        return simulate(modes, args.n_traj, length, 0 if args.seed is None else args.seed)
     raise ValueError("one of --traj or --modes is required")
 
 
@@ -372,8 +371,8 @@ def cmd_certify(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(report.to_json())
             fh.write("\n")
-    print(f"jsr_upper_bound: {_fmt(report.jsr_upper_bound)}")
-    print(f"confidence: {_fmt(report.confidence)}")
+    print(f"jsr_upper_bound: {float(report.jsr_upper_bound)!r}")
+    print(f"confidence: {float(report.confidence)!r}")
     print(f"finite: {'true' if report.finite else 'false'}")
     return 0
 
@@ -382,7 +381,7 @@ def cmd_whitebox(args) -> int:
     modes = load_modes(args.modes)
     result = whitebox_gamma(modes, args.length, args.degree, args.grid, _solver_opts(args))
     kind = "surrogate-sample" if result.surrogate else "grid"
-    print(f"whitebox_gamma: {_fmt(result.gamma)} ({kind} size {result.grid_points})")
+    print(f"whitebox_gamma: {float(result.gamma)!r} ({kind} size {result.grid_points})")
     return 0
 
 

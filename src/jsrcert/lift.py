@@ -43,10 +43,6 @@ class MultiIndex:
     alpha: tuple[int, ...]
     coeff: int  # d! / (alpha_1! ... alpha_n!)
 
-    @property
-    def degree(self) -> int:
-        return sum(self.alpha)
-
 
 @dataclass(frozen=True)
 class LiftedVector:
@@ -55,9 +51,6 @@ class LiftedVector:
     n: int
     degree: int
     values: np.ndarray
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
 
 
 def lift_dimension(n: int, d: int) -> int:

@@ -25,14 +25,14 @@ All three programs run through one cutting-plane loop, `_cut_loop`, over
 x = (vech P, tau); they differ only in objective, boxes, base rows and the
 cut level w^T P w >= a*tau + b.  `max_margin_feasibility`, the oracle of
 the gamma bisection and of the support search, maximizes the margin and
-returns a verdict with the margin-optimal P it ended on.  From that result
-`feasibility_witness` builds a shape matrix on request: above the
-row-generation threshold the oracle's P itself, whose eigenvalue floor D/C
-bounds the LP noise that rescaling amplifies; at or below it,
-`_balanced_witness` maximizes the floor at the required margin in a second
-cut loop, kept only for the sweep's byte references (ROADMAP item 3).
-`min_lambda_max` is the condition-number tie-break.  The entry points accept
-a mutable list of probe directions so the cuts learned in one call
+returns a verdict with the cleaned rows and the margin-optimal P it ended
+on.  From that result alone `feasibility_witness` builds a shape matrix on
+request: above the row-generation threshold the oracle's P itself, whose
+eigenvalue floor D/C bounds the LP noise that rescaling amplifies; at or
+below it, `_balanced_witness` maximizes the floor at the required margin in
+a second cut loop, kept only for the sweep's byte references (ROADMAP item
+3).  `min_lambda_max` is the condition-number tie-break.  The entry points
+accept a mutable list of probe directions so the cuts learned in one call
 warm-start the next: a cut w'Pw >= r depends only on D, not on gamma or rows.
 
 The kernel also generates rows.  Only D(D+1)/2 + 1 samples can pin the
@@ -216,8 +216,9 @@ class SolverStallError(RuntimeError):
 class MarginResult:
     feasible: bool
     margin: float
-    # The margin-optimal P (trace D) the oracle ended on; not part of the verdict.
+    # Not part of the verdict: the margin-optimal P (trace D) and the cleaned rows.
     P: np.ndarray | None = field(default=None, compare=False, repr=False)
+    rows: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def quad_form_rows(V: np.ndarray) -> np.ndarray:
@@ -569,7 +570,7 @@ def max_margin_feasibility(
     """
     rows = _clean_rows(rows)
     if rows.shape[0] == 0:
-        return MarginResult(feasible=True, margin=1.0)
+        return MarginResult(feasible=True, margin=1.0, rows=rows)
     # lambda_max <= trace = D, so this floor caps lambda_max/lambda_min at
     # c_bound, matching the I <= P <= C*I box after rescaling.
     floor = min(D / c_bound, 0.9)
@@ -579,17 +580,16 @@ def max_margin_feasibility(
     t, P, _ = _cut_loop(-1.0, bounds, base, np.zeros(base.shape[0]), [] if dirs is None else dirs,
                         0.0, floor, D, A_eq=trace_row, b_eq=[float(D)],
                         stop=lambda tau: tau < -FEASIBILITY_MARGIN, start=start)
-    return MarginResult(feasible=P is not None and t >= FEASIBILITY_MARGIN, margin=t, P=P)
+    return MarginResult(P is not None and t >= FEASIBILITY_MARGIN, t, P, rows)
 
 
-def feasibility_witness(rows: np.ndarray, D: int, result: MarginResult,
-                        dirs: list[np.ndarray]) -> np.ndarray | None:
-    """P >= I for rows `max_margin_feasibility` found feasible, from its `result`.
+def feasibility_witness(result: MarginResult, D: int, dirs: list[np.ndarray]) -> np.ndarray | None:
+    """P >= I on the rows of a feasible `max_margin_feasibility` `result`.
 
     Checked again on every row; None when rescaling amplified LP noise past
     the 1e-9 contract.
     """
-    rows = _clean_rows(rows)
+    rows = result.rows
     if rows.shape[0] == 0:
         return np.eye(D)
     P = result.P

@@ -84,11 +84,11 @@ class WhiteboxResult:
     surrogate: bool
 
 
-def _sphere_grid(n: int, count: int, seed: int) -> np.ndarray:
+def _sphere_grid(n: int, count: int) -> np.ndarray:
     if n == 2:
         theta = 2.0 * np.pi * np.arange(count) / count
         return np.column_stack([np.cos(theta), np.sin(theta)])
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=0))
     G = rng.standard_normal((count, n))
     return G / np.linalg.norm(G, axis=1, keepdims=True)
 
@@ -99,7 +99,6 @@ def whitebox_gamma(
     d: int,
     grid: int = 720,
     opts: SolveOptions | None = None,
-    seed: int = 0,
 ) -> WhiteboxResult:
     """Decrease-rate optimum with the full product set on a dense sphere grid.
 
@@ -113,7 +112,7 @@ def whitebox_gamma(
     if grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")
     opts = opts or SolveOptions()
-    X = _sphere_grid(modes.n, grid, seed)
+    X = _sphere_grid(modes.n, grid)
     products = enumerate_products(modes, l)
     X0 = np.vstack([X] * len(products.matrices))
     XL = np.vstack([X @ A.T for A in products.matrices])

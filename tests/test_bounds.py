@@ -17,28 +17,28 @@ class TestBoundB:
         # instead: delta = 0.5 at eps1 = acos(0.5)/pi = 1/3.
         eps1 = math.acos(0.5) / math.pi
         assert delta_cap(eps1, 2) == pytest.approx(0.5, abs=1e-12)
-        assert bound_B(1.4, eps1, 1, 2) == pytest.approx(2.8, rel=1e-9)
+        assert bound_B(1.4, delta_cap(eps1, 2), 1) == pytest.approx(2.8, rel=1e-9)
 
     def test_infinite_when_cap_degenerate(self):
-        assert math.isinf(bound_B(1.4, 0.6, 1, 2))
-        assert math.isinf(bound_B(0.0, 0.5, 2, 3))
+        assert math.isinf(bound_B(1.4, delta_cap(0.6, 2), 1))
+        assert math.isinf(bound_B(0.0, delta_cap(0.5, 3), 2))
 
     def test_chained_closed_forms(self):
         # beta1 = 0.95, m = 2, l = 1, N = 1000, n = 2.
         eps1 = eps_one(0.95, 2, 1, 1000)
         assert eps1 == pytest.approx(0.0029912495450953314, rel=1e-9)
         expected = SQRT2 / math.cos(math.pi * eps1)
-        value = bound_B(SQRT2, eps1, 1, 2)
+        value = bound_B(SQRT2, delta_cap(eps1, 2), 1)
         assert value == pytest.approx(expected, rel=1e-12)
         assert value == pytest.approx(1.4142760085735802, rel=1e-9)
 
     def test_l_root_applied(self):
         eps1 = math.acos(0.5) / math.pi
-        assert bound_B(1.0, eps1, 2, 2) == pytest.approx(1.0 / 0.5**0.5, rel=1e-9)
+        assert bound_B(1.0, delta_cap(eps1, 2), 2) == pytest.approx(1.0 / 0.5**0.5, rel=1e-9)
 
     def test_rejects_negative_lambda(self):
         with pytest.raises(ValueError):
-            bound_B(-0.1, 0.1, 1, 2)
+            bound_B(-0.1, delta_cap(0.1, 2), 1)
 
 
 class TestFCorrection:

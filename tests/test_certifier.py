@@ -35,10 +35,9 @@ def witness(obs, d, gamma, opts=None):
     """The shape matrix the bisection builds after a feasible verdict at gamma."""
     opts = opts or SolveOptions()
     cache = _PairCache(obs, d)
-    rows = cache.rows(gamma)
-    result = lmi.max_margin_feasibility(rows, cache.dim, opts.c_bound, cache.dirs)
+    result = lmi.max_margin_feasibility(cache.rows(gamma), cache.dim, opts.c_bound, cache.dirs)
     assert result.feasible
-    return lmi.feasibility_witness(rows, cache.dim, result, cache.dirs)
+    return lmi.feasibility_witness(result, cache.dim, cache.dirs)
 
 
 class TestSolveOptions:
@@ -210,6 +209,28 @@ class TestSolveGamma:
             "ij,jk,ik->i", obs.X0, P, obs.X0
         )
         assert np.sqrt(np.max(ratios)) <= gamma * (1.0 + 1e-6)
+
+    @pytest.mark.parametrize("N, d", [(40, 1), (40, 2), (400, 1)])
+    def test_rows_cleaned_once_per_lp_program(self, parrilo, N, d, monkeypatch):
+        # The witness builds from the rows its verdict cleaned, so each oracle
+        # and each tie-break cleans its rows once, and no other call does.
+        calls = {"_clean_rows": 0, "max_margin_feasibility": 0, "min_lambda_max": 0,
+                 "feasibility_witness": 0}
+
+        def counted(name):
+            inner = getattr(lmi, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(lmi, name, wrapper)
+
+        for name in calls:
+            counted(name)
+        solve_gamma(simulate(parrilo, N, 1, seed=5), d)
+        assert calls["feasibility_witness"] > 0  # some bisection steps were feasible
+        assert calls["_clean_rows"] == calls["max_margin_feasibility"] + calls["min_lambda_max"]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

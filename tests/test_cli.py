@@ -53,6 +53,23 @@ class TestCertifyCommand:
         assert "confidence:" in stdout
         assert "finite: true" in stdout
 
+    @pytest.mark.parametrize("flag, value", [("--n-traj", "7"), ("--len", "5"), ("--seed", "9")])
+    def test_simulation_flag_with_traj_exits_2(self, tmp_path, double_identity, capsys,
+                                               monkeypatch, flag, value):
+        # The simulation flags do not apply to a trajectory file: refused, not ignored.
+        def no_lp(*args, **kwargs):
+            raise AssertionError("an LP was solved")
+
+        traj, out = tmp_path / "t.csv", tmp_path / "report.json"
+        save_observations(simulate(double_identity, 30, 1, seed=6), traj)
+        monkeypatch.setattr(jsrcert.lmi, "linprog", no_lp)
+        rc = main(["certify", "--traj", str(traj), "--modes-upper", "2", flag, value,
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag} applies only when simulating from --modes, not to --traj\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("degree, scale", [(1, 1e160), (2, 1e80)])
     def test_overflowing_sample_exits_2(self, tmp_path, parrilo, capsys, degree, scale):
         # One final state scaled past the float range of the program: at d = 1

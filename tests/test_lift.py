@@ -61,7 +61,7 @@ class TestLiftVector:
     def test_ones_vector_norm(self):
         lifted = d_lift_vector([1.0, 1.0], 2)
         assert np.allclose(lifted.values, [1.0, SQRT2, 1.0])
-        assert lifted.norm() == pytest.approx(2.0, rel=1e-12)
+        assert np.linalg.norm(lifted.values) == pytest.approx(2.0, rel=1e-12)
 
     def test_hand_computed_entries(self):
         lifted = d_lift_vector([2.0, 3.0], 2)

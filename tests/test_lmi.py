@@ -86,7 +86,7 @@ def verdict_and_witness(rows, D):
     """The oracle's verdict, then its witness on the same cuts, as the bisection asks."""
     dirs = []
     result = lmi.max_margin_feasibility(rows, D, 100.0, dirs)
-    return result, lmi.feasibility_witness(rows, D, result, dirs)
+    return result, lmi.feasibility_witness(result, D, dirs)
 
 
 class TestMaxMarginFeasibility:
@@ -135,7 +135,9 @@ class TestFeasibilityWitness:
         assert np.array_equal(P, expected)
 
     def test_no_rows_gives_identity(self):
-        P = lmi.feasibility_witness(np.zeros((2, 3)), 2, lmi.MarginResult(True, 1.0), [])
+        result = lmi.max_margin_feasibility(np.zeros((2, 3)), 2, 100.0)
+        assert result == lmi.MarginResult(True, 1.0)
+        P = lmi.feasibility_witness(result, 2, [])
         assert np.array_equal(P, np.eye(2))
 
     def test_failed_recheck_gives_none(self, rand_d1, monkeypatch):
@@ -143,7 +145,8 @@ class TestFeasibilityWitness:
         rows, D = rand_d1
         assert np.max(lmi._clean_rows(rows) @ np.eye(D)[np.triu_indices(D)]) > 1e-9
         monkeypatch.setattr(lmi, "_balanced_witness", lambda *args: np.eye(D))
-        assert lmi.feasibility_witness(rows, D, lmi.MarginResult(True, 1e-3), []) is None
+        result = lmi.MarginResult(True, 1e-3, rows=lmi._clean_rows(rows))
+        assert lmi.feasibility_witness(result, D, []) is None
 
     def test_above_threshold_takes_the_oracles_P(self, above_block, monkeypatch):
         # Above the threshold the witness solves no LP: it is the verdict's
@@ -154,14 +157,15 @@ class TestFeasibilityWitness:
         result = lmi.max_margin_feasibility(rows, D, 100.0, dirs)
         assert result.feasible
         assert result == lmi.MarginResult(result.feasible, result.margin)
-        assert "P=" not in repr(result)
+        assert "P=" not in repr(result) and "rows=" not in repr(result)
+        assert np.array_equal(result.rows, lmi._clean_rows(rows))
 
         def unused(*args, **kwargs):
             raise AssertionError("the witness must solve no LP")
 
         monkeypatch.setattr(lmi, "_balanced_witness", unused)
         monkeypatch.setattr(lmi, "_solve_lp", unused)
-        P = lmi.feasibility_witness(rows, D, result, dirs)
+        P = lmi.feasibility_witness(result, D, dirs)
         assert np.array_equal(P, result.P / np.linalg.eigvalsh(result.P)[0])
         assert np.max(lmi._clean_rows(rows) @ P[np.triu_indices(D)]) <= 1e-9
         assert np.linalg.eigvalsh(P)[0] >= 1.0 - 1e-12
