@@ -25,12 +25,10 @@ from .certifier import (
     solve_lambda,
 )
 from .lift import (
-    LiftedVector,
     MatrixMetrics,
     MultiIndex,
     SymMatrix,
     d_lift_matrix,
-    d_lift_vector,
     kron_power,
     lift_coefficient_matrix,
     lift_dimension,

@@ -106,6 +106,11 @@ class SweepConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
+def _check_modes_upper(m_upper: int, modes: ModeSet, path) -> None:
+    if m_upper < modes.m:  # caps for fewer modes than the system has overstate the confidence
+        raise ValueError(f"--modes-upper {m_upper} is below the {modes.m} modes of {path}")
+
+
 def _cell_seed(master: int, N: int, run: int, degree: int) -> int:
     state = np.random.SeedSequence([master, N, run, degree]).generate_state(2, dtype=np.uint64)
     return int(state[0]) | (int(state[1]) << 64)
@@ -131,6 +136,7 @@ def run_sweep(config: SweepConfig) -> list[dict]:
     the output does not depend on execution order or parallelism.
     """
     modes = load_modes(config.modes_path)
+    _check_modes_upper(config.m_upper, modes, config.modes_path)
     for N, degree in product(config.n_values, config.degrees):  # fail before any cell runs
         ConfidenceBudget(beta=config.beta, beta1=config.beta1, m=config.m_upper, l=config.l,
                          N=N, n=modes.n, d=degree)
@@ -357,6 +363,7 @@ def _load_certify_observations(args) -> ObservationSet:
         if args.n_traj is None:
             raise ValueError("--n-traj is required when simulating from --modes")
         modes = load_modes(args.modes)
+        _check_modes_upper(args.modes_upper, modes, args.modes)
         length = 1 if args.length is None else args.length
         return simulate(modes, args.n_traj, length, 0 if args.seed is None else args.seed)
     raise ValueError("one of --traj or --modes is required")
@@ -381,7 +388,7 @@ def cmd_whitebox(args) -> int:
     modes = load_modes(args.modes)
     result = whitebox_gamma(modes, args.length, args.degree, args.grid, _solver_opts(args))
     kind = "surrogate-sample" if result.surrogate else "grid"
-    print(f"whitebox_gamma: {float(result.gamma)!r} ({kind} size {result.grid_points})")
+    print(f"whitebox_gamma: {float(result.gamma)!r} ({kind} size {args.grid})")
     return 0
 
 

@@ -23,12 +23,10 @@ import numpy as np
 
 __all__ = [
     "MultiIndex",
-    "LiftedVector",
     "SymMatrix",
     "MatrixMetrics",
     "lift_dimension",
     "multi_index_set",
-    "d_lift_vector",
     "d_lift_matrix",
     "lift_coefficient_matrix",
     "kron_power",
@@ -42,15 +40,6 @@ class MultiIndex:
 
     alpha: tuple[int, ...]
     coeff: int  # d! / (alpha_1! ... alpha_n!)
-
-
-@dataclass(frozen=True)
-class LiftedVector:
-    """Degree-d lift of a base vector, entries in canonical index order."""
-
-    n: int
-    degree: int
-    values: np.ndarray
 
 
 def lift_dimension(n: int, d: int) -> int:
@@ -104,23 +93,6 @@ def lift_batch(X: np.ndarray, d: int) -> np.ndarray:
     # X[:, None, :] ** exps -> (N, D, n); product over the variable axis.
     monomials = np.prod(X[:, None, :] ** exps[None, :, :], axis=2)
     return monomials * weights[None, :]
-
-
-def d_lift_vector(x, d: int) -> LiftedVector:
-    """Lift x to its weighted degree-d monomial vector.
-
-    Entry at exponent alpha is sqrt(multinomial(alpha)) * x^alpha, so the
-    Euclidean norm of the result equals ||x||^d.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("d_lift_vector expects a 1-d vector")
-    if d < 1:
-        raise ValueError(f"degree must be >= 1, got {d}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("d_lift_vector requires finite entries")
-    values = lift_batch(x[None, :], d)[0]
-    return LiftedVector(n=x.size, degree=d, values=values)
 
 
 def kron_power(x, k: int) -> np.ndarray:

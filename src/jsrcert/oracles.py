@@ -37,7 +37,6 @@ _ENUMERATION_CAP = 10**6
 class ProductEnumeration:
     """All ordered length-l mode products, lexicographic in the sequence."""
 
-    l: int
     sequences: tuple[tuple[int, ...], ...]
     matrices: tuple[np.ndarray, ...]
 
@@ -58,7 +57,7 @@ def enumerate_products(modes: ModeSet, l: int) -> ProductEnumeration:
     for matrices in _product_levels(modes, l):  # the last list, of length-l products
         pass
     sequences = tuple(itertools.product(range(modes.m), repeat=l))
-    return ProductEnumeration(l=l, sequences=sequences, matrices=tuple(matrices))
+    return ProductEnumeration(sequences=sequences, matrices=tuple(matrices))
 
 
 def jsr_lower_bound(modes: ModeSet, k_max: int) -> float:
@@ -80,7 +79,6 @@ def jsr_lower_bound(modes: ModeSet, k_max: int) -> float:
 @dataclass(frozen=True)
 class WhiteboxResult:
     gamma: float
-    grid_points: int
     surrogate: bool
 
 
@@ -118,7 +116,7 @@ def whitebox_gamma(
     XL = np.vstack([X @ A.T for A in products.matrices])
     obs = ObservationSet(l, X0, XL)
     gamma, _ = _bisect_gamma(_PairCache(obs, d), opts, witness=False)
-    return WhiteboxResult(gamma=gamma, grid_points=grid, surrogate=modes.n != 2)
+    return WhiteboxResult(gamma=gamma, surrogate=modes.n != 2)
 
 
 @dataclass(frozen=True)

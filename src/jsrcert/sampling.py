@@ -89,6 +89,11 @@ def load_modes(path) -> ModeSet:
         if not isinstance(n, int) or isinstance(n, bool):
             raise ValueError("expected an integer 'dim'")
         modes = ModeSet(tuple(payload["matrices"]))
+        # np.asarray also converts true and "0.5"; the file may hold JSON numbers only.
+        bad = [v for A in payload["matrices"] for row in A for v in row
+               if isinstance(v, bool) or not isinstance(v, (int, float))]
+        if bad:
+            raise ValueError(f"mode matrices must hold JSON numbers, found {json.dumps(bad[0])}")
         if modes.n != n:
             raise ValueError(f"mode-set file declares dim {n} but matrices are {modes.n}x{modes.n}")
     except UnicodeDecodeError as exc:

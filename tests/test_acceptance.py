@@ -16,7 +16,6 @@ from jsrcert.certifier import SolveOptions, solve_gamma
 from jsrcert.cli import SweepConfig, certify_run, run_sweep
 from jsrcert.lift import (
     d_lift_matrix,
-    d_lift_vector,
     kron_power,
     lift_batch,
     lift_coefficient_matrix,
@@ -188,8 +187,8 @@ def test_criterion_8_lift_algebra_suite():
             scale = np.linalg.norm(Ad, 2) * np.linalg.norm(Bd, 2)
             ok &= np.linalg.norm(d_lift_matrix(A @ B, d) - Ad @ Bd, 2) <= 1e-9 * max(scale, 1e-30)
             cases += 1
-            rhs = d_lift_vector(A @ x, d).values
-            ok &= np.linalg.norm(Ad @ d_lift_vector(x, d).values - rhs) <= 1e-9 * max(
+            rhs = lift_batch(A @ x, d)[0]
+            ok &= np.linalg.norm(Ad @ lift_batch(x, d)[0] - rhs) <= 1e-9 * max(
                 np.linalg.norm(rhs), 1e-30
             )
             cases += 1
@@ -201,7 +200,7 @@ def test_criterion_8_lift_algebra_suite():
         cases += 2
         for _ in range(60):
             x = rng.uniform(-1.5, 1.5, size=n)
-            ok &= bool(np.allclose(C @ kron_power(x, d), d_lift_vector(x, d).values, atol=1e-11))
+            ok &= bool(np.allclose(C @ kron_power(x, d), lift_batch(x, d)[0], atol=1e-11))
             cases += 1
     ok = bool(ok) and cases >= 1000
     report(8, ok, f"lift algebra randomized suite: {cases} cases")

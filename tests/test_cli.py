@@ -188,6 +188,36 @@ class TestCertifyCommand:
         assert rc == 2
         assert "cap-based certificates require state dimension n >= 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--traj", "t.csv"], "--traj and --modes are mutually exclusive"),
+        ([], "--n-traj is required when simulating from --modes"),
+    ])
+    def test_input_source_errors_exit_2(self, double_identity_file, capsys, extra, message):
+        rc = main(["certify", "--modes", double_identity_file, "--modes-upper", "2", *extra])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("header, message", [
+        ("traj_id,x1,x2", "expected header 'traj_id,step,x1,...,xn'"),
+        ("step,traj_id,x1,x2", "expected header 'traj_id,step,x1,...,xn'"),
+        ("traj_id,step,x2,x1", "state columns must be named x1..x2"),
+    ])
+    def test_bad_trajectory_header_exits_2(self, tmp_path, capsys, header, message):
+        path = tmp_path / "t.csv"
+        path.write_text(f"{header}\n7,0,1.0,0.0\n7,1,0.5,-2.0\n")
+        rc = main(["certify", "--traj", str(path), "--modes-upper", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("value", ["1", "0.5"])
+    def test_c_bound_at_most_one_exits_2(self, double_identity_file, capsys, value):
+        rc = main([
+            "certify", "--modes", double_identity_file, "--n-traj", "30",
+            "--modes-upper", "2", "--C-bound", value,
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: c_bound must exceed 1 (P = I must be admissible)\n"
+
     def test_missing_input_exits_2(self, capsys):
         rc = main(["certify", "--modes-upper", "2"])
         assert rc == 2
@@ -212,6 +242,10 @@ class TestCertifyCommand:
             ('{"dim": 2, "matrices": [[[1.0, 0.0]]]}',
              "all modes must be square matrices of the same size"),
             ('{"dim": 1, "matrices": [[["a"]]]}', "could not convert string to float: 'a'"),
+            ('{"dim": 2, "matrices": [[[true, false], [false, true]], [["0.5", "0"], ["0", "0.5"]]]}',
+             "mode matrices must hold JSON numbers, found true"),
+            ('{"dim": 2, "matrices": [[[1, 0], [0, 1]], [["0.5", "0"], ["0", "0.5"]]]}',
+             'mode matrices must hold JSON numbers, found "0.5"'),
             ('{"dim": 1, "matrices": []}', "a mode set needs at least one matrix"),
             ('{"dim": 3, "matrices": [[[1.0, 0.0], [0.0, 1.0]]]}',
              "mode-set file declares dim 3 but matrices are 2x2"),
@@ -454,6 +488,8 @@ class TestSweep:
             ("0,30", "1", "every N must be >= 1"),
             ("30", "0", "degrees must be >= 1 and distinct"),
             ("30", "1,1", "degrees must be >= 1 and distinct"),
+            ("30", ",", "at least one degree is required"),
+            ("200,100", "1", "the list of N values must be strictly increasing"),
         ],
     )
     def test_bad_grid_rejected_before_any_pool(
@@ -474,6 +510,15 @@ class TestSweep:
         ])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_zero_runs_exits_2(self, modes_file, tmp_path, capsys):
+        rc = main([
+            "sweep", "--modes", modes_file, "--n-traj", "30", "--runs", "0",
+            "--degree", "1", "--modes-upper", "2", "--out", str(tmp_path / "sweep.csv"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: runs must be >= 1\n"
         assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize(
@@ -520,6 +565,22 @@ def test_beta1_without_growth_rate_cap_exits_2_before_any_lp(
     assert rc == 2
     assert capsys.readouterr().err == (
         f"error: beta1=0.0 leaves no growth-rate cap at N={N}: (1 - beta1)^(1/N) rounds to 1\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, n_traj", [("certify", "200"), ("sweep", "100")])
+def test_modes_upper_below_mode_count_exits_2_before_any_lp(
+        modes_file, tmp_path, capsys, monkeypatch, command, n_traj):
+    # Caps measured for fewer modes than the file has would overstate the confidence.
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(jsrcert.lmi, "linprog", no_lp)
+    out = tmp_path / "out"
+    rc = main([command, "--modes", modes_file, "--n-traj", n_traj, "--modes-upper", "1",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: --modes-upper 1 is below the 2 modes of {modes_file}\n"
     assert not out.exists()
 
 

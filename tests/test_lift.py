@@ -6,7 +6,6 @@ import pytest
 from jsrcert.lift import (
     SymMatrix,
     d_lift_matrix,
-    d_lift_vector,
     kron_power,
     lift_batch,
     lift_coefficient_matrix,
@@ -56,16 +55,16 @@ class TestMultiIndexSet:
 
 class TestLiftVector:
     def test_axis_vector(self):
-        assert np.allclose(d_lift_vector([1.0, 0.0], 2).values, [1.0, 0.0, 0.0])
+        assert np.allclose(lift_batch([1.0, 0.0], 2)[0], [1.0, 0.0, 0.0])
 
     def test_ones_vector_norm(self):
-        lifted = d_lift_vector([1.0, 1.0], 2)
-        assert np.allclose(lifted.values, [1.0, SQRT2, 1.0])
-        assert np.linalg.norm(lifted.values) == pytest.approx(2.0, rel=1e-12)
+        lifted = lift_batch([1.0, 1.0], 2)[0]
+        assert np.allclose(lifted, [1.0, SQRT2, 1.0])
+        assert np.linalg.norm(lifted) == pytest.approx(2.0, rel=1e-12)
 
     def test_hand_computed_entries(self):
-        lifted = d_lift_vector([2.0, 3.0], 2)
-        assert np.allclose(lifted.values, [4.0, 6.0 * SQRT2, 9.0])
+        lifted = lift_batch([2.0, 3.0], 2)[0]
+        assert np.allclose(lifted, [4.0, 6.0 * SQRT2, 9.0])
 
     def test_norm_identity_random(self):
         rng = np.random.default_rng(7)
@@ -78,11 +77,7 @@ class TestLiftVector:
 
     def test_degree_one_is_identity(self):
         x = np.array([0.3, -1.7, 2.2])
-        assert np.array_equal(d_lift_vector(x, 1).values, x)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            d_lift_vector([1.0, np.nan], 2)
+        assert np.array_equal(lift_batch(x, 1)[0], x)
 
 
 class TestKronPower:
@@ -120,7 +115,7 @@ class TestLiftMatrix:
     def test_maps_lift_to_lift_of_image(self):
         A = np.array([[1.0, 0.0], [1.0, 0.0]])
         x = np.array([1.0, 0.0])
-        out = d_lift_matrix(A, 2) @ d_lift_vector(x, 2).values
+        out = d_lift_matrix(A, 2) @ lift_batch(x, 2)[0]
         assert np.allclose(out, [1.0, SQRT2, 1.0])
 
     def test_degree_one_is_same_matrix(self):
@@ -139,8 +134,8 @@ class TestLiftMatrix:
                 ABd = d_lift_matrix(A @ B, d)
                 scale = np.linalg.norm(Ad, 2) * np.linalg.norm(Bd, 2)
                 assert np.linalg.norm(ABd - Ad @ Bd, 2) <= 1e-9 * max(scale, 1e-300)
-                lhs = Ad @ d_lift_vector(x, d).values
-                rhs = d_lift_vector(A @ x, d).values
+                lhs = Ad @ lift_batch(x, d)[0]
+                rhs = lift_batch(A @ x, d)[0]
                 assert np.linalg.norm(lhs - rhs) <= 1e-9 * max(np.linalg.norm(rhs), 1e-300)
 
 
@@ -157,7 +152,7 @@ class TestCoefficientMatrix:
             C = lift_coefficient_matrix(n, d)
             for _ in range(20):
                 x = rng.uniform(-1.5, 1.5, size=n)
-                assert np.allclose(C @ kron_power(x, d), d_lift_vector(x, d).values, atol=1e-12)
+                assert np.allclose(C @ kron_power(x, d), lift_batch(x, d)[0], atol=1e-12)
 
 
 class TestMatrixMetrics:

@@ -740,6 +740,10 @@ class TestModeSetIO:
             ('{"dim": 2, "matrices": [[[1.0, 0.0]]]}',
              "all modes must be square matrices of the same size"),
             ('{"dim": 1, "matrices": [[["a"]]]}', "could not convert string to float: 'a'"),
+            ('{"dim": 2, "matrices": [[[true, false], [false, true]], [["0.5", "0"], ["0", "0.5"]]]}',
+             "mode matrices must hold JSON numbers, found true"),
+            ('{"dim": 2, "matrices": [[[1, 0], [0, 1]], [["0.5", "0"], ["0", "0.5"]]]}',
+             'mode matrices must hold JSON numbers, found "0.5"'),
             ('{"dim": 1, "matrices": []}', "a mode set needs at least one matrix"),
             ('{"dim": 3, "matrices": [[[1.0, 0.0], [0.0, 1.0]]]}',
              "mode-set file declares dim 3 but matrices are 2x2"),
