@@ -54,6 +54,8 @@ MAX_LIFT_DIM = 20
 
 def checked_lift_dimension(n: int, degree: int) -> int:
     """The lift dimension of degree-`degree` forms on R^n, at most MAX_LIFT_DIM."""
+    if degree < 1:
+        raise ValueError(f"degree must be >= 1, got {degree}")
     D = lift_dimension(n, degree)
     if D > MAX_LIFT_DIM:
         raise ValueError(

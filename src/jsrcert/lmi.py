@@ -64,14 +64,14 @@ more than HiGHS itself on the small LPs here.  One HiGHS instance, made at
 import with its options (_HIGHS_OPTIONS), solves every LP of the process,
 one cut loop at a time under a re-entrant lock: each `linprog` call passes
 it the model straight from arrays, passing a model clears the previous one,
-and an LP that fails raises SolverStallError.  Above the threshold a cut
-loop keeps that model from round to round (`_HeldLP`): after the first LP,
-each round adds only the rows and cuts that joined it and re-solves from
-the previous basis, as in Kelley's cutting-plane method, so those solutions
-agree with linprog's within the solver tolerances rather than bit for bit;
-a round that fails is solved cold.  Like linprog, the adapter
-refuses an LP holding a NaN (HiGHS would call it optimal), and it never
-solves a model HiGHS refuses.
+and an LP that fails raises SolverStallError.  Above the threshold
+`_cut_loop` keeps that model from round to round: after the first LP, each
+round adds only the rows and cuts it turned on (`_add_rows`) and re-solves
+from the previous basis, as in Kelley's cutting-plane method, so those
+solutions agree with linprog's within the solver tolerances rather than bit
+for bit; a round HiGHS refuses or fails is solved cold.  Like linprog, the
+adapter refuses an LP holding a NaN (HiGHS would call it optimal), and it
+never solves a model HiGHS refuses.
 `_core` and its array overload of `passModel` are private scipy API, so the
 import fails loudly if either is missing, and a test checks the adapter
 against linprog on recorded LPs.  `_core` is loaded straight from its file
@@ -352,65 +352,13 @@ def _run_highs(col_lower, col_upper, row_lower, row_upper) -> LPResult:
     return LPResult(4, x, f"{message}, but a constraint is missed by more than {_RESULT_TOL:.2e}")
 
 
-def _solve_lp(c, A_ub, b_ub, bounds, A_eq=None, b_eq=None):
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
-    if res.status != 0:
-        raise SolverStallError(f"LP solve failed (status {res.status}): {res.message}")
-    return res.x
-
-
-class _HeldLP:
-    """The LP of one cut loop above the threshold, kept in `_HIGHS` between rounds.
-
-    Rows only ever join a cut loop's LP.  The first LP is solved cold, by
-    `_solve_lp`, as at or below the threshold; each later round adds only
-    the rows that joined since the last solve and re-solves from the basis
-    HiGHS kept, so dual simplex needs a few pivots and HiGHS skips presolve.
-    A round that is not optimal, or fails the solution check, is solved
-    cold, once.  The loop holds _HIGHS_LOCK from its first LP to its last.
-    """
-
-    def __init__(self, c, bounds, A_eq, b_eq, lp_rows):
-        """`lp_rows(active, on, hi_from)` gives (A_ub, b_ub) of the loop's base
-        rows and pool cuts on in the masks, then of its ceiling cuts from the
-        `hi_from`-th on."""
-        self.c, self.bounds, self.A_eq, self.b_eq = c, bounds, A_eq, b_eq
-        self.lp_rows = lp_rows
-        self.col_lower, self.col_upper = np.array(bounds, dtype=float).T
-        self.eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
-        self.last = None  # (active, on, ceiling cuts) of the last LP solved
-        self.row_lower = self.row_upper = None  # of the model held, in its row order
-
-    def solve(self, active, on, n_hi) -> np.ndarray:
-        """x of the loop's LP with the base rows and pool cuts on in `active`
-        and `on`, and `n_hi` ceiling cuts."""
-        res = None
-        if self.last is not None:
-            last_active, last_on, last_hi = self.last
-            new_on = on.copy()
-            new_on[: last_on.size] &= ~last_on
-            res = self._add_and_run(*self.lp_rows(active & ~last_active, new_on, last_hi))
-        if res is not None and res.status == 0:
-            x = res.x
-        else:
-            A, rhs = self.lp_rows(active, on, 0)
-            x = _solve_lp(self.c, A, rhs, self.bounds, A_eq=self.A_eq, b_eq=self.b_eq)
-            self.row_lower = np.concatenate([np.full(len(rhs), -_highs.kHighsInf), self.eq])
-            self.row_upper = np.concatenate([rhs, self.eq])
-        self.last = (active.copy(), on.copy(), n_hi)
-        return x
-
-    def _add_and_run(self, A, rhs) -> LPResult | None:
-        """Append the rows A x <= rhs to the model `_HIGHS` holds and solve it;
-        None if HiGHS refuses the rows."""
-        rows, cols = np.nonzero(A)  # row-major nonzeros
-        starts = np.searchsorted(rows, np.arange(len(rhs))).astype(np.int32)
-        if _HIGHS.addRows(len(rhs), np.full(len(rhs), -_highs.kHighsInf), rhs, len(rows), starts,
-                          cols.astype(np.int32), A[rows, cols]) == _highs.HighsStatus.kError:
-            return None
-        self.row_lower = np.concatenate([self.row_lower, np.full(len(rhs), -_highs.kHighsInf)])
-        self.row_upper = np.concatenate([self.row_upper, rhs])
-        return _run_highs(self.col_lower, self.col_upper, self.row_lower, self.row_upper)
+def _add_rows(A, rhs) -> bool:
+    """Append the rows A x <= rhs to the model `_HIGHS` holds; False if HiGHS
+    refuses them.  The caller holds _HIGHS_LOCK."""
+    rows, cols = np.nonzero(A)  # row-major nonzeros
+    starts = np.searchsorted(rows, np.arange(len(rhs))).astype(np.int32)
+    return _HIGHS.addRows(len(rhs), np.full(len(rhs), -_highs.kHighsInf), rhs, len(rows), starts,
+                          cols.astype(np.int32), A[rows, cols]) != _highs.HighsStatus.kError
 
 
 def _trace_box(D: int, tau_box: tuple[float, float]):
@@ -434,12 +382,15 @@ def _cut_rows(V: np.ndarray, a: float) -> np.ndarray:
     return np.hstack([-q, np.full((q.shape[0], 1), a)])
 
 
-def _turn_on(active: np.ndarray, residual: np.ndarray, step: int) -> bool:
+def _turn_on(active: np.ndarray, residual: np.ndarray, step: int) -> np.ndarray:
     """Turn on up to `step` of the rows off in `active` that `residual` finds
-    violated, most violated first; True if any row off is violated."""
+    violated, most violated first; the rows turned on, in row order, which
+    are none only if no row off is violated."""
     violated = np.flatnonzero(~active & (residual > _EIG_TOL))
-    active[violated[np.argsort(-residual[violated], kind="stable")[:step]]] = True
-    return violated.size > 0
+    if violated.size > step:
+        violated = np.sort(violated[np.argsort(-residual[violated], kind="stable")[:step]])
+    active[violated] = True
+    return violated
 
 
 def _generates_rows(n_rows: int, K: int) -> bool:
@@ -488,50 +439,66 @@ def _cut_loop(
     on = np.ones(len(dirs), dtype=bool)
     hi_dirs: list[np.ndarray] = []
 
-    def lp_rows(act, pool, hi_from):
+    def lp_rows(act, pool, hi):
         parts = [base[act], cuts[pool]]
-        parts_rhs = [base_rhs[act], np.zeros(np.count_nonzero(pool)) - b]  # 0 - b: +0.0 when b = 0
-        if len(hi_dirs) > hi_from:  # w'Pw <= tau
-            parts.append(-_cut_rows(np.array(hi_dirs[hi_from:]), 1.0))
-            parts_rhs.append(np.zeros(len(hi_dirs) - hi_from))
+        parts_rhs = [base_rhs[act], np.zeros(len(parts[1])) - b]  # 0 - b: +0.0 when b = 0
+        if hi:  # w'Pw <= tau
+            parts.append(-_cut_rows(np.array(hi), 1.0))
+            parts_rhs.append(np.zeros(len(hi)))
         return np.vstack(parts), np.concatenate(parts_rhs)
 
     # At or below the threshold every LP is solved cold, so that the sweep's
     # LPs stay bit-identical to its byte references; with those references
     # gone (ROADMAP item 3) every loop can keep its LP in `_HIGHS`.
-    held = None
-    if _generates_rows(base.shape[0], K):
-        held = _HeldLP(c, bounds, A_eq, b_eq, lp_rows)
+    warm = _generates_rows(base.shape[0], K)
+    if warm:
         x0 = np.append((np.eye(D) if start is None else start)[_triu(D)], 0.0)
         slack = base_rhs - base @ x0  # the `step` rows most violated at x0, ties in row order
         cut = np.partition(slack, step - 1)[step - 1]
         active = slack < cut
         active[np.flatnonzero(slack == cut)[: step - np.count_nonzero(active)]] = True
         on[D * D : max(D * D, len(dirs) - step)] = False  # keep the seeds and last `step` cuts
+    col_lower, col_upper = np.array(bounds, dtype=float).T
+    eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
+    no_rows = np.zeros(0, dtype=np.intp)
+    res = None  # of the last warm round; None or a failure solves the next round cold
     with _HIGHS_LOCK:
         for _ in range(_MAX_CUT_ROUNDS):
-            if held is None:
-                x = _solve_lp(c, *lp_rows(active, on, 0), bounds, A_eq=A_eq, b_eq=b_eq)
-            else:
-                x = held.solve(active, on, len(hi_dirs))
+            if res is None or res.status != 0:  # solve cold
+                A, rhs = lp_rows(active, on, hi_dirs)
+                res = linprog(c, A_ub=A, b_ub=rhs, bounds=bounds, A_eq=A_eq, b_eq=b_eq)
+                if res.status != 0:
+                    raise SolverStallError(f"LP solve failed (status {res.status}): {res.message}")
+                row_lower = np.concatenate([np.full(len(rhs), -_highs.kHighsInf), eq])
+                row_upper = np.concatenate([rhs, eq])
+            x = res.x
             tau = float(x[-1])
             if stop is not None and stop(tau):
                 return tau, None, None
-            added = not active.all() and _turn_on(active, base @ x - base_rhs, step)
-            if not on.all() and _turn_on(on, cuts @ x + b, step):
-                added = True
+            rows_on = no_rows if active.all() else _turn_on(active, base @ x - base_rhs, step)
+            cuts_on = no_rows if on.all() else _turn_on(on, cuts @ x + b, step)
             P = unpack_sym(x[:K], D)
             eigvals, eigvecs = np.linalg.eigh(P)
             level = a * tau + b - _EIG_TOL * max(1.0, b)
             new_dirs = [eigvecs[:, k] for k in range(D) if eigvals[k] < level]
-            if new_dirs:  # new cuts are always on
+            if new_dirs:  # new cuts are always on, last in pool order
+                cuts_on = np.append(cuts_on, np.arange(len(dirs), len(dirs) + len(new_dirs)))
                 dirs.extend(new_dirs)
                 cuts = np.vstack([cuts, _cut_rows(np.array(new_dirs), a)])
                 on = np.append(on, np.ones(len(new_dirs), dtype=bool))
+            hi = []
             if ceiling and eigvals[-1] > tau + _EIG_TOL * max(1.0, tau):
-                hi_dirs.append(eigvecs[:, -1])
-            elif not new_dirs and not added:
+                hi = [eigvecs[:, -1]]
+                hi_dirs += hi
+            elif not rows_on.size and not cuts_on.size:
                 return tau, P, eigvals
+            res = None
+            if warm:  # add the rows turned on to the model and re-solve from its basis
+                A, rhs = lp_rows(rows_on, cuts_on, hi)
+                if _add_rows(A, rhs):
+                    row_lower = np.append(row_lower, np.full(len(rhs), -_highs.kHighsInf))
+                    row_upper = np.append(row_upper, rhs)
+                    res = _run_highs(col_lower, col_upper, row_lower, row_upper)
     raise SolverStallError("eigenvector-cut iteration limit reached")
 
 

@@ -60,6 +60,8 @@ class ModeSet:
             mats = tuple(np.asarray(A, dtype=float) for A in self.matrices)
         except TypeError as exc:
             raise ValueError(f"mode matrices must hold numbers: {exc}") from None
+        except OverflowError:  # an integer past the float range
+            raise ValueError("mode matrices must have finite entries") from None
         if any(A.ndim != 2 for A in mats):
             raise ValueError("each mode must be a 2-D matrix")
         n = mats[0].shape[0]
@@ -345,7 +347,14 @@ def load_observations(path) -> ObservationSet:
     tid, step, X0, XL = tid[first], step[first], X[first], X[last]
     reject(step != 0, "{path}: trajectory {tid} has no step-0 state")
     # vecdot is the dot kernel np.linalg.norm runs on one vector: the same bits.
-    norms = np.sqrt(np.vecdot(X0, X0))
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.vecdot(X0, X0))
+    big = np.isinf(norms)  # squares past the float range: scale by the largest entry first
+    if big.any():
+        top = np.abs(X0[big]).max(axis=1, keepdims=True)
+        X0[big] /= top
+        XL[big] /= top
+        norms[big] = np.sqrt(np.vecdot(X0[big], X0[big]))
     reject(norms < 1e-12, "{path}: trajectory {tid} starts at the origin and cannot be normalized")
     off = np.abs(norms - 1.0) > _UNIT_NORM_TOL
     X0[off] /= norms[off, None]

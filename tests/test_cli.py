@@ -249,6 +249,8 @@ class TestCertifyCommand:
             ('{"dim": 1, "matrices": []}', "a mode set needs at least one matrix"),
             ('{"dim": 3, "matrices": [[[1.0, 0.0], [0.0, 1.0]]]}',
              "mode-set file declares dim 3 but matrices are 2x2"),
+            pytest.param('{"dim": 1, "matrices": [[[1%s]]]}' % ("0" * 400),
+                         "mode matrices must have finite entries", id="integer-past-float-range"),
         ],
     )
     def test_malformed_mode_file_exits_2(self, tmp_path, capsys, text, message):
@@ -361,6 +363,12 @@ class TestWhiteboxCommand:
         rc = main(["whitebox", "--modes", modes_file, "--degree", "1", "--grid", grid])
         assert rc == 2
         assert capsys.readouterr().err == f"error: grid must be >= 1, got {grid}\n"
+
+    @pytest.mark.parametrize("degree", ["0", "-1"])
+    def test_degree_below_one_exits_2_naming_it(self, modes_file, capsys, degree):
+        rc = main(["whitebox", "--modes", modes_file, "--degree", degree, "--grid", "24"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: degree must be >= 1, got {degree}\n"
 
 
 class TestSweep:

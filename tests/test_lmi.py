@@ -164,7 +164,8 @@ class TestFeasibilityWitness:
             raise AssertionError("the witness must solve no LP")
 
         monkeypatch.setattr(lmi, "_balanced_witness", unused)
-        monkeypatch.setattr(lmi, "_solve_lp", unused)
+        monkeypatch.setattr(lmi, "linprog", unused)
+        monkeypatch.setattr(lmi, "_run_highs", unused)
         P = lmi.feasibility_witness(result, D, dirs)
         assert np.array_equal(P, result.P / np.linalg.eigvalsh(result.P)[0])
         assert np.max(lmi._clean_rows(rows) @ P[np.triu_indices(D)]) <= 1e-9
@@ -566,23 +567,28 @@ class TestHeldModel:
         # Each round on the held model adds a violated row and needs a
         # pivot, so none passes under an iteration limit of 0: every round
         # fails first, then is solved cold under `lmi._HIGHS_OPTIONS` again.
-        add_and_run = lmi._HeldLP._add_and_run
+        add_rows, cold = lmi._add_rows, lmi.linprog
 
-        def failing(held, A, rhs):
-            lmi._HIGHS.passOptions(FAILING)
-            try:
-                return add_and_run(held, A, rhs)
-            finally:
+        def failing(A, rhs):
+            lmi._HIGHS.passOptions(FAILING)  # for the warm `_run_highs` call
+            return add_rows(A, rhs)
+
+        def restoring(*args, **kwargs):
+            with lmi._HIGHS_LOCK:
                 lmi._HIGHS.passOptions(lmi._HIGHS_OPTIONS)
+                return cold(*args, **kwargs)
 
-        monkeypatch.setattr(lmi._HeldLP, "_add_and_run", failing)
+        monkeypatch.setattr(lmi, "_add_rows", failing)
+        monkeypatch.setattr(lmi, "linprog", restoring)
+        yield
+        lmi._HIGHS.passOptions(lmi._HIGHS_OPTIONS)
 
     def test_failed_round_solves_cold(self, above_block, failing_first, monkeypatch):
         warm = []
         for name, program in self.programs(above_block).items():
             got, solves = record_solves(program)
             with monkeypatch.context() as patch:  # every round cold
-                patch.setattr(lmi._HeldLP, "_add_and_run", lambda self, A, rhs: None)
+                patch.setattr(lmi, "_add_rows", lambda A, rhs: False)  # HiGHS refuses
                 assert got == program(), name
             warm += [solve for solve in solves if not solve["cold"]]
             assert all(after["cold"] for before, after in zip(solves, solves[1:])
@@ -892,9 +898,9 @@ class TestFailedLP:
     def first_lp(self, rand_d1):
         return record_lps(lambda: lmi.max_margin_feasibility(*rand_d1, 100.0))[0]
 
-    def test_stall_names_the_model_status(self, first_lp, failing_highs):
+    def test_stall_names_the_model_status(self, rand_d1, failing_highs):
         with pytest.raises(lmi.SolverStallError, match="Iteration limit reached"):
-            lmi._solve_lp(**first_lp)
+            lmi.max_margin_feasibility(*rand_d1, 100.0)
 
     def test_solution_checked_like_linprog(self, first_lp, monkeypatch):
         # A negative tolerance rejects every solution HiGHS calls optimal.

@@ -213,6 +213,23 @@ class TestTrajectoryFiles:
         assert np.allclose(obs.X0[0], [0.6, 0.8])
         assert np.allclose(obs.XL[0], [0.4, 0.0])
 
+    def test_rescales_starts_whose_squared_norm_overflows(self, tmp_path):
+        # (1e200)^2 is past the float range; the other trajectory keeps its bits.
+        path = tmp_path / "t.csv"
+        path.write_text(
+            "traj_id,step,x1,x2\n"
+            "0,0,1e200,0\n"
+            "0,1,2e200,1e199\n"
+            "1,0,3.0,4.0\n"
+            "1,1,2.0,0.0\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            obs = load_observations(path)
+        assert np.array_equal(obs.X0, [[1.0, 0.0], [3.0 / 5.0, 4.0 / 5.0]])
+        assert np.array_equal(obs.XL[0], [2.0, 1e199 / 1e200])
+        assert np.array_equal(obs.XL[1], [2.0 / 5.0, 0.0])
+
     def test_intermediate_steps_ignored(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text(
@@ -747,6 +764,8 @@ class TestModeSetIO:
             ('{"dim": 1, "matrices": []}', "a mode set needs at least one matrix"),
             ('{"dim": 3, "matrices": [[[1.0, 0.0], [0.0, 1.0]]]}',
              "mode-set file declares dim 3 but matrices are 2x2"),
+            pytest.param('{"dim": 1, "matrices": [[[1%s]]]}' % ("0" * 400),
+                         "mode matrices must have finite entries", id="integer-past-float-range"),
         ],
     )
     def test_malformed_file_rejected(self, tmp_path, text, message):
