@@ -92,6 +92,8 @@ class SolveOptions:
                 raise ValueError(f"{name} must be positive and finite")
         if self.c_bound <= 1.0:
             raise ValueError("c_bound must exceed 1 (P = I must be admissible)")
+        if self.bisection_rel_tol >= 1.0:  # the bracket [0, lambda*] would end the bisection
+            raise ValueError(f"bisection_rel_tol must be below 1, got {self.bisection_rel_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -100,13 +102,17 @@ class LyapunovCandidate:
 
     `gamma` is the rate at which P was certified feasible; for tie-broken
     candidates this is the bisection optimum inflated by the tie-break
-    slack.
+    slack.  `oracle_undecided` counts the bisection steps whose oracle
+    stalled (each counted infeasible), and `tiebreak_fallback` says that the
+    tie-break kept the bisection witness.
     """
 
     gamma: float
     P: SymMatrix
     kappa: float
     c_bound_binding: bool = False
+    oracle_undecided: int = 0
+    tiebreak_fallback: bool = False
 
 
 class _PairCache:
@@ -114,7 +120,8 @@ class _PairCache:
 
     `dirs` holds the semidefiniteness probe directions learned by the LPs on
     these rows; they depend only on the lift dimension, so every oracle call
-    on the cache (any gamma, any row subset) starts from them.  A sample
+    on the cache (any gamma, any row subset) starts from them.  `undecided`
+    counts the bisection steps on the cache whose oracle stalled.  A sample
     whose lifted rows, or whose factor gamma^(2dl) at the top of the
     bisection bracket (lambda*^(2d)), overflow is rejected.
     """
@@ -134,6 +141,7 @@ class _PairCache:
             raise ValueError(f"row {bad[0]}: the degree-{degree} program overflows on this "
                              f"sample (lifted rows or ||xl||^{2 * degree} not finite)")
         self.dirs: list[np.ndarray] = []
+        self.undecided = 0
 
     def rows(self, gamma: float) -> np.ndarray:
         factor = gamma ** (2 * self.degree * self.l)
@@ -176,6 +184,7 @@ def _bisect_gamma(
                 P = lmi.feasibility_witness(result, D, cache.dirs)
             feasible = result.feasible and (P is not None or not witness)
         except SolverStallError as exc:
+            cache.undecided += 1
             warnings.warn(f"feasibility oracle undecided at gamma={mid:.6g}: {exc}",
                           RuntimeWarning, stacklevel=2)
         if feasible:
@@ -193,6 +202,7 @@ def _tie_break_cache(
 ) -> LyapunovCandidate:
     gamma_tb = gamma_star * (1.0 + TIEBREAK_SLACK)
     P, gamma_cert, m = witness, gamma_star, matrix_metrics(witness)
+    fallback = True
     try:
         # The slack factor (1 + TIEBREAK_SLACK)^(2dl) can pass the float range
         # at huge l, where the bisection's own factors (<= lambda*^(2d)) do not.
@@ -207,12 +217,14 @@ def _tie_break_cache(
         # The slackened problem should never be worse conditioned than the
         # bisection witness; the witness stays if it somehow is.
         if tied_m.kappa <= m.kappa + 1e-6:
-            P, gamma_cert, m = tied, gamma_tb, tied_m
+            P, gamma_cert, m, fallback = tied, gamma_tb, tied_m, False
     return LyapunovCandidate(
         gamma=gamma_cert,
         P=SymMatrix.from_full(P),
         kappa=m.kappa,
         c_bound_binding=bool(m.lambda_max >= 0.9 * opts.c_bound),
+        oracle_undecided=cache.undecided,
+        tiebreak_fallback=fallback,
     )
 
 

@@ -65,7 +65,9 @@ def certify_run(
         cand.kappa,
         lam,
         budget,
-        flags={"c_bound_binding": cand.c_bound_binding},
+        flags={"c_bound_binding": cand.c_bound_binding,
+               "oracle_undecided": cand.oracle_undecided,
+               "tiebreak_fallback": cand.tiebreak_fallback},
         provenance=provenance,
     )
 

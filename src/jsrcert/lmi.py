@@ -25,13 +25,13 @@ All three programs run through one cutting-plane loop, `_cut_loop`, over
 x = (vech P, tau); they differ only in objective, boxes, base rows and the
 cut level w^T P w >= a*tau + b.  `max_margin_feasibility`, the oracle of
 the gamma bisection and of the support search, maximizes the margin and
-returns a verdict with the cleaned rows and the margin-optimal P it ended
-on.  From that result alone `feasibility_witness` builds a shape matrix on
-request: above the row-generation threshold the oracle's P itself, whose
-eigenvalue floor D/C bounds the LP noise that rescaling amplifies; at or
-below it, `_balanced_witness` maximizes the floor at the required margin in
-a second cut loop, kept only for the sweep's byte references (ROADMAP item
-3).  `min_lambda_max` is the condition-number tie-break.  The entry points
+returns a verdict with the cleaned rows and the P it ended on.  From that
+result alone `feasibility_witness` builds a shape matrix on request: above
+the row-generation threshold the oracle's P itself, whose eigenvalue floor
+D/C bounds the LP noise that rescaling amplifies; at or below it,
+`_balanced_witness` maximizes the floor at the required margin in a second
+cut loop, kept only for the sweep's byte references (ROADMAP item 3).
+`min_lambda_max` is the condition-number tie-break.  The entry points
 accept a mutable list of probe directions so the cuts learned in one call
 warm-start the next: a cut w'Pw >= r depends only on D, not on gamma or rows.
 
@@ -39,9 +39,9 @@ The kernel also generates rows.  Only D(D+1)/2 + 1 samples can pin the
 optimum of a sampled program, so above the threshold of _ROW_BLOCK base rows
 the LPs start from the 4*(D(D+1)/2 + 1) rows most violated at a start point
 (tau = 0) and, after each solve, add up to that step of the most violated
-rows still left out.  The start point is P = I, or for the oracle the
-optimum of the caller's previous call: between bisection steps gamma moves
-little, and so do the rows that pin the optimum.  Cuts are added the same
+rows still left out.  The start point is P = I, or for the oracle the P
+of the caller's previous call: between bisection steps gamma moves little,
+and so do the rows that pin the optimum.  Cuts are added the same
 way: `dirs` is the pool, and an LP carries the seed directions, the last
 `step` directions learned before the call, the cuts it learns itself and,
 after each solve, up to `step` of the most violated pool cuts left out.
@@ -49,7 +49,16 @@ This is sound: every LP is a relaxation of the full one, so its optimum
 bounds the full optimum (an early stop on a subset also holds for all rows
 and cuts), and an iterate violating no row and no cut, with no eigenvalue
 below the cut level, solves the full LP, wherever the rows were picked
-from.  Programs with at most _ROW_BLOCK base rows keep every row and
+from.  The bisection needs only the sign of each verdict, so above the
+threshold the oracle also stops at the first round whose iterate P gives
+a point of the whole program: P mixed with I, Q = (1 - t)P + tI, the least
+t lifting its smallest eigenvalue to the cut level, keeps trace D and the
+boxes and meets every cut, and once Q meets every row at margin
+FEASIBILITY_MARGIN it is the feasible verdict's P, with Q's margin.  The
+margin-optimal tail of Kelley's method, where the margin is long settled
+and only the smallest eigenvalue creeps up to the floor, is not run.  An
+infeasible verdict still comes from the relaxation bound alone.
+Programs with at most _ROW_BLOCK base rows keep every row and
 every cut, in `dirs` order, solve every LP cold and solve exactly the LPs
 they did before generation existed; the threshold stays until the sweep's
 references tolerate other LPs (ROADMAP item 3).
@@ -216,7 +225,9 @@ class SolverStallError(RuntimeError):
 class MarginResult:
     feasible: bool
     margin: float
-    # Not part of the verdict: the margin-optimal P (trace D) and the cleaned rows.
+    # Not part of the verdict: the P (trace D) the oracle ended on, margin-optimal
+    # or, above the row-generation threshold, its first interior point, and
+    # the cleaned rows.
     P: np.ndarray | None = field(default=None, compare=False, repr=False)
     rows: np.ndarray | None = field(default=None, compare=False, repr=False)
 
@@ -412,6 +423,7 @@ def _cut_loop(
     ceiling: bool = False,
     stop=None,
     start: np.ndarray | None = None,
+    interior=None,
 ):
     """Optimize tau over x = (vech P, tau) under eigenvector cuts.
 
@@ -424,9 +436,11 @@ def _cut_loop(
     turned on so far, up to `step` more of each per round (see the module
     docstring), and stays in `_HIGHS` from round to round; its first rows
     are the `step` most violated at (vech `start`, tau = 0), `start` being
-    P = I unless the caller passes an earlier optimum.  Returns (tau, P,
+    P = I unless the caller passes an earlier P.  Returns (tau, P,
     eigvals) once no row and no cut is violated, or (tau, None, None) as
-    soon as `stop(tau)` holds.
+    soon as `stop(tau)` holds.  Beyond _ROW_BLOCK base rows, `interior(P,
+    eigvals)` may also end a round early with a point (tau, P, eigvals) of
+    the full program built from its iterate; None goes on with the round.
     """
     if not dirs:
         dirs.extend(seed_cut_directions(D))
@@ -494,6 +508,9 @@ def _cut_loop(
                 return tau, P, eigvals
             res = None
             if warm:  # add the rows turned on to the model and re-solve from its basis
+                found = interior and interior(P, eigvals)
+                if found:
+                    return found
                 A, rhs = lp_rows(rows_on, cuts_on, hi)
                 if _add_rows(A, rhs):
                     row_lower = np.append(row_lower, np.full(len(rhs), -_highs.kHighsInf))
@@ -529,7 +546,9 @@ def max_margin_feasibility(
 
     `rows` hold the packed coefficients of <G_i, P> <= 0.  Feasible when the
     trace-normalized relaxation (eigenvalue floor D/c_bound) reaches
-    FEASIBILITY_MARGIN; a verdict only (see `feasibility_witness`).  `dirs`
+    FEASIBILITY_MARGIN, at the optimum or, above the row-generation
+    threshold, at the first interior point found on the way (see the module
+    docstring); a verdict only (see `feasibility_witness`).  `dirs`
     accumulates semidefiniteness probe directions across calls.  `start`,
     the `P` of an earlier result on the same lift, is where row generation
     picks its first rows (P = I when None); at or below the threshold it is
@@ -544,9 +563,21 @@ def max_margin_feasibility(
     # Margins are at most ||P||_F <= D.
     bounds, trace_row = _trace_box(D, (-2.0 * D, 2.0 * D))
     base = np.hstack([rows, np.ones((rows.shape[0], 1))])
+
+    def interior(P, eigvals):
+        # P mixed with I until its smallest eigenvalue reaches the cut level
+        # `floor` meets every cut and keeps trace D and the boxes: a point of
+        # the whole program, which decides feasible once its margin on every
+        # row reaches FEASIBILITY_MARGIN.
+        lmin = eigvals[0]
+        theta = (floor - lmin) / (1.0 - lmin) if lmin < floor else 0.0  # lmin < floor < 1
+        Q = (1.0 - theta) * P + theta * np.eye(D)
+        margin = -float(np.max(rows @ Q[_triu(D)]))
+        return (margin, Q, np.linalg.eigvalsh(Q)) if margin >= FEASIBILITY_MARGIN else None
+
     t, P, _ = _cut_loop(-1.0, bounds, base, np.zeros(base.shape[0]), [] if dirs is None else dirs,
                         0.0, floor, D, A_eq=trace_row, b_eq=[float(D)],
-                        stop=lambda tau: tau < -FEASIBILITY_MARGIN, start=start)
+                        stop=lambda tau: tau < -FEASIBILITY_MARGIN, start=start, interior=interior)
     return MarginResult(P is not None and t >= FEASIBILITY_MARGIN, t, P, rows)
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -46,6 +47,11 @@ class TestSolveOptions:
     def test_rejects_non_positive_or_non_finite(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             SolveOptions(**{name: value})
+
+    @pytest.mark.parametrize("value", [1.0, 5.0])
+    def test_rejects_bisection_tolerance_of_one_or_more(self, value):
+        with pytest.raises(ValueError, match="bisection_rel_tol must be below 1"):
+            SolveOptions(bisection_rel_tol=value)
 
 
 class TestSolveLambda:
@@ -294,6 +300,28 @@ class TestOracleFailureReporting:
         # upper bracket with the identity witness.
         assert gamma == pytest.approx(solve_lambda(obs), rel=1e-12)
         assert np.allclose(cand.P.full(), np.eye(2))
+        assert cand.oracle_undecided > 0
+
+    def test_stalled_steps_reach_the_report_flags(self, parrilo, monkeypatch):
+        from jsrcert.cli import certify_run
+
+        obs = simulate(parrilo, 60, 1, seed=2)
+        clean = certify_run(obs, 1, 0.95, 0.95, 2)
+        assert clean.flags["oracle_undecided"] == 0
+        calls, verdict = [], lmi.max_margin_feasibility
+
+        def stall_two(*args):
+            calls.append(args)
+            if len(calls) in (2, 5):
+                raise lmi.SolverStallError("stalled for the test")
+            return verdict(*args)
+
+        monkeypatch.setattr(lmi, "max_margin_feasibility", stall_two)
+        with pytest.warns(RuntimeWarning, match="undecided") as caught:
+            report = certify_run(obs, 1, 0.95, 0.95, 2)
+        assert len(caught) == 2
+        assert report.flags["oracle_undecided"] == 2
+        assert json.loads(report.to_json())["flags"]["oracle_undecided"] == 2
 
 
     def test_witness_stall_keeps_previous_witness(self, parrilo, monkeypatch):
@@ -385,6 +413,21 @@ class TestTieBreak:
         assert cand.gamma == gamma_star
         assert np.array_equal(cand.P.full(), witness)
         assert cand.kappa == matrix_metrics(witness).kappa
+        assert cand.tiebreak_fallback
+
+    def test_fallback_reaches_the_report_flags(self, parrilo, monkeypatch):
+        from jsrcert.cli import certify_run
+
+        obs = simulate(parrilo, 60, 1, seed=2)
+        assert not certify_run(obs, 2, 0.95, 0.95, 2).flags["tiebreak_fallback"]
+
+        def stall(*args, **kwargs):
+            raise lmi.SolverStallError("stalled for the test")
+
+        monkeypatch.setattr(lmi, "min_lambda_max", stall)
+        report = certify_run(obs, 2, 0.95, 0.95, 2)
+        assert report.flags["tiebreak_fallback"] is True
+        assert report.provenance["certified_gamma"] == report.gamma_star
 
     def test_never_worse_than_bisection_witness(self, parrilo):
         obs = simulate(parrilo, 150, 1, seed=19)

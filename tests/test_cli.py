@@ -293,6 +293,19 @@ class TestCertifyCommand:
         assert rc == 2
         assert "must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["1", "5"])
+    def test_bisect_tol_of_one_or_more_exits_2(self, modes_file, tmp_path, capsys, tol):
+        # The starting bracket [0, lambda*] already meets such a tolerance, so
+        # gamma* would be lambda* with no oracle call.
+        out = tmp_path / "report.json"
+        rc = main([
+            "certify", "--modes", modes_file, "--n-traj", "50", "--modes-upper", "2",
+            "--bisect-tol", tol, "--out", str(out),
+        ])
+        assert rc == 2
+        assert f"bisection_rel_tol must be below 1, got {float(tol)!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_solver_failure_exits_3(self, double_identity_file, capsys, monkeypatch):
         import jsrcert.cli as cli
         from jsrcert.certifier import SolverStallError

@@ -150,7 +150,7 @@ class TestFeasibilityWitness:
 
     def test_above_threshold_takes_the_oracles_P(self, above_block, monkeypatch):
         # Above the threshold the witness solves no LP: it is the verdict's
-        # margin-optimal P, rescaled so P >= I and checked on every row.
+        # own P, rescaled so P >= I and checked on every row.
         cache, (gamma, _) = above_block
         rows, D = cache.rows(gamma), cache.dim
         dirs = []
@@ -230,12 +230,13 @@ def test_tie_break_stall_keeps_bisection_witness(parrilo, monkeypatch):
     cand = _tie_break_cache(cache, gamma_star, witness, opts)
     assert cand.gamma == gamma_star
     assert np.array_equal(cand.P.full(), witness)
+    assert cand.tiebreak_fallback
 
 
 @pytest.mark.parametrize("case", ["parrilo_d1", "rand_d2"])
 def test_tie_break_stall_above_threshold_keeps_bisection_witness(case, parrilo, monkeypatch):
-    # Above the threshold the bisection witness is the oracle's
-    # margin-optimal P, so after a stall it is the candidate itself: it must
+    # Above the threshold the bisection witness is the oracle's own P, so
+    # after a stall it is the candidate itself: it must
     # still decrease on every sample at rate gamma*, within the box.
     modes, N, d, seed = (parrilo, 1000, 1, 3) if case == "parrilo_d1" else (RAND, 600, 2, 5)
     assert N > lmi._ROW_BLOCK
@@ -358,7 +359,9 @@ class TestRowGeneration:
             lambda: verdict_and_witness(rows, cache.dim), monkeypatch
         )
         assert generated.feasible and full.feasible
-        assert abs(generated.margin - full.margin) <= 1e-9
+        # The generated loop may stop at its first interior point of the
+        # whole program, short of the optimum but never above it.
+        assert lmi.FEASIBILITY_MARGIN <= generated.margin <= full.margin + 1e-9
         assert np.max(clean @ P[np.triu_indices(cache.dim)]) <= 1e-9
         assert max(sizes) < clean.shape[0]
 
@@ -404,6 +407,27 @@ class TestRowGeneration:
         monkeypatch.setattr(lmi, "_cut_loop", checking)
         solve_gamma(simulate(RAND, 600, 1, seed=5), 2)
         assert min(returned) > lmi._ROW_BLOCK
+
+
+@pytest.mark.parametrize("above_block", ["rand_d2"], indirect=True)  # Parrilo: one LP a loop
+def test_feasible_verdict_ends_at_an_interior_point(above_block, monkeypatch):
+    # Above the threshold a feasible verdict may end before the margin
+    # optimum, at its iterate mixed with I up to the floor D/C: trace D,
+    # smallest eigenvalue at the floor, and the margin it meets on every row.
+    cache, (gamma, _) = above_block
+    rows, D = cache.rows(gamma), cache.dim
+    result, solves = record_solves(lambda: lmi.max_margin_feasibility(rows, D, 100.0))
+    P = result.P
+    assert result.feasible
+    assert np.trace(P) == pytest.approx(D, rel=1e-12)
+    assert np.linalg.eigvalsh(P)[0] == pytest.approx(D / 100.0, abs=1e-12)
+    assert result.margin == -np.max(result.rows @ P[np.triu_indices(D)])
+    cut_loop = lmi._cut_loop
+    monkeypatch.setattr(lmi, "_cut_loop",
+                        lambda *args, interior=None, **kwargs: cut_loop(*args, **kwargs))
+    optimum, tail = record_solves(lambda: lmi.max_margin_feasibility(rows, D, 100.0))
+    assert optimum.feasible and optimum.margin > result.margin
+    assert len(tail) > len(solves)
 
 
 def test_sweep_sized_programs_keep_every_row(parrilo, monkeypatch):
@@ -637,15 +661,17 @@ def pool_rows(dirs, a):
     return np.hstack([-q, np.full((len(dirs), 1), a)])
 
 
-@pytest.fixture(scope="module")
-def pool_loops():
+def record_pool_loops(tail):
     """Every cut loop of a d = 2 certificate above the threshold: its cut
     level (a, b), its LPs as (A_ub, x, pool size when solved), what it
-    returned and the pool at exit."""
+    returned and the pool at exit.  With `tail` no loop takes the oracle's
+    exit at an interior point, so feasible verdicts run to the optimum."""
     loops = []
     cut_loop, run = lmi._cut_loop, lmi._run_highs
 
     def recording(sense, bounds, base, base_rhs, dirs, a, b, D, **kwargs):
+        if tail:
+            kwargs.pop("interior", None)
         loop = dict(a=a, b=b, lps=[], live=dirs)
         loops.append(loop)
         loop["out"] = cut_loop(sense, bounds, base, base_rhs, dirs, a, b, D, **kwargs)
@@ -663,6 +689,12 @@ def pool_loops():
         patch.setattr(lmi, "_run_highs", solving)
         solve_gamma(simulate(RAND, 600, 1, seed=5), 2)
     return loops
+
+
+@pytest.fixture(scope="module")
+def pool_loops():
+    """The loops as the certificate runs them, then with every loop run to its tail."""
+    return record_pool_loops(tail=False), record_pool_loops(tail=True)
 
 
 class TestCutPool:
@@ -695,7 +727,7 @@ class TestCutPool:
         assert np.array_equal(rhs[step:], np.full(len(carried), -0.1))
 
     def test_solutions_satisfy_every_cut(self, pool_loops):
-        returned = [loop for loop in pool_loops if loop["out"][1] is not None]
+        returned = [loop for loops in pool_loops for loop in loops if loop["out"][1] is not None]
         assert returned
         for loop in returned:
             tau, P, _ = loop["out"]
@@ -706,8 +738,10 @@ class TestCutPool:
     def test_left_out_cuts_reenter_once_violated(self, pool_loops):
         # After an LP whose iterate violates pool cuts left out of it, the
         # next LP carries the `step` most violated of them (all, if fewer).
+        # Loops cut short at an interior point learn too few cuts for one to
+        # fall out of an LP and be violated again; loops run to the optimum do.
         step, reentered = 4 * (6 + 1), 0
-        for loop in pool_loops:
+        for loop in pool_loops[0] + pool_loops[1]:
             for (A, x, pool), (A_next, _, _) in zip(loop["lps"], loop["lps"][1:]):
                 rows = pool_rows(loop["dirs"][:pool], loop["a"])
                 residual = rows @ x + loop["b"]
@@ -860,9 +894,10 @@ def test_adapter_matches_scipy_linprog(case, parrilo):
         "parrilo_d1": (simulate(parrilo, 60, 1, seed=2), 1),
         "parrilo_d2": (simulate(parrilo, 40, 1, seed=8), 2),
         # Generated LPs carry few rows and cuts, the more so as each oracle
-        # call starts from the last one's optimum; at N = 2000 some margin
-        # and tie-break LPs still exceed the threshold.
-        "rand_d2_generated": (simulate(RAND, 2000, 1, seed=5), 2),
+        # call starts from the last one's optimum and a feasible one ends at
+        # its first interior point; at N = 3000 some LPs still exceed the
+        # threshold.
+        "rand_d2_generated": (simulate(RAND, 3000, 1, seed=5), 2),
     }[case]
     lps = record_lps(lambda: solve_gamma(obs, d))
     for lp in lps:

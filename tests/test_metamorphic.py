@@ -6,14 +6,19 @@ first, so it needs no recorded reference and holds for any correct engine:
 * sample order, and the sign of any x0 or xl, change nothing;
 * xl -> 2*xl maps gamma* to 2^(1/l)*gamma* and leaves kappa unchanged;
 * an orthogonal change of state coordinates, x -> Qx on both endpoints,
-  leaves gamma*, kappa and the bound unchanged.
+  leaves gamma*, kappa and the bound unchanged;
+* in degree, gamma*(d = 2, C^2) <= gamma*(d = 1, C): a d = 1 witness P
+  with I <= P <= C*I gives the d = 2 witness C2 (P kron P) C2' (C2 from
+  `lift_coefficient_matrix`), whose eigenvalues lie in [1, C^2] and whose
+  form (x'Px)^2 certifies the same rate gamma.
 
 The first two are bit-exact: the lifted rows change by a sign or a power
 of two, which row cleaning removes exactly.  The rotation is exact only in
 exact arithmetic (the lift is an isometry and I <= P <= C*I is orthogonally
 invariant), so its tolerances come from the solver's own resolution: each
 bisection brackets the same optimum to `bisection_rel_tol`, and the
-tie-break resolves lambda_max, hence kappa, to 1e-6.
+tie-break resolves lambda_max, hence kappa, to 1e-6.  The degree relation
+is an inequality between two such brackets.
 """
 
 import numpy as np
@@ -93,3 +98,13 @@ def test_orthogonal_coordinates_change_nothing(case, seed):
     assert rotated.gamma_star == pytest.approx(report.gamma_star, rel=GAMMA_RTOL, abs=0)
     assert rotated.kappa == pytest.approx(report.kappa, rel=KAPPA_RTOL, abs=0)
     assert rotated.jsr_upper_bound == pytest.approx(report.jsr_upper_bound, rel=BOUND_RTOL, abs=0)
+
+
+@pytest.mark.parametrize("name, N, l", [("parrilo", 1000, 1), ("rand3", 300, 2)])
+def test_degree_two_never_above_degree_one(name, N, l):
+    modes, _ = CASES[name]
+    obs = simulate(modes, N, l, seed=7)
+    C = SolveOptions().c_bound
+    one = certify_run(obs, 1, 0.95, 0.95, 2, SolveOptions(c_bound=C))
+    two = certify_run(obs, 2, 0.95, 0.95, 2, SolveOptions(c_bound=C**2))
+    assert two.gamma_star <= one.gamma_star * (1.0 + GAMMA_RTOL)

@@ -24,6 +24,10 @@ order, and the item's outputs:
   `P`, taken from a pass-through around `jsrcert.cli.solve_gamma`;
 * `certify_run` on the `rand2x2m3-d2-n1000` sample drawn from trajectory
   seeds 2-6 (the bench fixes it at seed 1), with gamma*;
+* `solve_gamma` at lift dimension D = 6, the large-lift path no bench
+  workload takes: two 3x3 modes from `default_rng(0)`, each scaled to unit
+  spectral radius, d = 2, N = 400 samples of sample seed 0, with gamma* and
+  kappa;
 * the three sweeps of `sweep-parrilo-small` at seed 1 (master seeds 3, 4,
   5), with each CSV's sha256 and a sha256 over every cell's `X0` and `XL`
   bytes in call order, taken from a pass-through around
@@ -44,7 +48,7 @@ Three more lines cover steps that issue no LP:
   incomplete-beta branches and its eps >= 1/2 branch.
 
 Inputs come from ``bench/data``; everything written goes to a temporary
-directory.  Takes about 15 s on a 2-core box.
+directory.  Takes about 12 s on a 2-core box.
 
 The tool checks the two seed-1 certificates against
 ``bench/data/references.json`` with the bench's own rule
@@ -73,8 +77,9 @@ import jsrcert.cli  # noqa: E402
 import jsrcert.lmi  # noqa: E402
 import jsrcert.sampling  # noqa: E402
 from jsrcert.caps import delta_cap  # noqa: E402
+from jsrcert.certifier import solve_gamma  # noqa: E402
 from jsrcert.oracles import enumerate_products, jsr_lower_bound, support_constraints  # noqa: E402
-from jsrcert.sampling import load_modes, load_observations, simulate  # noqa: E402
+from jsrcert.sampling import ModeSet, load_modes, load_observations, simulate  # noqa: E402
 from workloads import DATA, WORKLOADS, load_references  # noqa: E402
 
 
@@ -250,6 +255,11 @@ def main() -> int:
             print(digest.line(f"rand2x2m3-traj{seed}", f"gamma_star={report.gamma_star!r}"),
                   flush=True)
         work.trajectory_seed = 1
+        A = np.random.default_rng(0).standard_normal((2, 3, 3))
+        modes = ModeSet(tuple(a / np.max(np.abs(np.linalg.eigvals(a))) for a in A))
+        gamma_star, cand = solve_gamma(simulate(modes, 400, 1, seed=0), 2)
+        print(digest.line("rand3x3-d2-n400", f"gamma_star={gamma_star!r} kappa={cand.kappa!r}"),
+              flush=True)
         sweep = WORKLOADS["sweep-parrilo-small"]
         sweep.setup(Path(tmp), seed=1, tiny=False)
         for i, config in enumerate(sweep.configs):
