@@ -37,12 +37,15 @@ warm-start the next: a cut w'Pw >= r depends only on D, not on gamma or rows.
 
 The kernel also generates rows.  Only D(D+1)/2 + 1 samples can pin the
 optimum of a sampled program, so above the threshold of _ROW_BLOCK base rows
-the LPs start from the 4*(D(D+1)/2 + 1) rows most violated at a start point
-(tau = 0) and, after each solve, add up to that step of the most violated
-rows still left out.  The start point is P = I, or for the oracle the P
-of the caller's previous call: between bisection steps gamma moves little,
-and so do the rows that pin the optimum.  Cuts are added the same
-way: `dirs` is the pool, and an LP carries the seed directions, the last
+an LP starts small and, after each solve, adds up to a `step` of
+4*(D(D+1)/2 + 1) of the most violated rows left out.  A cold loop starts
+from the `step` rows most violated at P = I (tau = 0).  An oracle call given
+its caller's previous result starts from its tight rows (nonbasic in its
+last LP: at most D(D+1)/2 + 1, and the trace row) at the new gamma, from
+their HiGHS basis with no presolve, as gamma moves little between bisection
+steps; it starts cold at the previous P if a carried row is merged or
+dropped, or HiGHS refuses the basis or fails.  Cuts are added the same way:
+`dirs` is the pool, and a cold LP carries the seed directions, the last
 `step` directions learned before the call, the cuts it learns itself and,
 after each solve, up to `step` of the most violated pool cuts left out.
 This is sound: every LP is a relaxation of the full one, so its optimum
@@ -78,9 +81,10 @@ and an LP that fails raises SolverStallError.  Above the threshold
 round adds only the rows and cuts it turned on (`_add_rows`) and re-solves
 from the previous basis, as in Kelley's cutting-plane method, so those
 solutions agree with linprog's within the solver tolerances rather than bit
-for bit; a round HiGHS refuses or fails is solved cold.  Like linprog, the
-adapter refuses an LP holding a NaN (HiGHS would call it optimal), and it
-never solves a model HiGHS refuses.
+for bit; a round HiGHS refuses or fails is solved cold.  A carried first LP
+is passed as linprog's would be (`_pass_lp`) and solved from its basis.
+Like linprog, the adapter refuses an LP holding a NaN (HiGHS would call it
+optimal), and it never solves a model HiGHS refuses.
 `_core` and its array overload of `passModel` are private scipy API, so the
 import fails loudly if either is missing, and a test checks the adapter
 against linprog on recorded LPs.  `_core` is loaded straight from its file
@@ -173,6 +177,7 @@ HIGHS_VERSION = "{}.{}.{}".format(
     _highs.HIGHS_VERSION_MAJOR, _highs.HIGHS_VERSION_MINOR, _highs.HIGHS_VERSION_PATCH
 )
 _MS = _highs.HighsModelStatus
+_BASIC = _highs.HighsBasisStatus.kBasic.value
 # linprog's status codes by HiGHS model status; any other status maps to 4.
 _LINPROG_STATUS = {_MS.kOptimal: 0, _MS.kTimeLimit: 1, _MS.kIterationLimit: 1,
                    _MS.kInfeasible: 2, _MS.kModelError: 2, _MS.kUnbounded: 3}
@@ -226,10 +231,11 @@ class MarginResult:
     feasible: bool
     margin: float
     # Not part of the verdict: the P (trace D) the oracle ended on, margin-optimal
-    # or, above the row-generation threshold, its first interior point, and
-    # the cleaned rows.
+    # or, above the row-generation threshold, its first interior point, the cleaned
+    # rows and, above it, the tight rows the next call starts from (`carry`).
     P: np.ndarray | None = field(default=None, compare=False, repr=False)
     rows: np.ndarray | None = field(default=None, compare=False, repr=False)
+    carry: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def quad_form_rows(V: np.ndarray) -> np.ndarray:
@@ -259,19 +265,20 @@ def seed_cut_directions(D: int) -> list[np.ndarray]:
     return dirs
 
 
-def _clean_rows(rows: np.ndarray) -> np.ndarray:
+def _clean_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalize rows to unit norm, drop zero rows, merge duplicates.
 
     Duplicates are detected after rounding to 12 decimals, which perturbs a
     unit-norm constraint by far less than the feasibility margin but removes
     the heavy degeneracy of dense grids (antipodal points give identical
     rows).  Rows come back in lexicographic order, the first of each equal
-    group kept.  A sort on the first column alone gives that order when the
-    sorted column strictly increases, and then no rows are equal; only a tie
-    there (dense grids, signed zeros) takes the full sort and merge.  A
-    finite row whose squares overflow gets its norm scaled by its largest
-    entry; a row whose norm is still not finite (a NaN or an inf entry, or a
-    norm past the float range) raises ValueError.
+    group kept, with the input index of each.  A sort on the first column
+    alone gives that order when the sorted column strictly increases, and
+    then no rows are equal; only a tie there (dense grids, signed zeros)
+    takes the full sort and merge.  A finite row whose squares overflow gets
+    its norm scaled by its largest entry; a row whose norm is still not
+    finite (a NaN or an inf entry, or a norm past the float range) raises
+    ValueError.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     with np.errstate(over="ignore"):
@@ -285,17 +292,20 @@ def _clean_rows(rows: np.ndarray) -> np.ndarray:
     if bad.size:  # a NaN row would fail `keep` and drop out unseen
         raise ValueError(f"constraint row {bad[0]}: its norm is not finite")
     keep = norms > 1e-300
+    index = np.flatnonzero(keep)
     if not keep.all():  # no gather when no row is zero: the same divisions
         rows, norms = rows[keep], norms[keep]
     rows = rows / norms[:, None]
     if rows.shape[0] > 1:
         rows = np.round(rows, 12)
-        lead = rows[np.argsort(rows[:, 0])]
-        if np.all(lead[1:, 0] > lead[:-1, 0]):
-            return lead
-        rows = rows[np.lexsort(rows.T[::-1])]
-        rows = rows[np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)]]
-    return rows
+        order = np.argsort(rows[:, 0])
+        if np.all(np.diff(rows[order, 0]) > 0):
+            return rows[order], index[order]
+        order = np.lexsort(rows.T[::-1])
+        rows, index = rows[order], index[order]
+        first = np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)]
+        rows, index = rows[first], index[first]
+    return rows, index
 
 
 class LPResult(NamedTuple):
@@ -308,11 +318,17 @@ def linprog(c, *, A_ub, b_ub, bounds, A_eq=None, b_eq=None) -> LPResult:
     """min c'x s.t. A_ub x <= b_ub, A_eq x = b_eq and column `bounds`, by HiGHS.
 
     HiGHS gets the model `scipy.optimize.linprog(method="highs")` would give
-    it, bit for bit, and `_run_highs` accepts a solution on linprog's terms:
-    model status optimal, and bounds, slacks and equality residuals within
-    _RESULT_TOL.  Raises ValueError, without solving, for an LP with a NaN
-    or mismatched shapes, or one HiGHS refuses.
+    it, bit for bit (`_pass_lp`), and `_run_highs` accepts a solution on
+    linprog's terms: model status optimal, and bounds, slacks and equality
+    residuals within _RESULT_TOL.  Raises ValueError, without solving, for an
+    LP with a NaN or mismatched shapes, or one HiGHS refuses.
     """
+    with _HIGHS_LOCK:
+        return _run_highs(*_pass_lp(c, A_ub, b_ub, bounds, A_eq, b_eq))
+
+
+def _pass_lp(c, A_ub, b_ub, bounds, A_eq=None, b_eq=None):
+    """Pass `_HIGHS` `linprog`'s LP, clearing its basis.  The caller holds _HIGHS_LOCK."""
     m = len(b_ub)
     A, lower, upper = A_ub, np.full(m, -_highs.kHighsInf), np.asarray(b_ub, dtype=float)
     if A_eq is not None:
@@ -333,20 +349,19 @@ def linprog(c, *, A_ub, b_ub, bounds, A_eq=None, b_eq=None) -> LPResult:
             raise ValueError(f"LP {name} holds a NaN")
     col_lower, col_upper = np.ascontiguousarray(col_bounds.T)
     starts = np.searchsorted(cols, np.arange(num_col + 1)).astype(np.int32)
-    with _HIGHS_LOCK:
-        if _pass_model(c, col_lower, col_upper, lower, upper, starts, rows.astype(np.int32),
-                       values) == _highs.HighsStatus.kError:
-            raise ValueError("HiGHS refused the LP model")
-        return _run_highs(col_lower, col_upper, lower, upper)
+    if _pass_model(c, col_lower, col_upper, lower, upper, starts, rows.astype(np.int32),
+                   values) == _highs.HighsStatus.kError:
+        raise ValueError("HiGHS refused the LP model")
+    return col_lower, col_upper, lower, upper
 
 
 def _run_highs(col_lower, col_upper, row_lower, row_upper) -> LPResult:
     """Solve the model `_HIGHS` holds, whose column and row bounds are given.
 
-    The one place a model is solved, from `linprog` or from a cut loop's
-    added rows.  A solution counts as solved on linprog's terms: model
-    status optimal, and every column and row within its bounds up to
-    _RESULT_TOL.  The caller holds _HIGHS_LOCK.
+    The one place a model is solved, from `linprog`, a cut loop's added
+    rows or its carried first LP.  A solution counts as solved on linprog's
+    terms: model status optimal, and every column and row within its bounds
+    up to _RESULT_TOL.  The caller holds _HIGHS_LOCK.
     """
     _HIGHS.run()
     model_status = _HIGHS.getModelStatus()
@@ -424,6 +439,7 @@ def _cut_loop(
     stop=None,
     start: np.ndarray | None = None,
     interior=None,
+    carry: list | None = None,
 ):
     """Optimize tau over x = (vech P, tau) under eigenvector cuts.
 
@@ -432,54 +448,77 @@ def _cut_loop(
     has eigenvalues below that level, their eigenvectors join `dirs` (which
     the caller may keep across calls) and the LP is solved again.  With
     `ceiling`, a top eigenvector above tau adds the cut w'Pw <= tau.
-    Beyond _ROW_BLOCK base rows, each LP carries only the rows and cuts
-    turned on so far, up to `step` more of each per round (see the module
-    docstring), and stays in `_HIGHS` from round to round; its first rows
-    are the `step` most violated at (vech `start`, tau = 0), `start` being
-    P = I unless the caller passes an earlier P.  Returns (tau, P,
-    eigvals) once no row and no cut is violated, or (tau, None, None) as
-    soon as `stop(tau)` holds.  Beyond _ROW_BLOCK base rows, `interior(P,
-    eigvals)` may also end a round early with a point (tau, P, eigvals) of
-    the full program built from its iterate; None goes on with the round.
+    Returns (tau, P, eigvals) once no row and no cut is violated, or (tau,
+    None, None) as soon as `stop(tau)` holds.  Beyond _ROW_BLOCK base rows
+    (see the module docstring), each LP carries only the rows and cuts
+    turned on so far, up to `step` more of each per round, and stays in
+    `_HIGHS` from round to round; `interior(P, eigvals)` may end a round
+    early with a point (tau, P, None) of the full program built from its
+    iterate; a `carry` list [base positions, `dirs` indices, HiGHS basis]
+    gives the first LP unless HiGHS refuses or fails it, and on return holds
+    the last LP's nonbasic and equality rows; else the first rows are the
+    `step` most violated at (vech `start`, tau = 0), `start` = I if None.
     """
     if not dirs:
         dirs.extend(seed_cut_directions(D))
     K = D * (D + 1) // 2
     step = 4 * (K + 1)  # four times the most samples that can pin the optimum
+    n = base.shape[0]
     c = np.zeros(K + 1)
     c[-1] = sense
-    active = np.ones(base.shape[0], dtype=bool)
+    active = np.ones(n, dtype=bool)
     cuts = _cut_rows(np.array(dirs), a)  # the pool's rows, extended as cuts are learned
     on = np.ones(len(dirs), dtype=bool)
     hi_dirs: list[np.ndarray] = []
 
-    def lp_rows(act, pool, hi):
+    def lp_rows(act, pool, hi, n_eq=0):  # row ids: base position, n + pool index, -1, -2 (eq)
         parts = [base[act], cuts[pool]]
         parts_rhs = [base_rhs[act], np.zeros(len(parts[1])) - b]  # 0 - b: +0.0 when b = 0
         if hi:  # w'Pw <= tau
             parts.append(-_cut_rows(np.array(hi), 1.0))
             parts_rhs.append(np.zeros(len(hi)))
-        return np.vstack(parts), np.concatenate(parts_rhs)
+        ids = np.concatenate([act, n + pool, np.full(len(hi), -1), np.full(n_eq, -2)])
+        return np.vstack(parts), np.concatenate(parts_rhs), ids
 
     # At or below the threshold every LP is solved cold, so that the sweep's
     # LPs stay bit-identical to its byte references; with those references
     # gone (ROADMAP item 3) every loop can keep its LP in `_HIGHS`.
-    warm = _generates_rows(base.shape[0], K)
-    if warm:
-        x0 = np.append((np.eye(D) if start is None else start)[_triu(D)], 0.0)
-        slack = base_rhs - base @ x0  # the `step` rows most violated at x0, ties in row order
-        cut = np.partition(slack, step - 1)[step - 1]
-        active = slack < cut
-        active[np.flatnonzero(slack == cut)[: step - np.count_nonzero(active)]] = True
-        on[D * D : max(D * D, len(dirs) - step)] = False  # keep the seeds and last `step` cuts
+    warm = _generates_rows(n, K)
     col_lower, col_upper = np.array(bounds, dtype=float).T
     eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
     no_rows = np.zeros(0, dtype=np.intp)
+
+    def done(out):
+        if carry is not None and warm:  # the tight rows, by id, then the equality rows
+            basis = _HIGHS.getBasis()
+            status = basis.row_status
+            tight = np.flatnonzero((ids >= 0) & [s.value != _BASIC for s in status])
+            tight = tight[np.argsort(ids[tight])]
+            basis.row_status = [status[k] for k in np.append(tight, np.flatnonzero(ids == -2))]
+            carry[:] = [ids[tight][ids[tight] < n], ids[tight][ids[tight] >= n] - n, basis]
+        return out
+
     res = None  # of the last warm round; None or a failure solves the next round cold
     with _HIGHS_LOCK:
+        if warm and carry:
+            pos, pool, basis = carry
+            A, rhs, ids = lp_rows(pos, pool, [], len(eq))
+            _, _, row_lower, row_upper = _pass_lp(c, A, rhs, bounds, A_eq, b_eq)
+            if _HIGHS.setBasis(basis) != _highs.HighsStatus.kError:
+                res = _run_highs(col_lower, col_upper, row_lower, row_upper)
+                if res.status == 0:
+                    active, on = np.zeros(n, dtype=bool), np.zeros(len(on), dtype=bool)
+                    active[pos], on[pool] = True, True
+        if warm and (res is None or res.status != 0):
+            x0 = np.append((np.eye(D) if start is None else start)[_triu(D)], 0.0)
+            slack = base_rhs - base @ x0  # the `step` rows most violated at x0, ties in row order
+            cut = np.partition(slack, step - 1)[step - 1]
+            active = slack < cut
+            active[np.flatnonzero(slack == cut)[: step - np.count_nonzero(active)]] = True
+            on[D * D : max(D * D, len(dirs) - step)] = False  # keep the seeds and last `step` cuts
         for _ in range(_MAX_CUT_ROUNDS):
             if res is None or res.status != 0:  # solve cold
-                A, rhs = lp_rows(active, on, hi_dirs)
+                A, rhs, ids = lp_rows(np.flatnonzero(active), np.flatnonzero(on), hi_dirs, len(eq))
                 res = linprog(c, A_ub=A, b_ub=rhs, bounds=bounds, A_eq=A_eq, b_eq=b_eq)
                 if res.status != 0:
                     raise SolverStallError(f"LP solve failed (status {res.status}): {res.message}")
@@ -488,7 +527,7 @@ def _cut_loop(
             x = res.x
             tau = float(x[-1])
             if stop is not None and stop(tau):
-                return tau, None, None
+                return done((tau, None, None))
             rows_on = no_rows if active.all() else _turn_on(active, base @ x - base_rhs, step)
             cuts_on = no_rows if on.all() else _turn_on(on, cuts @ x + b, step)
             P = unpack_sym(x[:K], D)
@@ -505,16 +544,17 @@ def _cut_loop(
                 hi = [eigvecs[:, -1]]
                 hi_dirs += hi
             elif not rows_on.size and not cuts_on.size:
-                return tau, P, eigvals
+                return done((tau, P, eigvals))
             res = None
             if warm:  # add the rows turned on to the model and re-solve from its basis
                 found = interior and interior(P, eigvals)
                 if found:
-                    return found
-                A, rhs = lp_rows(rows_on, cuts_on, hi)
+                    return done(found)
+                A, rhs, added = lp_rows(rows_on, cuts_on, hi)
                 if _add_rows(A, rhs):
                     row_lower = np.append(row_lower, np.full(len(rhs), -_highs.kHighsInf))
                     row_upper = np.append(row_upper, rhs)
+                    ids = np.append(ids, added)
                     res = _run_highs(col_lower, col_upper, row_lower, row_upper)
     raise SolverStallError("eigenvector-cut iteration limit reached")
 
@@ -540,7 +580,7 @@ def max_margin_feasibility(
     D: int,
     c_bound: float,
     dirs: list[np.ndarray] | None = None,
-    start: np.ndarray | None = None,
+    start: MarginResult | None = None,
 ) -> MarginResult:
     """Decide whether some P with I <= P <= c_bound*I satisfies all rows.
 
@@ -549,14 +589,21 @@ def max_margin_feasibility(
     FEASIBILITY_MARGIN, at the optimum or, above the row-generation
     threshold, at the first interior point found on the way (see the module
     docstring); a verdict only (see `feasibility_witness`).  `dirs`
-    accumulates semidefiniteness probe directions across calls.  `start`,
-    the `P` of an earlier result on the same lift, is where row generation
-    picks its first rows (P = I when None); at or below the threshold it is
-    not used.
+    accumulates semidefiniteness probe directions across calls.  `start`, an
+    earlier result on rows of the same samples and `dirs`, is where row
+    generation starts (see the module docstring); at or below the threshold
+    it is not used.
     """
-    rows = _clean_rows(rows)
+    rows, index = _clean_rows(rows)
     if rows.shape[0] == 0:
         return MarginResult(feasible=True, margin=1.0, rows=rows)
+    carry = [] if start is None or start.carry is None else list(start.carry)
+    if carry:  # input rows to positions here
+        where = np.full(max(index.max(), carry[0].max(initial=0)) + 1, -1)
+        where[index] = np.arange(len(index))
+        carry[0] = where[carry[0]]
+        if (carry[0] < 0).any() or carry[1].max(initial=-1) >= len(dirs or []):
+            carry = []  # a carried row merged or dropped here, or a cut not in `dirs`
     # lambda_max <= trace = D, so this floor caps lambda_max/lambda_min at
     # c_bound, matching the I <= P <= C*I box after rescaling.
     floor = min(D / c_bound, 0.9)
@@ -573,12 +620,14 @@ def max_margin_feasibility(
         theta = (floor - lmin) / (1.0 - lmin) if lmin < floor else 0.0  # lmin < floor < 1
         Q = (1.0 - theta) * P + theta * np.eye(D)
         margin = -float(np.max(rows @ Q[_triu(D)]))
-        return (margin, Q, np.linalg.eigvalsh(Q)) if margin >= FEASIBILITY_MARGIN else None
+        return (margin, Q, None) if margin >= FEASIBILITY_MARGIN else None
 
     t, P, _ = _cut_loop(-1.0, bounds, base, np.zeros(base.shape[0]), [] if dirs is None else dirs,
                         0.0, floor, D, A_eq=trace_row, b_eq=[float(D)],
-                        stop=lambda tau: tau < -FEASIBILITY_MARGIN, start=start, interior=interior)
-    return MarginResult(P is not None and t >= FEASIBILITY_MARGIN, t, P, rows)
+                        stop=lambda tau: tau < -FEASIBILITY_MARGIN,
+                        start=None if start is None else start.P, interior=interior, carry=carry)
+    return MarginResult(P is not None and t >= FEASIBILITY_MARGIN, t, P, rows,
+                        (index[carry[0]], *carry[1:]) if carry else None)
 
 
 def feasibility_witness(result: MarginResult, D: int, dirs: list[np.ndarray]) -> np.ndarray | None:
@@ -618,7 +667,7 @@ def min_lambda_max(
     tightens the variable boxes without affecting the optimum.  Returns the
     full symmetric minimizer, rescaled so P >= I holds exactly.
     """
-    rows = _clean_rows(rows)
+    rows, _ = _clean_rows(rows)
     dirs = [] if dirs is None else dirs
     K = D * (D + 1) // 2
     iu, ju = _triu(D)

@@ -10,11 +10,13 @@ those loops read each LP back from `lmi._HIGHS` at `lmi._run_highs`, the
 one place a model is solved.
 """
 
+import copy
 import importlib.machinery
 import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -143,9 +145,9 @@ class TestFeasibilityWitness:
     def test_failed_recheck_gives_none(self, rand_d1, monkeypatch):
         # A balanced P that misses a row by more than the contract is refused.
         rows, D = rand_d1
-        assert np.max(lmi._clean_rows(rows) @ np.eye(D)[np.triu_indices(D)]) > 1e-9
+        assert np.max(lmi._clean_rows(rows)[0] @ np.eye(D)[np.triu_indices(D)]) > 1e-9
         monkeypatch.setattr(lmi, "_balanced_witness", lambda *args: np.eye(D))
-        result = lmi.MarginResult(True, 1e-3, rows=lmi._clean_rows(rows))
+        result = lmi.MarginResult(True, 1e-3, rows=lmi._clean_rows(rows)[0])
         assert lmi.feasibility_witness(result, D, []) is None
 
     def test_above_threshold_takes_the_oracles_P(self, above_block, monkeypatch):
@@ -158,7 +160,7 @@ class TestFeasibilityWitness:
         assert result.feasible
         assert result == lmi.MarginResult(result.feasible, result.margin)
         assert "P=" not in repr(result) and "rows=" not in repr(result)
-        assert np.array_equal(result.rows, lmi._clean_rows(rows))
+        assert np.array_equal(result.rows, lmi._clean_rows(rows)[0])
 
         def unused(*args, **kwargs):
             raise AssertionError("the witness must solve no LP")
@@ -168,7 +170,7 @@ class TestFeasibilityWitness:
         monkeypatch.setattr(lmi, "_run_highs", unused)
         P = lmi.feasibility_witness(result, D, dirs)
         assert np.array_equal(P, result.P / np.linalg.eigvalsh(result.P)[0])
-        assert np.max(lmi._clean_rows(rows) @ P[np.triu_indices(D)]) <= 1e-9
+        assert np.max(lmi._clean_rows(rows)[0] @ P[np.triu_indices(D)]) <= 1e-9
         assert np.linalg.eigvalsh(P)[0] >= 1.0 - 1e-12
 
 
@@ -180,7 +182,7 @@ class TestBalancedWitness:
     def test_recorded(self, case, expected, n_dirs, request):
         rows, D = request.getfixturevalue(case)
         dirs = lmi.seed_cut_directions(D)
-        P = lmi._balanced_witness(lmi._clean_rows(rows), D, 1e-6, dirs)
+        P = lmi._balanced_witness(lmi._clean_rows(rows)[0], D, 1e-6, dirs)
         assert np.array_equal(P, expected)
         assert len(dirs) == n_dirs
 
@@ -346,7 +348,7 @@ def above_block(request):
     else:
         cache = cache_for(RAND, 600, 2, 5)
         gammas = (0.962, 0.906)  # gamma* = 0.93437
-    assert lmi._clean_rows(cache.rows(gammas[0])).shape[0] > 2 * lmi._ROW_BLOCK
+    assert lmi._clean_rows(cache.rows(gammas[0]))[0].shape[0] > 2 * lmi._ROW_BLOCK
     return cache, gammas
 
 
@@ -354,7 +356,7 @@ class TestRowGeneration:
     def test_feasible(self, above_block, monkeypatch):
         cache, (gamma, _) = above_block
         rows = cache.rows(gamma)
-        clean = lmi._clean_rows(rows)
+        clean = lmi._clean_rows(rows)[0]
         (generated, P), (full, _), sizes = generated_and_full(
             lambda: verdict_and_witness(rows, cache.dim), monkeypatch
         )
@@ -376,7 +378,7 @@ class TestRowGeneration:
         # -1e-7; with fewer rows that relaxation is looser, never tighter.
         assert generated.margin >= full.margin - 1e-9
         assert generated.margin < -1e-7
-        assert max(sizes) < lmi._clean_rows(rows).shape[0]
+        assert max(sizes) < lmi._clean_rows(rows)[0].shape[0]
 
     def test_min_lambda_max(self, above_block, monkeypatch):
         cache, (gamma, _) = above_block
@@ -386,7 +388,7 @@ class TestRowGeneration:
         )
         top, top_full = np.linalg.eigvalsh(generated)[-1], np.linalg.eigvalsh(full)[-1]
         assert abs(top - top_full) <= 1e-8 * top_full
-        assert max(sizes) < lmi._clean_rows(rows).shape[0]
+        assert max(sizes) < lmi._clean_rows(rows)[0].shape[0]
 
 
     def test_solutions_satisfy_every_row(self, monkeypatch):
@@ -459,29 +461,44 @@ def test_sweep_sized_programs_keep_every_row(parrilo, monkeypatch):
 
 @pytest.mark.parametrize("case, D", [("parrilo_d1", 2), ("rand_d2", 3)])
 def test_generation_step_follows_lift_dimension(case, D, parrilo, monkeypatch):
-    # Above the threshold, the first LP of a loop carries exactly
-    # 4*(D(D+1)/2 + 1) base rows, and each round adds at most that many.
-    step = 4 * (D * (D + 1) // 2 + 1)
-    loops = []  # (base, base rows in each LP of the loop)
-    cut_loop, run = lmi._cut_loop, lmi._run_highs
+    # Above the threshold, the first LP of a loop started cold carries
+    # exactly 4*(D(D+1)/2 + 1) base rows, that of a loop started from an
+    # earlier loop's tight rows at most D(D+1)/2 + 1, and each round adds at
+    # most 4*(D(D+1)/2 + 1).
+    K = D * (D + 1) // 2
+    step = 4 * (K + 1)
+    loops = []  # (base, (base rows, cold) of each LP of the loop)
+    cut_loop, run, lp = lmi._cut_loop, lmi._run_highs, lmi.linprog
+    in_linprog = []
 
     def recording(sense, bounds, base, *args, **kwargs):
         loops.append((base, []))
         return cut_loop(sense, bounds, base, *args, **kwargs)
 
+    def cold(*args, **kwargs):
+        in_linprog.append(True)
+        try:
+            return lp(*args, **kwargs)
+        finally:
+            in_linprog.pop()
+
     def counting(*args):
         base, counts = loops[-1]
-        counts.append(np.count_nonzero(rows_in(held_lp()["A_ub"], base)))
+        counts.append((np.count_nonzero(rows_in(held_lp()["A_ub"], base)), bool(in_linprog)))
         return run(*args)
 
     monkeypatch.setattr(lmi, "_cut_loop", recording)
+    monkeypatch.setattr(lmi, "linprog", cold)
     monkeypatch.setattr(lmi, "_run_highs", counting)
     modes, d = (parrilo, 1) if case == "parrilo_d1" else (RAND, 2)
     solve_gamma(simulate(modes, 600, 1, seed=5), d)
     generated = [counts for base, counts in loops if base.shape[0] > lmi._ROW_BLOCK]
     assert len(generated) > 10
-    rounds = [b - a for counts in generated for a, b in zip(counts, counts[1:])]
-    assert all(counts[0] == step for counts in generated)
+    firsts = [counts[0] for counts in generated]
+    assert all(rows == step for rows, started_cold in firsts if started_cold)
+    assert all(rows <= K + 1 for rows, started_cold in firsts if not started_cold)
+    assert 0 < sum(started_cold for _, started_cold in firsts) < len(firsts)
+    rounds = [b - a for counts in generated for (a, _), (b, _) in zip(counts, counts[1:])]
     assert all(0 <= added <= step for added in rounds)
     if case == "rand_d2":  # on Parrilo d=1 the first LP's rows nearly always suffice
         assert step in rounds
@@ -496,7 +513,7 @@ class TestFirstRowPick:
         # 10 base rows lie above a block of 5 but within D = 2's step of 16;
         # every row is active from the first LP, as in the full LP.
         rows = cache_for(parrilo, 10, 1, 3).rows(1.5)
-        assert lmi._clean_rows(rows).shape[0] == 10
+        assert lmi._clean_rows(rows)[0].shape[0] == 10
         programs = (lambda: lmi.max_margin_feasibility(rows, 2, 100.0),
                     lambda: lmi.min_lambda_max(rows, 2, 100.0))
         monkeypatch.setattr(lmi, "_ROW_BLOCK", 5)
@@ -551,23 +568,147 @@ class TestFirstRowPick:
 
 
 def test_bisection_starts_each_oracle_call_from_the_last_optimum(monkeypatch):
-    # Each call gets the P of the latest result that has one; infeasible
-    # verdicts cut short have none, and the start stays as it was.
+    # Each call starts from the latest result, a verdict cut short included,
+    # and every result above the threshold carries the tight rows of its
+    # last LP; a stall leaves the next call with no start.
     calls = []
     oracle = lmi.max_margin_feasibility
 
     def recording(rows, D, c_bound, dirs=None, start=None):
+        if len(calls) == stall_at:
+            calls.append((start, None))
+            raise lmi.SolverStallError("stalled for the test")
         result = oracle(rows, D, c_bound, dirs, start)
-        calls.append((start, result.P))
+        calls.append((start, result))
         return result
 
     monkeypatch.setattr(lmi, "max_margin_feasibility", recording)
-    solve_gamma(simulate(RAND, 600, 1, seed=5), 2)
+    obs = simulate(RAND, 600, 1, seed=5)
+    stall_at = None
+    solve_gamma(obs, 2)
     last = None
-    for start, P in calls:
+    for start, result in calls:
         assert start is last
-        last = last if P is None else P
-    assert any(P is None for _, P in calls[1:])
+        assert result.carry is not None
+        last = result
+    assert any(result.P is None for _, result in calls[1:])
+    calls.clear()
+    stall_at = 3
+    with pytest.warns(RuntimeWarning, match="undecided"):
+        solve_gamma(obs, 2)
+    assert calls[stall_at][0] is calls[stall_at - 1][1]
+    assert calls[stall_at + 1][0] is None
+
+
+def bisection_gamma(cache):
+    return _bisect_gamma(cache, SolveOptions(), witness=False)[0]
+
+
+def without_carry(monkeypatch):
+    """Oracle calls whose start drops its tight rows: the first LP is picked at
+    the start's P, as before the rows were carried."""
+    oracle = lmi.max_margin_feasibility
+
+    def cold_start(rows, D, c_bound, dirs=None, start=None):
+        return oracle(rows, D, c_bound, dirs, start and replace(start, carry=None))
+
+    monkeypatch.setattr(lmi, "max_margin_feasibility", cold_start)
+
+
+class TestCarriedStart:
+    """Above the threshold an oracle call started from an earlier result
+    solves that result's tight rows first, from its HiGHS basis; only the
+    relaxation solved first changes, never a verdict."""
+
+    @pytest.mark.parametrize("above_block", ["parrilo_d1", "rand_d2"], indirect=True)
+    def test_verdicts_match_cold_calls(self, above_block):
+        # A chain of calls on a grid of gammas around gamma*, each started
+        # from the last as in the bisection, against calls with no start.
+        cache, _ = above_block
+        fresh = copy.copy(cache)
+        fresh.dirs = []
+        gamma_star = bisection_gamma(fresh)
+        dirs, start = [], None
+        for r in (-0.2, 0.2, -3e-2, 3e-2, -1e-3, 1e-3, -1e-5, 1e-5):
+            rows = cache.rows(gamma_star * (1.0 + r))
+            carried, solves = record_solves(
+                lambda: lmi.max_margin_feasibility(rows, cache.dim, 100.0, dirs, start))
+            assert solves[0]["cold"] == (start is None)
+            assert carried.carry is not None
+            assert carried.feasible == (r > 0)
+            assert lmi.max_margin_feasibility(rows, cache.dim, 100.0).feasible == (r > 0)
+            start = carried
+
+    @pytest.mark.parametrize("modes, N, d, seed", [
+        ("parrilo", 1000, 1, 3), ("rand", 600, 2, 5), ("rand", 2000, 1, 7)])
+    def test_bisection_gamma_is_bit_identical_without_carry(self, modes, N, d, seed, parrilo,
+                                                           monkeypatch):
+        obs = simulate(parrilo if modes == "parrilo" else RAND, N, 1, seed=seed)
+        carried = bisection_gamma(_PairCache(obs, d))
+        without_carry(monkeypatch)
+        assert bisection_gamma(_PairCache(obs, d)) == carried
+
+    @pytest.mark.parametrize("above_block", ["parrilo_d1", "rand_d2"], indirect=True)
+    def test_foreign_or_corrupted_start_falls_back_cold(self, above_block, parrilo):
+        cache, (feasible, infeasible) = above_block
+        D = cache.dim
+        dirs = []
+        own = lmi.max_margin_feasibility(cache.rows(0.5 * (feasible + infeasible)), D, 100.0, dirs)
+        other = cache_for(parrilo if D == 2 else RAND, 700, 1 if D == 2 else 2, 11)
+        foreign = lmi.max_margin_feasibility(other.rows(feasible), D, 100.0, list(dirs))
+        samples, pool, basis = own.carry
+
+        def with_rows(row_status):
+            out = lmi._highs.HighsBasis()
+            out.valid, out.alien = True, False
+            out.col_status, out.row_status = basis.col_status, row_status
+            return out
+
+        statuses = list(basis.row_status)
+        refused = with_rows([lmi._highs.HighsBasisStatus.kBasic] * len(statuses))
+        scrambled = with_rows(statuses[::-1])
+        starts = {
+            "foreign": foreign,
+            "refused": replace(own, carry=(samples, pool, refused)),
+            "scrambled": replace(own, carry=(samples, pool, scrambled)),
+        }
+        for gamma in (feasible, infeasible):
+            rows = cache.rows(gamma)
+            cold = lmi.max_margin_feasibility(rows, D, 100.0)
+            for name, start in starts.items():
+                result, solves = record_solves(
+                    lambda: lmi.max_margin_feasibility(rows, D, 100.0, list(dirs), start))
+                assert result.feasible == cold.feasible, name
+                if name == "refused":  # HiGHS refused the basis: the first LP is cold
+                    assert solves[0]["cold"]
+
+    @pytest.mark.parametrize("case", ["parrilo_d1", "rand_d2"])
+    def test_only_first_oracle_call_and_tie_break_solve_cold(self, case, parrilo, monkeypatch):
+        modes, N, d, seed = (parrilo, 1000, 1, 3) if case == "parrilo_d1" else (RAND, 600, 2, 5)
+        issuers, cold = [], []
+        lp = lmi.linprog
+
+        def issuing(name):
+            inner = getattr(lmi, name)
+
+            def wrapper(*args, **kwargs):
+                issuers.append(name)
+                cold.append(0)
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(lmi, name, wrapper)
+
+        def counting(*args, **kwargs):
+            cold[-1] += 1
+            return lp(*args, **kwargs)
+
+        issuing("max_margin_feasibility")
+        issuing("min_lambda_max")
+        monkeypatch.setattr(lmi, "linprog", counting)
+        assert N > lmi._ROW_BLOCK
+        solve_gamma(simulate(modes, N, 1, seed=seed), d)
+        assert issuers[-1] == "min_lambda_max" and len(issuers) > 15
+        assert cold == [1] + [0] * (len(issuers) - 2) + [1]
 
 
 @pytest.mark.parametrize("above_block", ["rand_d2"], indirect=True)  # Parrilo: one LP a loop
@@ -803,9 +944,24 @@ def clean_rows_cases():
 @pytest.mark.parametrize("case", sorted(clean_rows_cases()))
 def test_clean_rows_matches_parent_bit_for_bit(case):
     rows = clean_rows_cases()[case]
-    ours, ref = lmi._clean_rows(rows), parent_clean_rows(rows)
+    ours, ref = lmi._clean_rows(rows)[0], parent_clean_rows(rows)
     assert ours.dtype == ref.dtype and ours.shape == ref.shape
     assert ours.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(clean_rows_cases()))
+def test_clean_rows_names_the_first_input_row_of_each_row(case):
+    # The oracle carries rows from call to call by these indices.
+    rows = np.atleast_2d(clean_rows_cases()[case])
+    ours, index = lmi._clean_rows(rows)
+    norms = np.linalg.norm(rows, axis=1)
+    keep = norms > 1e-300
+    unit = rows / np.where(keep, norms, 1.0)[:, None]
+    if np.count_nonzero(keep) > 1:  # a lone row is not rounded
+        unit = np.round(unit, 12)
+    assert index.dtype == np.intp and index.shape == (ours.shape[0],)
+    for row, i in zip(ours, index):
+        assert i == np.flatnonzero(keep & (unit == row).all(axis=1))[0]
 
 
 @pytest.mark.parametrize("case, full_sort", [
@@ -827,7 +983,7 @@ def test_clean_rows_keeps_first_of_signed_zero_ties():
     # are the parent's.
     rng = np.random.default_rng(3)
     rows = rng.integers(-1, 2, (500, 4)) * rng.choice([0.0, -0.0, 1.0, 1e-14], (500, 4))
-    ours = lmi._clean_rows(rows)
+    ours = lmi._clean_rows(rows)[0]
     assert np.array_equal(ours, parent_clean_rows(rows))
     norms = np.linalg.norm(rows, axis=1)
     unit = np.round(rows[norms > 0] / norms[norms > 0, None], 12)
@@ -859,11 +1015,11 @@ def test_clean_rows_scales_finite_rows_whose_squares_overflow():
     rows = np.vstack([small, scaled * 2.0**1000])
     with np.errstate(over="ignore"):
         assert np.isinf(np.linalg.norm(rows[40:], axis=1)).all()
-    ours = lmi._clean_rows(rows)
+    ours = lmi._clean_rows(rows)[0]
     ref = parent_clean_rows(np.vstack([small, scaled]))
     assert ours.shape == ref.shape and np.allclose(ours, ref, rtol=0.0, atol=1e-15)
     # Rows whose squares do not overflow keep the plain norm, bit for bit.
-    assert lmi._clean_rows(small).tobytes() == parent_clean_rows(small).tobytes()
+    assert lmi._clean_rows(small)[0].tobytes() == parent_clean_rows(small).tobytes()
     for bad in ([1e300, np.nan, 0.0], [1e300, -np.inf, 0.0], [1.5e308, -1.5e308, 0.0]):
         with pytest.raises(ValueError, match="constraint row 1: its norm is not finite"):
             lmi._clean_rows(np.array([[1.0, 0.0, 0.0], bad]))

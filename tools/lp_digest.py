@@ -11,8 +11,10 @@ model `jsrcert.lmi._HIGHS` holds.  For each item it
 prints the solve count, the most solves made in one `jsrcert.lmi._cut_loop`
 call (`max_loop=`, to read against `_MAX_CUT_ROUNDS`), the total `A_ub`
 rows (rows without a lower bound) of those solves, how many of the solves
-were made inside `jsrcert.lmi._balanced_witness` (`witness=`), a sha256 over
-every solve's
+were made inside `jsrcert.lmi._balanced_witness` (`witness=`), how many were
+cold, made through `jsrcert.lmi.linprog` from a fresh model with presolve
+(`cold=`; the others re-solve a held model or start from a carried basis),
+a sha256 over every solve's
 costs, column bounds, row bounds, constraint matrix, status and x in call
 order, and the item's outputs:
 
@@ -89,6 +91,7 @@ class LPDigest:
     def __init__(self):
         self.solve = jsrcert.lmi._run_highs
         self.balancing = 0  # depth of `_balanced_witness` calls under way
+        self.in_linprog = 0  # depth of `linprog` calls under way
         self.reset()
 
     def install(self):
@@ -113,9 +116,20 @@ class LPDigest:
                 self.balancing -= 1
 
         jsrcert.lmi._balanced_witness = balancing
+        linprog = jsrcert.lmi.linprog
+
+        def cold(*args, **kwargs):
+            self.in_linprog += 1
+            try:
+                return linprog(*args, **kwargs)
+            finally:
+                self.in_linprog -= 1
+
+        jsrcert.lmi.linprog = cold
 
     def reset(self):
         self.count = 0
+        self.cold = 0
         self.max_loop = 0
         self.rows = 0
         self.witness = 0
@@ -144,6 +158,7 @@ class LPDigest:
         row_lower = np.asarray(lp.row_lower_)
         self.count += 1
         self.witness += self.balancing > 0
+        self.cold += self.in_linprog > 0
         self.rows += int(np.count_nonzero(np.isneginf(row_lower)))
         for value in (lp.col_cost_, lp.col_lower_, lp.col_upper_, row_lower, lp.row_upper_, A):
             self._add(value)
@@ -153,7 +168,7 @@ class LPDigest:
 
     def line(self, name: str, outputs: str) -> str:
         line = (f"{name} lps={self.count} max_loop={self.max_loop} rows={self.rows} "
-                f"witness={self.witness} "
+                f"witness={self.witness} cold={self.cold} "
                 f"sha256={self.sha.hexdigest()} {outputs}")
         self.reset()
         return line
