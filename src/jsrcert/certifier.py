@@ -169,7 +169,7 @@ def _bisect_gamma(
     hi = cache.lambda_star ** (1.0 / cache.l)
     lo = 0.0
     best = np.eye(D) if witness else None  # feasible at hi: ||xl||^2d <= lambda*^2d
-    start = None  # the latest oracle result, where the next call's row generation starts
+    carry = None  # the latest oracle result's tight rows, where the next call's LPs start
     for _ in range(300):
         mid = 0.5 * (lo + hi)
         # At double resolution mid equals an end; solving it again moves nothing.
@@ -177,13 +177,13 @@ def _bisect_gamma(
             break
         feasible, P = False, None  # undecided or no witness: not proven feasible
         try:
-            result = start = lmi.max_margin_feasibility(cache.rows(mid), D, opts.c_bound,
-                                                        cache.dirs, start)
+            result = lmi.max_margin_feasibility(cache.rows(mid), D, opts.c_bound, cache.dirs, carry)
+            carry = result.carry
             if result.feasible and witness:
                 P = lmi.feasibility_witness(result, D, cache.dirs)
             feasible = result.feasible and (P is not None or not witness)
         except SolverStallError as exc:
-            start = None
+            carry = None
             cache.undecided += 1
             warnings.warn(f"feasibility oracle undecided at gamma={mid:.6g}: {exc}",
                           RuntimeWarning, stacklevel=2)

@@ -40,11 +40,11 @@ optimum of a sampled program, so above the threshold of _ROW_BLOCK base rows
 an LP starts small and, after each solve, adds up to a `step` of
 4*(D(D+1)/2 + 1) of the most violated rows left out.  A cold loop starts
 from the `step` rows most violated at P = I (tau = 0).  An oracle call given
-its caller's previous result starts from its tight rows (nonbasic in its
+its previous result's `carry` starts from its tight rows (nonbasic in its
 last LP: at most D(D+1)/2 + 1, and the trace row) at the new gamma, from
 their HiGHS basis with no presolve, as gamma moves little between bisection
-steps; it starts cold at the previous P if a carried row is merged or
-dropped, or HiGHS refuses the basis or fails.  Cuts are added the same way:
+steps; it starts cold if a carried row or cut is gone (merged, dropped or not
+in `dirs`), or HiGHS refuses the basis or fails.  Cuts are added the same way:
 `dirs` is the pool, and a cold LP carries the seed directions, the last
 `step` directions learned before the call, the cuts it learns itself and,
 after each solve, up to `step` of the most violated pool cuts left out.
@@ -437,7 +437,6 @@ def _cut_loop(
     b_eq=None,
     ceiling: bool = False,
     stop=None,
-    start: np.ndarray | None = None,
     interior=None,
     carry: list | None = None,
 ):
@@ -457,7 +456,7 @@ def _cut_loop(
     iterate; a `carry` list [base positions, `dirs` indices, HiGHS basis]
     gives the first LP unless HiGHS refuses or fails it, and on return holds
     the last LP's nonbasic and equality rows; else the first rows are the
-    `step` most violated at (vech `start`, tau = 0), `start` = I if None.
+    `step` most violated at (vech I, tau = 0).
     """
     if not dirs:
         dirs.extend(seed_cut_directions(D))
@@ -510,7 +509,7 @@ def _cut_loop(
                     active, on = np.zeros(n, dtype=bool), np.zeros(len(on), dtype=bool)
                     active[pos], on[pool] = True, True
         if warm and (res is None or res.status != 0):
-            x0 = np.append((np.eye(D) if start is None else start)[_triu(D)], 0.0)
+            x0 = np.append(np.eye(D)[_triu(D)], 0.0)
             slack = base_rhs - base @ x0  # the `step` rows most violated at x0, ties in row order
             cut = np.partition(slack, step - 1)[step - 1]
             active = slack < cut
@@ -580,7 +579,7 @@ def max_margin_feasibility(
     D: int,
     c_bound: float,
     dirs: list[np.ndarray] | None = None,
-    start: MarginResult | None = None,
+    carry: tuple | None = None,
 ) -> MarginResult:
     """Decide whether some P with I <= P <= c_bound*I satisfies all rows.
 
@@ -589,15 +588,15 @@ def max_margin_feasibility(
     FEASIBILITY_MARGIN, at the optimum or, above the row-generation
     threshold, at the first interior point found on the way (see the module
     docstring); a verdict only (see `feasibility_witness`).  `dirs`
-    accumulates semidefiniteness probe directions across calls.  `start`, an
-    earlier result on rows of the same samples and `dirs`, is where row
-    generation starts (see the module docstring); at or below the threshold
-    it is not used.
+    accumulates semidefiniteness probe directions across calls.  `carry`,
+    the `carry` of an earlier result on rows of the same samples and `dirs`,
+    gives row generation its first LP (see the module docstring); at or
+    below the threshold it is not used.
     """
     rows, index = _clean_rows(rows)
     if rows.shape[0] == 0:
         return MarginResult(feasible=True, margin=1.0, rows=rows)
-    carry = [] if start is None or start.carry is None else list(start.carry)
+    carry = [] if carry is None else list(carry)
     if carry:  # input rows to positions here
         where = np.full(max(index.max(), carry[0].max(initial=0)) + 1, -1)
         where[index] = np.arange(len(index))
@@ -624,8 +623,7 @@ def max_margin_feasibility(
 
     t, P, _ = _cut_loop(-1.0, bounds, base, np.zeros(base.shape[0]), [] if dirs is None else dirs,
                         0.0, floor, D, A_eq=trace_row, b_eq=[float(D)],
-                        stop=lambda tau: tau < -FEASIBILITY_MARGIN,
-                        start=None if start is None else start.P, interior=interior, carry=carry)
+                        stop=lambda tau: tau < -FEASIBILITY_MARGIN, interior=interior, carry=carry)
     return MarginResult(P is not None and t >= FEASIBILITY_MARGIN, t, P, rows,
                         (index[carry[0]], *carry[1:]) if carry else None)
 

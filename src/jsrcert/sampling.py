@@ -346,16 +346,17 @@ def load_observations(path) -> ObservationSet:
         raise TrajectoryFormatError(f"{path}: trajectories must have at least one step")
     tid, step, X0, XL = tid[first], step[first], X[first], X[last]
     reject(step != 0, "{path}: trajectory {tid} has no step-0 state")
+    reject(~X0.any(axis=1), "{path}: trajectory {tid} starts at the origin and cannot be normalized")
     # vecdot is the dot kernel np.linalg.norm runs on one vector: the same bits.
     with np.errstate(over="ignore"):
         norms = np.sqrt(np.vecdot(X0, X0))
-    big = np.isinf(norms)  # squares past the float range: scale by the largest entry first
-    if big.any():
-        top = np.abs(X0[big]).max(axis=1, keepdims=True)
-        X0[big] /= top
-        XL[big] /= top
-        norms[big] = np.sqrt(np.vecdot(X0[big], X0[big]))
-    reject(norms < 1e-12, "{path}: trajectory {tid} starts at the origin and cannot be normalized")
+    # Squares past the float range or below its normal range: scale by the largest entry first.
+    odd = np.isinf(norms) | (norms < np.sqrt(np.finfo(float).tiny))
+    if odd.any():
+        top = np.abs(X0[odd]).max(axis=1, keepdims=True)
+        X0[odd] /= top
+        XL[odd] /= top
+        norms[odd] = np.sqrt(np.vecdot(X0[odd], X0[odd]))
     off = np.abs(norms - 1.0) > _UNIT_NORM_TOL
     X0[off] /= norms[off, None]
     XL[off] /= norms[off, None]

@@ -16,7 +16,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -505,9 +504,8 @@ def test_generation_step_follows_lift_dimension(case, D, parrilo, monkeypatch):
 
 
 class TestFirstRowPick:
-    """The rows of a generated loop's first LP: the `step` most violated at
-    (vech P, tau = 0), P the start point passed in (P = I when none is), ties
-    at the cut-off taken in row order."""
+    """The rows of a generated loop's first LP with no carry: the `step` most
+    violated at (vech I, tau = 0), ties at the cut-off taken in row order."""
 
     def test_block_at_most_step_keeps_every_row(self, parrilo, monkeypatch):
         # 10 base rows lie above a block of 5 but within D = 2's step of 16;
@@ -527,28 +525,18 @@ class TestFirstRowPick:
                 for key in ours:
                     assert np.array_equal(ours[key], ref[key])
 
-    @pytest.mark.parametrize("seed, start", [
-        pytest.param(seed, start, id=f"{seed}-random" if start else f"{seed}")
-        for seed in (0, 2, 4) for start in (None, "random")])  # None: P = I
-    def test_ties_at_the_cut_off_go_in_row_order(self, seed, start, monkeypatch):
-        # Integer rows and a start point in halves give exact slacks with
-        # many ties; the first LP must hold the rows a stable argsort of the
-        # slacks at (vech P, 0) puts first.
+    @pytest.mark.parametrize("seed", (0, 2, 4))
+    def test_ties_at_the_cut_off_go_in_row_order(self, seed, monkeypatch):
+        # Integer rows give exact slacks with many ties; the first LP must
+        # hold the rows a stable argsort of the slacks at (vech I, 0) puts
+        # first.
         D, step, N = 2, 16, 400
         rng = np.random.default_rng(seed)
         base = rng.integers(-3, 4, (N, 4)).astype(float)
         base_rhs = rng.integers(-3, 4, N).astype(float)
-        P = None
-        x0 = np.array([1.0, 0.0, 1.0, 0.0])
-        if start == "random":  # P > 0 with trace D, P != I: det >= 3/4 - 1/4
-            p00, p01 = rng.choice([0.5, 1.5]), rng.choice([-0.5, 0.0, 0.5])
-            P = np.array([[p00, p01], [p01, 2 - p00]])
-            x0 = np.array([p00, p01, 2 - p00, 0.0])
-        slack = base_rhs - base @ x0
+        slack = base_rhs - base @ [1.0, 0.0, 1.0, 0.0]
         expected = np.zeros(N, dtype=bool)
         expected[np.argsort(slack, kind="stable")[:step]] = True
-        at_identity = np.argsort(base_rhs - base @ [1.0, 0.0, 1.0, 0.0], kind="stable")[:step]
-        assert (start == "random") == (set(at_identity) != set(np.flatnonzero(expected)))
         cut = np.sort(slack)[step - 1]
         assert 0 < np.count_nonzero(expected & (slack == cut)) < np.count_nonzero(slack == cut)
         first = []
@@ -562,24 +550,24 @@ class TestFirstRowPick:
         bounds, trace_row = lmi._trace_box(D, (-4.0, 4.0))
         with pytest.raises(StopIteration):
             lmi._cut_loop(-1.0, bounds, base, base_rhs, [], 0.0, 0.1, D,
-                          A_eq=trace_row, b_eq=[float(D)], start=P)
+                          A_eq=trace_row, b_eq=[float(D)])
         assert np.array_equal(first[0][:step], base[expected])
         assert first[0].shape[0] == step + len(lmi.seed_cut_directions(D))
 
 
 def test_bisection_starts_each_oracle_call_from_the_last_optimum(monkeypatch):
-    # Each call starts from the latest result, a verdict cut short included,
-    # and every result above the threshold carries the tight rows of its
-    # last LP; a stall leaves the next call with no start.
+    # Each call is handed the latest result's carry, a verdict cut short
+    # included, and every result above the threshold carries the tight rows
+    # of its last LP; a stall leaves the next call with no carry.
     calls = []
     oracle = lmi.max_margin_feasibility
 
-    def recording(rows, D, c_bound, dirs=None, start=None):
+    def recording(rows, D, c_bound, dirs=None, carry=None):
         if len(calls) == stall_at:
-            calls.append((start, None))
+            calls.append((carry, None))
             raise lmi.SolverStallError("stalled for the test")
-        result = oracle(rows, D, c_bound, dirs, start)
-        calls.append((start, result))
+        result = oracle(rows, D, c_bound, dirs, carry)
+        calls.append((carry, result))
         return result
 
     monkeypatch.setattr(lmi, "max_margin_feasibility", recording)
@@ -587,16 +575,16 @@ def test_bisection_starts_each_oracle_call_from_the_last_optimum(monkeypatch):
     stall_at = None
     solve_gamma(obs, 2)
     last = None
-    for start, result in calls:
-        assert start is last
+    for carry, result in calls:
+        assert carry is last
         assert result.carry is not None
-        last = result
+        last = result.carry
     assert any(result.P is None for _, result in calls[1:])
     calls.clear()
     stall_at = 3
     with pytest.warns(RuntimeWarning, match="undecided"):
         solve_gamma(obs, 2)
-    assert calls[stall_at][0] is calls[stall_at - 1][1]
+    assert calls[stall_at][0] is calls[stall_at - 1][1].carry
     assert calls[stall_at + 1][0] is None
 
 
@@ -605,39 +593,38 @@ def bisection_gamma(cache):
 
 
 def without_carry(monkeypatch):
-    """Oracle calls whose start drops its tight rows: the first LP is picked at
-    the start's P, as before the rows were carried."""
+    """Oracle calls handed no carry: the first LP is picked cold at P = I."""
     oracle = lmi.max_margin_feasibility
 
-    def cold_start(rows, D, c_bound, dirs=None, start=None):
-        return oracle(rows, D, c_bound, dirs, start and replace(start, carry=None))
+    def cold_start(rows, D, c_bound, dirs=None, carry=None):
+        return oracle(rows, D, c_bound, dirs)
 
     monkeypatch.setattr(lmi, "max_margin_feasibility", cold_start)
 
 
 class TestCarriedStart:
-    """Above the threshold an oracle call started from an earlier result
+    """Above the threshold an oracle call handed an earlier result's carry
     solves that result's tight rows first, from its HiGHS basis; only the
     relaxation solved first changes, never a verdict."""
 
     @pytest.mark.parametrize("above_block", ["parrilo_d1", "rand_d2"], indirect=True)
     def test_verdicts_match_cold_calls(self, above_block):
-        # A chain of calls on a grid of gammas around gamma*, each started
-        # from the last as in the bisection, against calls with no start.
+        # A chain of calls on a grid of gammas around gamma*, each handed the
+        # last one's carry as in the bisection, against calls with no carry.
         cache, _ = above_block
         fresh = copy.copy(cache)
         fresh.dirs = []
         gamma_star = bisection_gamma(fresh)
-        dirs, start = [], None
+        dirs, carry = [], None
         for r in (-0.2, 0.2, -3e-2, 3e-2, -1e-3, 1e-3, -1e-5, 1e-5):
             rows = cache.rows(gamma_star * (1.0 + r))
             carried, solves = record_solves(
-                lambda: lmi.max_margin_feasibility(rows, cache.dim, 100.0, dirs, start))
-            assert solves[0]["cold"] == (start is None)
+                lambda: lmi.max_margin_feasibility(rows, cache.dim, 100.0, dirs, carry))
+            assert solves[0]["cold"] == (carry is None)
             assert carried.carry is not None
             assert carried.feasible == (r > 0)
             assert lmi.max_margin_feasibility(rows, cache.dim, 100.0).feasible == (r > 0)
-            start = carried
+            carry = carried.carry
 
     @pytest.mark.parametrize("modes, N, d, seed", [
         ("parrilo", 1000, 1, 3), ("rand", 600, 2, 5), ("rand", 2000, 1, 7)])
@@ -667,20 +654,51 @@ class TestCarriedStart:
         statuses = list(basis.row_status)
         refused = with_rows([lmi._highs.HighsBasisStatus.kBasic] * len(statuses))
         scrambled = with_rows(statuses[::-1])
-        starts = {
-            "foreign": foreign,
-            "refused": replace(own, carry=(samples, pool, refused)),
-            "scrambled": replace(own, carry=(samples, pool, scrambled)),
+        carries = {
+            "foreign": foreign.carry,
+            "refused": (samples, pool, refused),
+            "scrambled": (samples, pool, scrambled),
         }
         for gamma in (feasible, infeasible):
             rows = cache.rows(gamma)
             cold = lmi.max_margin_feasibility(rows, D, 100.0)
-            for name, start in starts.items():
+            for name, carry in carries.items():
                 result, solves = record_solves(
-                    lambda: lmi.max_margin_feasibility(rows, D, 100.0, list(dirs), start))
+                    lambda: lmi.max_margin_feasibility(rows, D, 100.0, list(dirs), carry))
                 assert result.feasible == cold.feasible, name
                 if name == "refused":  # HiGHS refused the basis: the first LP is cold
                     assert solves[0]["cold"]
+
+    @pytest.mark.parametrize("above_block", ["parrilo_d1", "rand_d2"], indirect=True)
+    def test_carry_that_falls_back_sends_the_first_lp_of_no_carry(self, above_block):
+        # A carry dropped before the solve or refused by HiGHS leaves nothing
+        # behind: the first LP is the cold pick at P = I, the one a call with
+        # no carry sends, whatever P the carrying result ended on.
+        cache, (feasible, infeasible) = above_block
+        D = cache.dim
+        dirs = []
+        own = lmi.max_margin_feasibility(cache.rows(feasible), D, 100.0, dirs)
+        assert own.feasible and not np.allclose(own.P, np.eye(D))
+        samples, pool, basis = own.carry
+        refused = lmi._highs.HighsBasis()
+        refused.valid, refused.alien = True, False
+        refused.col_status = basis.col_status
+        refused.row_status = [lmi._highs.HighsBasisStatus.kBasic] * len(basis.row_status)
+        carries = {
+            "row not in the sample": (np.append(samples, cache.rows(feasible).shape[0]), pool,
+                                      basis),
+            "cut not in dirs": (samples, np.append(pool, len(dirs)), basis),
+            "refused": (samples, pool, refused),
+        }
+        for gamma in (feasible, infeasible):
+            rows = cache.rows(gamma)
+            (first, *_) = record_lps(lambda: lmi.max_margin_feasibility(rows, D, 100.0, list(dirs)))
+            for name, carry in carries.items():
+                (ours, *_) = record_lps(
+                    lambda: lmi.max_margin_feasibility(rows, D, 100.0, list(dirs), carry))
+                assert ours.keys() == first.keys(), name
+                for key in ours:
+                    assert np.array_equal(ours[key], first[key]), (name, key)
 
     @pytest.mark.parametrize("case", ["parrilo_d1", "rand_d2"])
     def test_only_first_oracle_call_and_tie_break_solve_cold(self, case, parrilo, monkeypatch):

@@ -230,6 +230,42 @@ class TestTrajectoryFiles:
         assert np.array_equal(obs.XL[0], [2.0, 1e199 / 1e200])
         assert np.array_equal(obs.XL[1], [2.0 / 5.0, 0.0])
 
+    @pytest.mark.parametrize("x0, xl", [
+        ((3e-13, 4e-13), (6e-13, 8e-13)),
+        ((3e-200, 4e-200), (6e-200, 8e-200)),  # the squares underflow to 0
+    ], ids=["small", "squares_underflow"])
+    def test_rescales_small_nonzero_starts(self, tmp_path, x0, xl):
+        # Homogeneous dynamics: any start that is not zero scales to the sphere.
+        path = tmp_path / "t.csv"
+        path.write_text(
+            "traj_id,step,x1,x2\n"
+            f"0,0,{x0[0]!r},{x0[1]!r}\n"
+            f"0,1,{xl[0]!r},{xl[1]!r}\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            obs = load_observations(path)
+        assert np.linalg.norm(obs.X0[0]) == pytest.approx(1.0, abs=1e-15)
+        assert np.allclose(obs.X0[0], [0.6, 0.8], rtol=1e-14, atol=0.0)
+        assert np.allclose(obs.XL[0], [1.2, 1.6], rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("zero", ["0.0,0.0", "-0.0,0e-300", "1e-400,-0"])
+    def test_only_an_all_zero_start_is_refused(self, tmp_path, zero):
+        # A start far below 1e-12 loads; one whose entries are all zero (as
+        # doubles) cannot be normalized and is named.
+        path = tmp_path / "t.csv"
+        path.write_text(
+            "traj_id,step,x1,x2\n"
+            "0,0,3e-200,4e-200\n"
+            "0,1,1.0,1.0\n"
+            f"1,0,{zero}\n"
+            "1,1,1.0,0.0\n"
+        )
+        message = f"{path}: trajectory 1 starts at the origin and cannot be normalized"
+        with pytest.raises(TrajectoryFormatError) as info:
+            load_observations(path)
+        assert str(info.value) == message
+
     def test_intermediate_steps_ignored(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text(
@@ -566,8 +602,8 @@ def reference_load_observations(path) -> ObservationSet:
         raise TrajectoryFormatError(f"{path}: trajectories must have at least one step")
     tid, step, X0, XL = tid[first], step[first], X[first], X[last]
     reject(step != 0, "{path}: trajectory {tid} has no step-0 state")
+    reject(~X0.any(axis=1), "{path}: trajectory {tid} starts at the origin and cannot be normalized")
     norms = np.sqrt(np.vecdot(X0, X0))
-    reject(norms < 1e-12, "{path}: trajectory {tid} starts at the origin and cannot be normalized")
     off = np.abs(norms - 1.0) > sampling._UNIT_NORM_TOL
     X0[off] /= norms[off, None]
     XL[off] /= norms[off, None]

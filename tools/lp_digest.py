@@ -14,9 +14,10 @@ rows (rows without a lower bound) of those solves, how many of the solves
 were made inside `jsrcert.lmi._balanced_witness` (`witness=`), how many were
 cold, made through `jsrcert.lmi.linprog` from a fresh model with presolve
 (`cold=`; the others re-solve a held model or start from a carried basis),
-a sha256 over every solve's
-costs, column bounds, row bounds, constraint matrix, status and x in call
-order, and the item's outputs:
+how many cut loops were handed a non-empty carry yet made their first solve
+through `linprog`, the cold pick at P = I (`dropped=`), a sha256 over every
+solve's costs, column bounds, row bounds, constraint matrix, status and x in
+call order, and the item's outputs:
 
 * `certify_run` on the bench's two seed-1 samples, built by the bench's own
   workload classes (simulate, save, load), with a sha256 over the loaded
@@ -37,6 +38,10 @@ order, and the item's outputs:
 * `support_constraints` on the 20 seeds of acceptance criterion 9 (Parrilo
   pair, N = 10, d = 1), with the support sets and gammas.
 
+The eight certificate lines (the first three items) also print how many
+bisection steps the oracle left undecided (`undecided=`, the report's
+`oracle_undecided`).
+
 Three more lines cover steps that issue no LP:
 
 * `load_observations` on the bench's seed-1 Parrilo file with every id
@@ -55,11 +60,13 @@ directory.  Takes about 12 s on a 2-core box.
 The tool checks the two seed-1 certificates against
 ``bench/data/references.json`` with the bench's own rule
 (`Certify.reference_failures`: bound, gamma* and kappa within 1e-6
-relative).  Each disagreement goes to stderr after the stdout lines, and
-the exit status is then 1.  A sweep CSV whose sha256 differs from its
-recorded value is reported on stderr too, but does not fail the run: those
-exact bytes hold only for the numpy and scipy build the references were
-recorded with.
+relative), and every certificate line for an undecided oracle step or a
+tie-break fallback (the report's `tiebreak_fallback`): a stalled oracle
+would otherwise only raise gamma*.  Each failure goes to stderr after the
+stdout lines, and the exit status is then 1.  A sweep CSV whose sha256
+differs from its recorded value is reported on stderr too, but does not
+fail the run: those exact bytes hold only for the numpy and scipy build the
+references were recorded with.
 """
 
 from __future__ import annotations
@@ -92,6 +99,7 @@ class LPDigest:
         self.solve = jsrcert.lmi._run_highs
         self.balancing = 0  # depth of `_balanced_witness` calls under way
         self.in_linprog = 0  # depth of `linprog` calls under way
+        self.first_cold = None  # whether the running cut loop's first solve was cold
         self.reset()
 
     def install(self):
@@ -99,11 +107,12 @@ class LPDigest:
         cut_loop = jsrcert.lmi._cut_loop
 
         def counting(*args, **kwargs):  # cut loops never nest
-            first = self.count
+            first, handed, self.first_cold = self.count, bool(kwargs.get("carry")), None
             try:
                 return cut_loop(*args, **kwargs)
             finally:
                 self.max_loop = max(self.max_loop, self.count - first)
+                self.dropped += handed and bool(self.first_cold)
 
         jsrcert.lmi._cut_loop = counting
         balanced = jsrcert.lmi._balanced_witness
@@ -130,6 +139,7 @@ class LPDigest:
     def reset(self):
         self.count = 0
         self.cold = 0
+        self.dropped = 0
         self.max_loop = 0
         self.rows = 0
         self.witness = 0
@@ -159,6 +169,8 @@ class LPDigest:
         self.count += 1
         self.witness += self.balancing > 0
         self.cold += self.in_linprog > 0
+        if self.first_cold is None:
+            self.first_cold = self.in_linprog > 0
         self.rows += int(np.count_nonzero(np.isneginf(row_lower)))
         for value in (lp.col_cost_, lp.col_lower_, lp.col_upper_, row_lower, lp.row_upper_, A):
             self._add(value)
@@ -168,7 +180,7 @@ class LPDigest:
 
     def line(self, name: str, outputs: str) -> str:
         line = (f"{name} lps={self.count} max_loop={self.max_loop} rows={self.rows} "
-                f"witness={self.witness} cold={self.cold} "
+                f"witness={self.witness} cold={self.cold} dropped={self.dropped} "
                 f"sha256={self.sha.hexdigest()} {outputs}")
         self.reset()
         return line
@@ -226,6 +238,15 @@ def main() -> int:
     failures, notes = [], []
     digest = LPDigest()
     digest.install()
+
+    def decided(name, undecided, fallback):
+        """A certificate line's `undecided=` field; a stall or a fallback fails the run."""
+        if undecided:
+            failures.append(f"{name}: the oracle left {undecided} bisection step(s) undecided")
+        if fallback:
+            failures.append(f"{name}: the tie-break fell back to the bisection witness")
+        return f"undecided={undecided}"
+
     candidates = []
     solve_gamma = jsrcert.cli.solve_gamma
 
@@ -261,20 +282,25 @@ def main() -> int:
             print(digest.line(name, f"bound={report.jsr_upper_bound!r} "
                               f"gamma_star={report.gamma_star!r} kappa={report.kappa!r} "
                               f"sample_sha256={sample} file_sha256={written} "
-                              f"P_sha256={shape}"), flush=True)
+                              f"P_sha256={shape} "
+                              + decided(name, report.flags["oracle_undecided"],
+                                        report.flags["tiebreak_fallback"])), flush=True)
         work = WORKLOADS["rand2x2m3-d2-n1000"]
         for seed in range(2, 7):
             work.trajectory_seed = seed
             work.setup(Path(tmp), seed=1, tiny=False)
             report, _ = work.op(0)
-            print(digest.line(f"rand2x2m3-traj{seed}", f"gamma_star={report.gamma_star!r}"),
-                  flush=True)
+            name = f"rand2x2m3-traj{seed}"
+            print(digest.line(name, f"gamma_star={report.gamma_star!r} "
+                              + decided(name, report.flags["oracle_undecided"],
+                                        report.flags["tiebreak_fallback"])), flush=True)
         work.trajectory_seed = 1
         A = np.random.default_rng(0).standard_normal((2, 3, 3))
         modes = ModeSet(tuple(a / np.max(np.abs(np.linalg.eigvals(a))) for a in A))
         gamma_star, cand = solve_gamma(simulate(modes, 400, 1, seed=0), 2)
-        print(digest.line("rand3x3-d2-n400", f"gamma_star={gamma_star!r} kappa={cand.kappa!r}"),
-              flush=True)
+        print(digest.line("rand3x3-d2-n400", f"gamma_star={gamma_star!r} kappa={cand.kappa!r} "
+                          + decided("rand3x3-d2-n400", cand.oracle_undecided,
+                                    cand.tiebreak_fallback)), flush=True)
         sweep = WORKLOADS["sweep-parrilo-small"]
         sweep.setup(Path(tmp), seed=1, tiny=False)
         for i, config in enumerate(sweep.configs):
