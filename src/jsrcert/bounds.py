@@ -21,7 +21,8 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 
-from .caps import ConfidenceBudget, cap_params, delta_cap, eps_cover, eps_one
+from .caps import (ConfidenceBudget, cap_params, delta_cap, eps_cover, eps_one,
+                   min_samples_finite)
 
 __all__ = [
     "CertificateReport",
@@ -34,7 +35,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """Every quantity entering the certificate, plus regime flags."""
+    """Every quantity entering the certificate, plus regime flags.
+
+    `min_samples_finite` is the least N at which delta(eps1) > 0, which a
+    finite bound needs (`caps.min_samples_finite`); None when m^l >= 2^53.
+    """
 
     d: int
     l: int
@@ -55,6 +60,7 @@ class CertificateReport:
     jsr_upper_bound: float
     confidence: float
     finite: bool
+    min_samples_finite: int | None = None
     flags: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
 
@@ -124,6 +130,10 @@ def jsr_upper_bound(
     A_value = bound_B(lambda_star, delta_eps1, budget.l)
     f_value = f_correction(budget.d, cover.Delta, budget.lift_dim)
     bound = combine_bound(gamma_star, A_value, f_value, kappa, budget.d, budget.l)
+    try:
+        needed = min_samples_finite(budget.beta1, budget.m, budget.l)
+    except ValueError:  # m^l >= 2^53: the computed eps1 cannot resolve it
+        needed = None
     raw_confidence = budget.beta + budget.beta1 - 1.0
     all_flags = {
         "delta_eps_zero": cover.delta_zero,
@@ -152,6 +162,7 @@ def jsr_upper_bound(
         jsr_upper_bound=bound,
         confidence=max(0.0, raw_confidence),
         finite=math.isfinite(bound),  # delta(eps1) = 0 makes it infinite too
+        min_samples_finite=needed,
         flags=all_flags,
         provenance=provenance or {},
     )

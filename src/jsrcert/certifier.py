@@ -115,6 +115,31 @@ class LyapunovCandidate:
     tiebreak_fallback: bool = False
 
 
+# Significant bits the pairs keep above the row-generation threshold: a
+# relative change of at most 2^-40, far below the feasibility margin.
+_PAIR_BITS = 40
+
+
+def _prepared_pairs(Wu: np.ndarray, Wv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (Wu, Wv) pairs rounded to _PAIR_BITS significant bits (signed
+    zeros to +0.0), sorted lexicographically and equal pairs merged, with
+    the input index of the first of each.
+
+    Binary rounding commutes exactly with a sign flip and with a power-of-two
+    scale, so it absorbs the last-bit noise of `lift_batch`'s powers, which
+    differ between x and -x; the sort makes the rows independent of sample
+    order.
+    """
+    pairs = np.hstack([Wu, Wv])
+    mantissa, exponent = np.frexp(pairs)
+    pairs = np.ldexp(np.round(np.ldexp(mantissa, _PAIR_BITS)), exponent - _PAIR_BITS) + 0.0
+    order = np.lexsort(pairs.T[::-1])
+    pairs = pairs[order]
+    first = np.r_[True, np.any(pairs[1:] != pairs[:-1], axis=1)]
+    K = Wu.shape[1]
+    return pairs[first, :K], pairs[first, K:], order[first]
+
+
 class _PairCache:
     """Lifted endpoints with precomputed quadratic-form rows.
 
@@ -123,7 +148,10 @@ class _PairCache:
     on the cache (any gamma, any row subset) starts from them.  `undecided`
     counts the bisection steps on the cache whose oracle stalled.  A sample
     whose lifted rows, or whose factor gamma^(2dl) at the top of the
-    bisection bracket (lambda*^(2d)), overflow is rejected.
+    bisection bracket (lambda*^(2d)), overflow is rejected.  Above the
+    row-generation threshold the pairs are prepared once
+    (`_prepared_pairs`), so that no oracle call sorts its rows; `index`
+    names the sample behind each row (the first of a merged group).
     """
 
     def __init__(self, obs: ObservationSet, degree: int):
@@ -140,6 +168,9 @@ class _PairCache:
         if bad.size:
             raise ValueError(f"row {bad[0]}: the degree-{degree} program overflows on this "
                              f"sample (lifted rows or ||xl||^{2 * degree} not finite)")
+        self.index = np.arange(obs.N)
+        if lmi._generates_rows(obs.N, self.dim * (self.dim + 1) // 2):
+            self.Wu, self.Wv, self.index = _prepared_pairs(self.Wu, self.Wv)
         self.dirs: list[np.ndarray] = []
         self.undecided = 0
 

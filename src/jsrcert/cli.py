@@ -383,6 +383,8 @@ def cmd_certify(args) -> int:
     print(f"jsr_upper_bound: {float(report.jsr_upper_bound)!r}")
     print(f"confidence: {float(report.confidence)!r}")
     print(f"finite: {'true' if report.finite else 'false'}")
+    if report.flags["delta_eps1_zero"]:  # too few samples for any growth-rate bound
+        print(f"min_samples_finite: {json.dumps(report.min_samples_finite)}")
     return 0
 
 

@@ -43,8 +43,8 @@ from the `step` rows most violated at P = I (tau = 0).  An oracle call given
 its previous result's `carry` starts from its tight rows (nonbasic in its
 last LP: at most D(D+1)/2 + 1, and the trace row) at the new gamma, from
 their HiGHS basis with no presolve, as gamma moves little between bisection
-steps; it starts cold if a carried row or cut is gone (merged, dropped or not
-in `dirs`), or HiGHS refuses the basis or fails.  Cuts are added the same way:
+steps; it starts cold if a carried row or cut is gone (dropped, or not in
+`dirs`), or HiGHS refuses the basis or fails.  Cuts are added the same way:
 `dirs` is the pool, and a cold LP carries the seed directions, the last
 `step` directions learned before the call, the cuts it learns itself and,
 after each solve, up to `step` of the most violated pool cuts left out.
@@ -64,7 +64,10 @@ infeasible verdict still comes from the relaxation bound alone.
 Programs with at most _ROW_BLOCK base rows keep every row and
 every cut, in `dirs` order, solve every LP cold and solve exactly the LPs
 they did before generation existed; the threshold stays until the sweep's
-references tolerate other LPs (ROADMAP item 3).
+references tolerate other LPs (ROADMAP item 3).  Row cleaning splits at the
+same threshold (`_clean_rows`): above it a call only normalizes its rows, in
+their given order, since `certifier._PairCache` merges a certificate's
+samples once; at or below it each call still rounds, sorts and merges.
 
 Every cold LP goes through `linprog`, a small adapter on the HiGHS binding
 that scipy vendors (`scipy.optimize._highspy._core`).  It gives HiGHS the
@@ -266,21 +269,23 @@ def seed_cut_directions(D: int) -> list[np.ndarray]:
 
 
 def _clean_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize rows to unit norm, drop zero rows, merge duplicates.
+    """Normalize rows to unit norm and drop zero rows; at or below the
+    threshold, also merge duplicates.
 
-    Duplicates are detected after rounding to 12 decimals, which perturbs a
-    unit-norm constraint by far less than the feasibility margin but removes
-    the heavy degeneracy of dense grids (antipodal points give identical
-    rows).  Rows come back in lexicographic order, the first of each equal
-    group kept, with the input index of each.  A sort on the first column
-    alone gives that order when the sorted column strictly increases, and
-    then no rows are equal; only a tie there (dense grids, signed zeros)
-    takes the full sort and merge.  A finite row whose squares overflow gets
-    its norm scaled by its largest entry; a row whose norm is still not
-    finite (a NaN or an inf entry, or a norm past the float range) raises
-    ValueError.
+    Returns the rows and the input index of each.  Above the row-generation
+    threshold (on the input row count) the rows keep their input order, with
+    no rounding: a certificate's samples are merged once, in
+    `certifier._PairCache`, so no step sorts.  At or below it duplicates are
+    detected after rounding to 12 decimals, which perturbs a unit-norm
+    constraint by far less than the feasibility margin but removes the heavy
+    degeneracy of dense grids (antipodal points give identical rows); rows
+    come back in lexicographic order, the first of each equal group kept.  A
+    finite row whose squares overflow gets its norm scaled by its largest
+    entry; a row whose norm is still not finite (a NaN or an inf entry, or a
+    norm past the float range) raises ValueError.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    merge = not _generates_rows(*rows.shape)
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(rows, axis=1)
         big = np.flatnonzero(np.isinf(norms))
@@ -296,11 +301,8 @@ def _clean_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not keep.all():  # no gather when no row is zero: the same divisions
         rows, norms = rows[keep], norms[keep]
     rows = rows / norms[:, None]
-    if rows.shape[0] > 1:
+    if merge and rows.shape[0] > 1:
         rows = np.round(rows, 12)
-        order = np.argsort(rows[:, 0])
-        if np.all(np.diff(rows[order, 0]) > 0):
-            return rows[order], index[order]
         order = np.lexsort(rows.T[::-1])
         rows, index = rows[order], index[order]
         first = np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certifier import SolveOptions, _bisect_gamma, _PairCache
-from .lmi import max_margin_feasibility
+from .lmi import SolverStallError, max_margin_feasibility
 from .sampling import ModeSet, ObservationSet
 
 __all__ = [
@@ -121,8 +121,11 @@ def whitebox_gamma(
 
 @dataclass(frozen=True)
 class SupportResult:
+    """`undecided` counts the subset checks whose oracle stalled; each kept its member."""
+
     indices: tuple[int, ...]
     gamma: float
+    undecided: int = 0
 
 
 def support_constraints(
@@ -139,7 +142,10 @@ def support_constraints(
     dropping any one of its members makes the rest feasible at that gamma,
     so by Helly's theorem (the decision variables are the D(D+1)/2 entries
     of P) S has at most D(D+1)/2 + 1 elements.  The subset checks start
-    from the semidefiniteness cuts the full bisection learned.
+    from the semidefiniteness cuts the full bisection learned, on the
+    cache's rows (merged above the row-generation threshold, each named by
+    its first sample).  A check whose oracle stalls keeps its member and is
+    counted in `undecided`; the bound on |S| holds only when that count is 0.
     """
     opts = opts or SolveOptions()
     cache = _PairCache(obs, d)
@@ -150,12 +156,17 @@ def support_constraints(
     D = cache.dim
     rows = cache.rows(gamma_full - tol)
 
-    keep = list(range(obs.N))
-    for i in range(obs.N):
+    keep, undecided = list(range(len(rows))), 0
+    for i in range(len(rows)):
         trial = [j for j in keep if j != i]
         # i may go when the rest is still infeasible at gamma_full - tol,
         # i.e. their own optimum cannot sit below it.
-        if trial and not max_margin_feasibility(rows[trial], D, opts.c_bound, cache.dirs).feasible:
-            keep = trial
+        try:
+            if trial and not max_margin_feasibility(rows[trial], D, opts.c_bound,
+                                                    cache.dirs).feasible:
+                keep = trial
+        except SolverStallError:  # no evidence: i stays
+            undecided += 1
+    keep = sorted(cache.index[keep].tolist())
     gamma, _ = _bisect_gamma(_PairCache(obs.subset(keep), d), opts, witness=False)
-    return SupportResult(indices=tuple(keep), gamma=gamma)
+    return SupportResult(indices=tuple(keep), gamma=gamma, undecided=undecided)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -311,13 +312,15 @@ def load_observations(path) -> ObservationSet:
     try:  # numpy's C reader; it refuses every file that needs the csv path
         if not text.strip():  # no rows, where numpy would only warn
             raise ValueError
-        # Python's int reads the ids and steps: in some numpy releases the
-        # integer parser reads a float spelling such as "7.5" and truncates it.
-        rows = np.loadtxt(io.StringIO(text), delimiter=",", quotechar='"', comments=None, ndmin=1,
-                          converters={0: int, 1: int},
-                          dtype=[("tid", np.int64), ("step", np.int64), ("x", float, (n,))])
+        with warnings.catch_warnings():
+            # Older numpy releases read a float spelling such as "7.5" in an
+            # integer column and truncate it, with only a DeprecationWarning.
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(io.StringIO(text), delimiter=",", quotechar='"', comments=None,
+                              ndmin=1, dtype=[("tid", np.int64), ("step", np.int64),
+                                              ("x", float, (n,))])
         tid, step, X = rows["tid"], rows["step"], rows["x"]
-    except ValueError:
+    except (ValueError, DeprecationWarning):
         tid, step, X = _csv_rows(text, path, n)
     row = np.arange(tid.size)  # data row of each entry; its line is counted only to name it
 

@@ -109,6 +109,48 @@ class TestAssembleConstraints:
             assert np.isfinite(lmi.quad_form_rows(lift_batch(XL, degree))).all()
 
 
+class TestPreparedPairs:
+    """Above the row-generation threshold the cache rounds its (Wu, Wv) pairs
+    to 40 significant bits, sorts them and merges equal ones, once."""
+
+    def test_bit_identical_under_sign_flips_at_d2(self, parrilo):
+        obs = simulate(parrilo, 1000, 1, seed=7)
+        rng = np.random.default_rng(2)
+        s0, sl = (rng.choice([-1.0, 1.0], (obs.N, 1)) for _ in range(2))
+        flipped = ObservationSet(1, s0 * obs.X0, sl * obs.XL)
+        # lift_batch's powers differ between x and -x in the last bit.
+        raw = [lmi.quad_form_rows(lift_batch(o.X0, 2)) for o in (obs, flipped)]
+        assert raw[0].tobytes() != raw[1].tobytes()
+        ours, theirs = _PairCache(obs, 2), _PairCache(flipped, 2)
+        assert lmi._generates_rows(obs.N, 6)
+        assert ours.Wu.tobytes() == theirs.Wu.tobytes()
+        assert ours.Wv.tobytes() == theirs.Wv.tobytes()
+        assert np.array_equal(ours.index, theirs.index)
+
+    def test_sorted_merged_and_named_by_first_sample(self, parrilo):
+        # At d = 1 the rows of x0 and -x0 agree bit for bit, so each pair
+        # below appears twice and the second copy merges into the first.
+        obs = simulate(parrilo, 200, 1, seed=3)
+        X0, XL = np.vstack([obs.X0, -obs.X0]), np.vstack([obs.XL, obs.XL])
+        cache = _PairCache(ObservationSet(1, X0, XL), 1)
+        assert cache.Wu.shape == cache.Wv.shape == (200, 3)
+        assert sorted(cache.index.tolist()) == list(range(200))
+        pairs = np.hstack([cache.Wu, cache.Wv])
+        assert np.array_equal(np.lexsort(pairs.T[::-1]), np.arange(200))
+        raw = np.hstack([lmi.quad_form_rows(X0), lmi.quad_form_rows(XL)])[cache.index]
+        assert np.all(np.abs(pairs - raw) <= 2.0**-40 * np.abs(raw))
+        order = np.random.default_rng(0).permutation(400)
+        permuted = _PairCache(ObservationSet(1, X0[order], XL[order]), 1)
+        assert permuted.Wu.tobytes() == cache.Wu.tobytes()
+        assert permuted.Wv.tobytes() == cache.Wv.tobytes()
+
+    def test_at_or_below_the_threshold_pairs_stay_as_lifted(self, parrilo):
+        obs = simulate(parrilo, 200, 1, seed=3)
+        cache = _PairCache(obs, 2)
+        assert cache.Wu.tobytes() == lmi.quad_form_rows(lift_batch(obs.X0, 2)).tobytes()
+        assert np.array_equal(cache.index, np.arange(obs.N))
+
+
 class TestFeasibilityCheck:
     """The oracle's verdicts and witnesses on the rows the bisection passes it."""
 

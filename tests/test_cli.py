@@ -97,6 +97,27 @@ class TestCertifyCommand:
         assert report["finite"] is False
         assert report["flags"]["delta_eps_zero"] and report["flags"]["delta_eps1_zero"]
 
+    @pytest.mark.parametrize("length, n_traj, needed", [(1, 4, 5), (60, 20, None)])
+    def test_too_small_sample_prints_the_count_a_finite_bound_needs(
+            self, tmp_path, modes_file, capsys, length, n_traj, needed):
+        # With m^l = 2 and beta1 = 0.95, N = 4 leaves delta(eps1) = 0; five
+        # samples are the fewest with a finite growth-rate bound.  At
+        # m^l = 2^60 that count cannot be resolved and reads null.
+        out = tmp_path / "report.json"
+        rc = main(["certify", "--modes", modes_file, "--n-traj", str(n_traj), "--len", str(length),
+                   "--modes-upper", "2", "--out", str(out)])
+        assert rc == 0
+        report = json.loads(out.read_text())
+        assert report["flags"]["delta_eps1_zero"] and not report["finite"]
+        assert report["min_samples_finite"] == needed
+        assert f"min_samples_finite: {json.dumps(needed)}\n" in capsys.readouterr().out
+        if needed is not None:
+            assert main(["certify", "--modes", modes_file, "--n-traj", str(needed),
+                         "--modes-upper", "2", "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            assert report["finite"] and report["min_samples_finite"] == needed
+            assert "min_samples_finite" not in capsys.readouterr().out
+
     @pytest.mark.parametrize("l", [10**9, 10**12])
     def test_huge_final_step_keeps_the_bisection_witness(self, tmp_path, l, capsys):
         # At l = 10**12 the tie-break factor (1 + TIEBREAK_SLACK)^(2l) is past

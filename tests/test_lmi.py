@@ -18,6 +18,7 @@ import subprocess
 import sys
 from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -959,18 +960,46 @@ def clean_rows_cases():
     }
 
 
+def merged_rows(case):
+    """The rows of `case`, thinned by a stride to at most _ROW_BLOCK: rows
+    the cleaning still sorts and merges (antipodal pairs stay together)."""
+    rows = np.atleast_2d(clean_rows_cases()[case])
+    return rows[:: -(-rows.shape[0] // lmi._ROW_BLOCK)]
+
+
+ABOVE_BLOCK_CASES = [case for case in sorted(clean_rows_cases())
+                     if lmi._generates_rows(*np.atleast_2d(clean_rows_cases()[case]).shape)]
+
+
 @pytest.mark.parametrize("case", sorted(clean_rows_cases()))
 def test_clean_rows_matches_parent_bit_for_bit(case):
-    rows = clean_rows_cases()[case]
+    rows = merged_rows(case)
+    assert not lmi._generates_rows(*rows.shape)
     ours, ref = lmi._clean_rows(rows)[0], parent_clean_rows(rows)
     assert ours.dtype == ref.dtype and ours.shape == ref.shape
     assert ours.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("case", ABOVE_BLOCK_CASES)
+def test_clean_rows_above_the_threshold_only_normalizes(case, monkeypatch):
+    # A certificate's samples are merged once, in `_PairCache`; above the
+    # threshold each call only normalizes, drops zero rows and keeps the
+    # input order, with no rounding and no sort.
+    rows = np.atleast_2d(clean_rows_cases()[case])
+    for name in ("round", "argsort", "lexsort", "unique"):
+        monkeypatch.setattr(np, name, mock.Mock(side_effect=AssertionError(name)))
+    ours, index = lmi._clean_rows(rows)
+    monkeypatch.undo()
+    norms = np.linalg.norm(rows, axis=1)
+    keep = norms > 1e-300
+    assert np.array_equal(index, np.flatnonzero(keep)) and index.dtype == np.intp
+    assert ours.tobytes() == (rows[keep] / norms[keep, None]).tobytes()
+
+
 @pytest.mark.parametrize("case", sorted(clean_rows_cases()))
 def test_clean_rows_names_the_first_input_row_of_each_row(case):
     # The oracle carries rows from call to call by these indices.
-    rows = np.atleast_2d(clean_rows_cases()[case])
+    rows = merged_rows(case)
     ours, index = lmi._clean_rows(rows)
     norms = np.linalg.norm(rows, axis=1)
     keep = norms > 1e-300
@@ -982,16 +1011,17 @@ def test_clean_rows_names_the_first_input_row_of_each_row(case):
         assert i == np.flatnonzero(keep & (unit == row).all(axis=1))[0]
 
 
-@pytest.mark.parametrize("case, full_sort", [
-    ("parrilo_bench_sample", False), ("sample_rows", False),
-    ("first_column_ties", True), ("first_column_signed_zeros", True), ("exact_duplicates", True),
-])
-def test_clean_rows_sorts_on_one_key_unless_the_first_column_ties(case, full_sort, monkeypatch):
+@pytest.mark.parametrize("case", sorted(clean_rows_cases()))
+def test_clean_rows_sorts_only_at_or_below_the_threshold(case, monkeypatch):
+    # At or below the threshold every call with two rows or more takes the
+    # full sort and merge; above it no call sorts.
+    rows = np.atleast_2d(clean_rows_cases()[case])
     calls = []
     lexsort = np.lexsort
     monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
-    lmi._clean_rows(clean_rows_cases()[case])
-    assert bool(calls) == full_sort
+    lmi._clean_rows(rows)
+    merges = np.count_nonzero(np.linalg.norm(rows, axis=1) > 1e-300) > 1
+    assert bool(calls) == (merges and case not in ABOVE_BLOCK_CASES)
 
 
 def test_clean_rows_keeps_first_of_signed_zero_ties():
@@ -1000,7 +1030,8 @@ def test_clean_rows_keeps_first_of_signed_zero_ties():
     # them apart.  The sort keeps the first, and the values and their order
     # are the parent's.
     rng = np.random.default_rng(3)
-    rows = rng.integers(-1, 2, (500, 4)) * rng.choice([0.0, -0.0, 1.0, 1e-14], (500, 4))
+    shape = (lmi._ROW_BLOCK, 4)
+    rows = rng.integers(-1, 2, shape) * rng.choice([0.0, -0.0, 1.0, 1e-14], shape)
     ours = lmi._clean_rows(rows)[0]
     assert np.array_equal(ours, parent_clean_rows(rows))
     norms = np.linalg.norm(rows, axis=1)

@@ -181,6 +181,31 @@ class TestSupportConstraints:
         assert res.gamma >= gamma_full - tol
         assert len(res.indices) < obs.N
 
+    def test_stalled_subset_checks_keep_their_members(self, parrilo, monkeypatch):
+        # One cut round leaves the d = 2 checks undecided; each keeps its
+        # member, since dropping one needs an infeasible verdict, and the
+        # search goes on to the end.
+        monkeypatch.setattr(lmi, "_MAX_CUT_ROUNDS", 1)
+        obs = simulate(parrilo, 30, 1, seed=0)
+        with pytest.warns(RuntimeWarning, match="feasibility oracle undecided"):
+            res = support_constraints(obs, 2)
+        assert res.undecided > 0
+        assert list(res.indices) == sorted(set(res.indices))
+        assert len(res.indices) >= res.undecided
+
+    def test_merged_samples_are_named_by_their_first_index(self, parrilo):
+        # Above the row-generation threshold the checks run on the cache's
+        # merged rows; a support is named by samples of the input set.
+        obs = simulate(parrilo, 150, 1, seed=4)
+        doubled = ObservationSet(1, np.vstack([obs.X0, obs.X0[::-1]]),
+                                 np.vstack([obs.XL, obs.XL[::-1]]))
+        assert lmi._generates_rows(doubled.N, 3)
+        res, ref = support_constraints(doubled, 1), support_constraints(obs, 1)
+        # Both optima lie within the search's tolerance below gamma*(obs).
+        assert res.gamma == pytest.approx(ref.gamma, rel=2e-5)
+        assert res.undecided == ref.undecided == 0
+        assert 1 <= len(res.indices) <= 4 and max(res.indices) < obs.N
+
     @pytest.mark.parametrize("d, N", [(1, 10), (2, 20)])
     def test_irreducible_within_helly_bound(self, parrilo, d, N):
         opts = SolveOptions()

@@ -675,12 +675,37 @@ class TestLoaderMatchesCsvReference:
         message = f"{path}:4: invalid literal for int() with base 10: '{spelling}'"
         assert loaded(load_observations, path) == loaded(reference_load_observations, path) == message
 
-    @pytest.mark.parametrize("ten, one", [("1_0", "0_1"), ("\u0661\u0660", "\u0661"), (" 10\t", "+1")])
-    def test_ids_and_steps_are_read_by_pythons_int(self, tmp_path, monkeypatch, ten, one):
+    @pytest.mark.parametrize("ten, one, numpy_reads", [
+        ("1_0", "0_1", False), ("\u0661\u0660", "\u0661", False), (" 10\t", "+1", True)])
+    def test_ids_and_steps_are_read_by_pythons_int(self, tmp_path, monkeypatch, ten, one,
+                                                   numpy_reads):
+        # numpy's integer parser reads plain ids; Python's int, on the csv
+        # path, reads the spellings it refuses.
         path = write_trajectories(tmp_path, [f"{ten},0,1.0,0.0", f"{ten},{one},0.5,-2.0", *PLAIN_ROWS[2:]])
-        monkeypatch.setattr(sampling, "_csv_rows", mock.Mock(side_effect=AssertionError))
+        if numpy_reads:
+            monkeypatch.setattr(sampling, "_csv_rows", mock.Mock(side_effect=AssertionError))
         assert loaded(load_observations, path) == loaded(reference_load_observations, path)
         assert load_observations(path).X0.tobytes() == np.array(PLAIN_X0).tobytes()
+
+    @pytest.mark.parametrize("column", [0, 1], ids=["traj_id", "step"])
+    def test_integer_read_via_a_float_takes_the_csv_path(self, tmp_path, monkeypatch, column):
+        # Older numpy releases read "7.5" in an integer column as 7, with only
+        # a DeprecationWarning; the loader must refuse such a reading.
+        rows = [PLAIN_ROWS[0], "", *corrupt(PLAIN_ROWS[1:], "7.5", 0, column)[0]]
+        path = write_trajectories(tmp_path, rows)
+        loadtxt = np.loadtxt
+
+        def truncating(*args, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+            return loadtxt(io.StringIO("\n".join(PLAIN_ROWS)), *args[1:], **kwargs)
+
+        csv_rows = mock.Mock(side_effect=sampling._csv_rows)
+        monkeypatch.setattr(np, "loadtxt", truncating)
+        monkeypatch.setattr(sampling, "_csv_rows", csv_rows)
+        message = f"{path}:4: invalid literal for int() with base 10: '7.5'"
+        assert loaded(load_observations, path) == loaded(reference_load_observations, path) == message
+        assert csv_rows.call_count == 1
 
     @pytest.mark.parametrize("body", ["", "\n", "\n\n", "\r\n\r\n", "\n \n"],
                              ids=["no_newline", "lf", "blank_lf", "blank_crlf", "space_line"])
